@@ -16,7 +16,7 @@ import traceback
 
 import numpy as np
 
-from . import __version__, serialize, suite
+from . import __version__, matkernel as mk, serialize, suite
 from .effects import (
     Normalization,
     generate_commuting_resolution,
@@ -37,7 +37,6 @@ from .errors import (
 )
 from .operation import (
     LuedersOperation,
-    channel_norm,
     commutant,
     fixed_point_space,
     joint_eigenspaces,
@@ -145,7 +144,7 @@ def _cmd_analyze(args) -> int:
         "commuting": es.commuting,
         "normalization": es.normalization.value,
         "max_pairwise_commutator_norm": es.max_pairwise_commutator_norm,
-        "channel_norm": channel_norm(op).value,
+        "channel_norm": mk.operator_norm(es.sum_of_squares),
         "fixed_dim": fixed_point_space(op).dim,
         "commutant_dim": commutant(es).dim,
     }

@@ -5,6 +5,11 @@ roots, and orthonormal operator subspaces under the Hilbert-Schmidt inner
 product tr(A†B).  Dimensions stay small (d ≤ 64, superoperators ≤ 4096), so
 dense LAPACK routines via numpy are used throughout.
 
+Each numerical kernel costs one factorization: ``nullspace`` takes one SVD,
+of the triangular QR factor when the matrix is tall, and the fixed-point
+space of a Lüders operation (in ``operation``) takes one Hermitian ``eigh``.
+Both cut their spectrum by the same relative rule, ``_kernel_columns``.
+
 Vectorization is column-stacking: vec(AXB) = (Bᵀ ⊗ A) vec(X).
 """
 
@@ -130,26 +135,41 @@ def sqrt_psd(m, tol: Tolerances = DEFAULT) -> np.ndarray:
     return (root + root.conj().T) / 2
 
 
+def _kernel_columns(dist: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
+    """Columns of `vectors` whose distance to the kernel is at most tol·max(dist).
+
+    dist[i] is the singular value that column i belongs to.  When max(dist) ≤
+    tol the matrix counts as zero and the full identity basis is returned:
+    rounding dust must not masquerade as structure, and every returned x then
+    still satisfies ‖Mx‖ ≤ tol·‖x‖.
+    """
+    scale = float(dist.max())
+    if scale <= tol:
+        return np.eye(vectors.shape[0], dtype=complex)
+    return vectors[:, dist <= tol * scale]
+
+
 def nullspace(m, tol: float = DEFAULT.nullspace) -> np.ndarray:
     """Orthonormal columns spanning the numerical kernel of M.
 
-    Singular vectors whose singular value falls at or below tol·σ_max are
-    kept.  A matrix with σ_max ≤ tol counts as zero and returns the full
-    identity basis: rounding dust must not masquerade as structure, and every
-    returned x then still satisfies ‖Mx‖ ≤ tol·‖x‖.
+    One SVD: a tall M is first reduced to its square triangular QR factor R,
+    which has the same right singular vectors, so no left singular vectors of
+    M are ever formed.  Right singular vectors whose singular value falls at
+    or below tol·σ_max are kept, together with every direction beyond the rank
+    of a wide M; see `_kernel_columns` for the zero-matrix rule.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = as_complex_matrix(m)
-    cols = a.shape[1]
+    rows, cols = a.shape
     if a.size == 0:
         return np.eye(cols, dtype=complex)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] <= tol:
-        return np.eye(cols, dtype=complex)
-    _, _, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.count_nonzero(s > tol * s[0]))
-    return vh[rank:].conj().T.copy()
+    if rows > cols:
+        a = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    dist = np.zeros(cols)
+    dist[: s.size] = s
+    return _kernel_columns(dist, vh.conj().T, tol)
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:

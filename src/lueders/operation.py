@@ -78,10 +78,16 @@ class LuedersOperation:
 
 
 def fixed_point_space(op: LuedersOperation, tol: float = DEFAULT.nullspace) -> mk.OperatorSubspace:
-    """Orthonormal basis of {B : Φ(B) = B}, via the kernel of the superoperator minus identity."""
-    d = op.dim
-    cols = mk.nullspace(op.superoperator - np.eye(d * d), tol)
-    return mk.OperatorSubspace.from_vectors(cols, d)
+    """Orthonormal basis of {B : Φ(B) = B}: the eigenvalue-1 cluster of the superoperator.
+
+    The superoperator Σ conj(Eᵢ)⊗Eᵢ is Hermitian, so one ``eigh`` of its
+    Hermitized matrix gives the singular values |w - 1| of S - I with their
+    vectors, and the relative cut of `matkernel.nullspace` applies unchanged.
+    """
+    s = op.superoperator
+    w, v = np.linalg.eigh((s + s.conj().T) / 2)
+    cols = mk._kernel_columns(np.abs(w - 1.0), v, tol)
+    return mk.OperatorSubspace.from_vectors(cols, op.dim)
 
 
 def commutant(effect_set: EffectSet, tol: float = DEFAULT.nullspace) -> mk.OperatorSubspace:
@@ -89,7 +95,10 @@ def commutant(effect_set: EffectSet, tol: float = DEFAULT.nullspace) -> mk.Opera
 
     The simultaneous commutation conditions stack into one (n·d²)×d² map
     whose kernel is the commutant; vec(BE - EB) = (Eᵀ ⊗ I - I ⊗ E) vec(B)
-    fixes each block.
+    fixes each block.  Its kernel comes from `matkernel.nullspace` (QR, then
+    one SVD), a factorization independent of the ``eigh`` behind
+    `fixed_point_space`, so the verifiers never compare a computation with
+    itself.
     """
     d = effect_set.dim
     eye = np.eye(d)
@@ -325,16 +334,19 @@ class NagySolution:
 def nagy_solve(op: LuedersOperation, tol: Tolerances = DEFAULT) -> NagySolution:
     """Solve the complete-disturbance equation Φ(X) + X = I.
 
-    The superoperator of Φ is positive semidefinite, so Φ + id is invertible
-    and the solution unique; the singular guard stays for hand-built inputs.
-    For resolutions the solution is I/2.
+    The superoperator of Φ is Hermitian positive semidefinite, so S + I is
+    Hermitian with spectrum in [1, 2], invertible, and the solution unique.
+    The singular guard reads |eigenvalues| from ``eigvalsh`` (they are the
+    singular values of a Hermitian matrix) and stays for hand-built inputs;
+    the system is then solved by LU with ``np.linalg.solve``.  For resolutions
+    the solution is I/2.
     """
     d = op.dim
     a = op.superoperator + np.eye(d * d)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= tol.nullspace * s[0]:
+    s = np.abs(np.linalg.eigvalsh(a))
+    if s.min() <= tol.nullspace * s.max():
         raise SingularSystem("the superoperator has an eigenvalue at -1")
-    x_vec, *_ = np.linalg.lstsq(a, mk.vec(np.eye(d)), rcond=None)
+    x_vec = np.linalg.solve(a, mk.vec(np.eye(d)))
     x = mk.unvec(x_vec, d)
     residual = mk.frobenius_norm(op.apply(x) + x - np.eye(d))
     half_distance = mk.frobenius_norm(x - np.eye(d) / 2)

@@ -12,6 +12,7 @@ Operator file:     {"d": int, "matrix": matrix}
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -89,7 +90,13 @@ def _as_int(obj, what: str) -> int:
 def _as_float(obj, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ParseError(f"{what} must be a number, got {obj!r}")
-    return float(obj)
+    try:
+        x = float(obj)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"{what} must be finite, got {obj!r}")
+    return x
 
 
 def _parse_matrix(obj, d: int, what: str) -> np.ndarray:
@@ -118,7 +125,7 @@ def parse_effect_set(text: str, tol: Tolerances = DEFAULT) -> EffectSet:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -139,7 +146,7 @@ def parse_effect_set(text: str, tol: Tolerances = DEFAULT) -> EffectSet:
 def parse_operator(text: str) -> np.ndarray:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "d" not in doc or "matrix" not in doc:
         raise ParseError('operator document needs keys "d" and "matrix"')
@@ -160,12 +167,19 @@ def load_operator(path) -> np.ndarray:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a temporary file and rename, so readers never see partial output."""
+    """Write via a temporary file and rename, so readers never see partial output.
+
+    The file gets the mode a plain ``open`` would give a new file (0o666 less
+    the umask), not the 0o600 of the temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)  # the only portable read of the umask sets it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

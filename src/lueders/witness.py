@@ -254,8 +254,16 @@ def _contraction_bound_alternate(n: int, m: int, p: int) -> float:
 
 
 def contraction_threshold(n: int, m: int) -> int:
-    """Smallest p with a positive contraction bound, by integer scan."""
-    p = 1
+    """Smallest p with a positive contraction bound.
+
+    The numerator p² - 4√n·m·p - 2n is positive exactly beyond its larger
+    root 2√n·m + √(4n·m² + 2n), which gives p* in closed form; the integer
+    guard then steps p until the floating-point bound itself changes sign
+    between p* - 1 and p*.
+    """
+    p = math.floor(2 * math.sqrt(n) * m + math.sqrt(4 * n * m * m + 2 * n)) + 1
+    while p > 1 and contraction_bound(n, m, p - 1) > 0:
+        p -= 1
     while contraction_bound(n, m, p) <= 0:
         p += 1
     return p

@@ -1,12 +1,20 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from lueders.cli import main
-from lueders.effects import build_effect_set, generate_noncommuting_resolution
+from lueders.effects import (
+    build_effect_set,
+    generate_commuting_subnormalized,
+    generate_noncommuting_resolution,
+)
+from lueders.operation import LuedersOperation, channel_norm
 from lueders.serialize import dump_effect_set, dump_operator
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -148,6 +156,48 @@ def test_bound_output(capsys):
 
     assert main(["bound", "--n", "1", "--m", "1", "--p", "0"]) == 3
     capsys.readouterr()
+
+
+def test_bound_at_the_argument_limit_is_fast(capsys):
+    start = time.perf_counter()
+    assert main(["bound", "--n", "1000000", "--m", "1000000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert _out(capsys).startswith("p* = ")
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_nonfinite_entries_exit_three(tmp_path, capsys, entry):
+    es_path = tmp_path / "set.json"
+    es_path.write_text('{"d": 2, "n": 1, "effects": [[[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]]}' % entry)
+    op_path = tmp_path / "op.json"
+    op_path.write_text('{"d": 2, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, %s]]]}' % entry)
+    for argv in (["validate", str(es_path)], ["verify", str(es_path)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError:") and "finite" in err
+    assert main(["witness", _pinching_file(tmp_path), str(op_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError:") and "finite" in err
+
+
+def test_gen_out_file_follows_the_umask(tmp_path):
+    path = tmp_path / "set.json"
+    old = os.umask(0o022)
+    try:
+        assert main(["gen", "--flavor", "commuting-resolution", "--d", "2", "--n", "2",
+                     "--out", str(path)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
+def test_analyze_channel_norm_matches_certificate(tmp_path, capsys):
+    path = tmp_path / "sub.json"
+    es = generate_commuting_subnormalized(4, 3, seed=3, unit_fraction=0.5)
+    dump_effect_set(path, es)
+    assert main(["analyze", str(path)]) == 0
+    report = json.loads(_out(capsys))
+    assert report["channel_norm"] == channel_norm(LuedersOperation(es)).value
 
 
 def test_nagy_resolution(tmp_path, capsys):

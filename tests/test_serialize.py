@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -123,3 +125,29 @@ def test_write_text_atomic_replaces_and_leaves_no_droppings(tmp_path):
     write_text_atomic(path, "second")
     assert path.read_text() == "second"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_write_text_atomic_follows_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "out.txt"
+    old = os.umask(umask)
+    try:
+        write_text_atomic(path, "text")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_nonfinite_entries_are_parse_errors(entry):
+    with pytest.raises(ParseError, match="finite"):
+        parse_effect_set('{"d": 1, "n": 1, "effects": [[[[%s, 0]]]]}' % entry)
+    with pytest.raises(ParseError, match="finite"):
+        parse_operator('{"d": 1, "matrix": [[[0, %s]]]}' % entry)
+
+
+def test_integer_over_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_effect_set('{"d": 1, "n": 1, "effects": [[[[%s, 0]]]]}' % ("1" * 5000))
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_operator('{"d": 1, "matrix": [[[%s, 0]]]}' % ("1" * 5000))

@@ -159,6 +159,30 @@ def test_contraction_threshold_known_value():
     assert contraction_threshold(1, 1) == 5
 
 
+def _threshold_by_scan(n, m):
+    p = 1
+    while contraction_bound(n, m, p) <= 0:
+        p += 1
+    return p
+
+
+def test_contraction_threshold_matches_scan():
+    mismatches = [
+        (n, m)
+        for n in range(1, 40)
+        for m in range(1, 40)
+        if contraction_threshold(n, m) != _threshold_by_scan(n, m)
+    ]
+    assert mismatches == []
+
+
+def test_contraction_threshold_at_the_argument_limit():
+    n = m = 10**6
+    p = contraction_threshold(n, m)
+    assert contraction_bound(n, m, p) > 0
+    assert contraction_bound(n, m, p - 1) <= 0
+
+
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 5)])
 def test_contraction_bound_monotone_and_capped(n, m):
     start = int(4 * math.sqrt(n) * m) + 1
