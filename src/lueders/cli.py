@@ -48,7 +48,6 @@ from .witness import contraction_bound, contraction_threshold, witness_search
 
 __all__ = ["build_parser", "main"]
 
-_DIM_LIMIT = 64
 _FLAVORS = ("commuting-resolution", "commuting-subnormalized", "noncommuting-resolution")
 
 # Validation failures that name the violated invariant with exit code 1.
@@ -85,8 +84,8 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> int:
 
 
 def _cmd_gen(args) -> int:
-    d = _check_range("d", args.d, 1, _DIM_LIMIT)
-    n = _check_range("n", args.n, 1, _DIM_LIMIT)
+    d = _check_range("d", args.d, 1, serialize.DIM_LIMIT)
+    n = _check_range("n", args.n, 1, serialize.DIM_LIMIT)
     meta = {"flavor": args.flavor, "seed": args.seed}
     if args.flavor == "commuting-resolution":
         es = generate_commuting_resolution(d, n, args.seed)

@@ -32,7 +32,6 @@ __all__ = [
     "frobenius_norm",
     "hermitian_defect",
     "hermitian_eigendecompose",
-    "hs_inner",
     "nullspace",
     "operator_norm",
     "orthonormalize",
@@ -172,11 +171,6 @@ def nullspace(m, tol: float = DEFAULT.nullspace) -> np.ndarray:
     return _kernel_columns(dist, vh.conj().T, tol)
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A†B)."""
-    return complex(np.vdot(a, b))
-
-
 @dataclass(frozen=True)
 class OperatorSubspace:
     """Subspace of d×d operators with an orthonormal basis under tr(A†B)."""
@@ -196,22 +190,17 @@ class OperatorSubspace:
 
 
 def orthonormalize(mats: Sequence[np.ndarray], drop_tol: float = DEFAULT.nullspace) -> list[np.ndarray]:
-    """Modified Gram-Schmidt under the Hilbert-Schmidt inner product.
+    """Orthonormal basis of the span under the Hilbert-Schmidt inner product tr(A†B).
 
-    Vectors whose residual norm falls below drop_tol are discarded.  A second
-    projection pass keeps the basis orthonormal to working precision.
+    One thin SVD of the vectorized matrices stacked as columns; the left
+    singular vectors whose singular value exceeds drop_tol (an absolute cut)
+    are unvectorized and returned.
     """
-    basis: list[np.ndarray] = []
-    for m in mats:
-        v = np.array(m, dtype=complex)
-        for _ in range(2):
-            for b in basis:
-                v = v - hs_inner(b, v) * b
-        nrm = frobenius_norm(v)
-        if nrm < drop_tol:
-            continue
-        basis.append(v / nrm)
-    return basis
+    if not mats:
+        return []
+    d = np.shape(mats[0])[0]
+    u, s, _ = np.linalg.svd(np.column_stack([vec(m) for m in mats]).astype(complex), full_matrices=False)
+    return [unvec(u[:, i], d) for i in np.flatnonzero(s > drop_tol)]
 
 
 def subspace_projector(s: OperatorSubspace) -> np.ndarray:

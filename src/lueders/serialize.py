@@ -38,6 +38,9 @@ __all__ = [
 
 _META_KEYS = ("flavor", "seed", "unit_fraction")
 
+# Largest Hilbert-space dimension a file may declare; `gen` caps d and n here too.
+DIM_LIMIT = 64
+
 
 def format_float(x: float) -> str:
     """Render a double with 17 significant digits (parses back bit-exactly)."""
@@ -136,6 +139,8 @@ def parse_effect_set(text: str, tol: Tolerances = DEFAULT) -> EffectSet:
     n = _as_int(doc["n"], "n")
     if d < 1 or n < 1:
         raise ParseError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+    if d > DIM_LIMIT:
+        raise ParseError(f"d must be at most {DIM_LIMIT}, got {d}")
     effects = doc["effects"]
     if not isinstance(effects, list) or len(effects) != n:
         raise ParseError(f"effects must be a list of {n} matrices")
@@ -153,6 +158,8 @@ def parse_operator(text: str) -> np.ndarray:
     d = _as_int(doc["d"], "d")
     if d < 1:
         raise ParseError(f"need d >= 1, got {d}")
+    if d > DIM_LIMIT:
+        raise ParseError(f"d must be at most {DIM_LIMIT}, got {d}")
     return _parse_matrix(doc["matrix"], d, "matrix")
 
 

@@ -20,7 +20,6 @@ C10  kernel health: eigendecomposition reconstruction and window partitions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -211,8 +210,8 @@ def _random_effect(d: int, rng: np.random.Generator):
 # criteria
 
 
-def _c1(scale: Scale) -> CriterionResult:
-    pool = _resolution_pool(scale)
+def _verify_resolutions(pool) -> tuple[int, float, int]:
+    """Run the Theorem 3.1 check over a pool: (sets checked, worst distance, failures)."""
     failures = 0
     worst = 0.0
     for es in pool:
@@ -220,11 +219,16 @@ def _c1(scale: Scale) -> CriterionResult:
         worst = max(worst, rep.distance)
         if not (rep.verdict and rep.fixed_dim == rep.target_dim and rep.distance <= 1e-8):
             failures += 1
+    return len(pool), worst, failures
+
+
+def _c1(scale: Scale) -> CriterionResult:
+    sets, worst, failures = _verify_resolutions(_resolution_pool(scale))
     return CriterionResult(
         "C1",
         "commuting resolutions: fixed-point space equals the commutant",
         failures == 0,
-        {"sets": len(pool), "max_distance": worst, "failures": failures},
+        {"sets": sets, "max_distance": worst, "failures": failures},
     )
 
 
@@ -257,23 +261,15 @@ def _c2(scale: Scale) -> CriterionResult:
 
 def _c3(scale: Scale) -> CriterionResult:
     pool = _noncommuting_pool(scale)
-    failures = 0
-    worst = 0.0
-    min_commutator = math.inf
-    for es in pool:
-        min_commutator = min(min_commutator, es.max_pairwise_commutator_norm)
-        rep = verify_resolution_fixed_points(es)
-        worst = max(worst, rep.distance)
-        if not (rep.verdict and rep.fixed_dim == rep.target_dim and rep.distance <= 1e-8):
-            failures += 1
+    sets, worst, failures = _verify_resolutions(pool)
     return CriterionResult(
         "C3",
         "non-commuting resolutions: fixed-point space still equals the commutant",
         failures == 0,
         {
-            "sets": len(pool),
+            "sets": sets,
             "max_distance": worst,
-            "min_commutator_norm": min_commutator,
+            "min_commutator_norm": min((es.max_pairwise_commutator_norm for es in pool), default=None),
             "failures": failures,
         },
     )
@@ -310,18 +306,18 @@ def _c5(scale: Scale) -> CriterionResult:
         + list(_noncommuting_pool(scale))
     )
     failures = 0
-    worst_excess = -math.inf
+    excesses = []
     for i, es in enumerate(sets):
         cert = channel_norm(LuedersOperation(es), probes=scale.norm_probes, seed=7000 + i)
         excess = cert.max_probe_image_norm - cert.value
-        worst_excess = max(worst_excess, excess)
+        excesses.append(excess)
         if not (cert.identity_image_norm == cert.value and excess <= 1e-10):
             failures += 1
     return CriterionResult(
         "C5",
         "channel norm: ‖Φ(I)‖ equals ‖F‖ exactly and random probes never exceed it",
         failures == 0,
-        {"sets": len(sets), "max_probe_excess": worst_excess, "failures": failures},
+        {"sets": len(sets), "max_probe_excess": max(excesses, default=None), "failures": failures},
     )
 
 
@@ -382,7 +378,7 @@ def _c6(scale: Scale) -> CriterionResult:
 def _c7(scale: Scale) -> CriterionResult:
     failures = 0
     checks: dict[str, float] = {}
-    worst_margin = math.inf
+    margins = []
     cases = 0
     attempt = 0
     while cases < scale.contraction_cases and attempt < 4 * scale.contraction_cases:
@@ -403,7 +399,7 @@ def _c7(scale: Scale) -> CriterionResult:
         rep = build_contractive_block(es, x, p)
         cases += 1
         margin = rep.achieved_ratio - rep.bound
-        worst_margin = min(worst_margin, margin)
+        margins.append(margin)
         proj_comm = max(
             mk.operator_norm(rep.left_projector @ e - e @ rep.left_projector)
             for e in es.matrices
@@ -442,7 +438,7 @@ def _c7(scale: Scale) -> CriterionResult:
         failures == 0 and cases >= scale.contraction_cases and formula_ok,
         {
             "cases": cases,
-            "min_margin": worst_margin,
+            "min_margin": min(margins, default=None),
             "failures": failures,
             **checks,
         },
@@ -468,8 +464,9 @@ def _c8(scale: Scale) -> CriterionResult:
 def _c9(scale: Scale) -> CriterionResult:
     pool = _resolution_pool(scale)
     commuting_pool = [es for es in pool if es.commuting]
+    trials = scale.density_trials if commuting_pool else 0
     disagreements = 0
-    for t in range(scale.density_trials):
+    for t in range(trials):
         es = commuting_pool[t % len(commuting_pool)]
         op = LuedersOperation(es)
         d = es.dim
@@ -493,7 +490,7 @@ def _c9(scale: Scale) -> CriterionResult:
         "C9",
         "a state is fixed iff it commutes with every effect (equivalence sweep)",
         disagreements == 0,
-        {"trials": scale.density_trials, "disagreements": disagreements},
+        {"trials": trials, "disagreements": disagreements},
     )
 
 

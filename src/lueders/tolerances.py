@@ -19,8 +19,6 @@ class Tolerances:
 
     hermitian       relative Frobenius asymmetry allowed before NotHermitian
     psd             absolute eigenvalue dust tolerated below 0 (clipped away)
-    orthonormal     absolute defect allowed in orthonormality checks
-    reconstruction  relative error allowed when rebuilding M from its factors
     nullspace       relative singular-value cut for numerical kernels
     commutator      commutation threshold, relative to the largest effect norm
     cluster         eigenvalue cluster gap and spectral-window edge snap
@@ -34,8 +32,6 @@ class Tolerances:
 
     hermitian: float = 1e-10
     psd: float = 1e-10
-    orthonormal: float = 1e-9
-    reconstruction: float = 1e-9
     nullspace: float = 1e-10
     commutator: float = 1e-9
     cluster: float = 1e-9

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel as mk
-from .effects import Effect, EffectSet, spectral_window, window_index
+from .effects import Effect, EffectSet, window_index
 from .errors import (
     CommutesNoWitness,
     DimensionMismatch,
-    IndexOutOfRange,
     RefinementVanished,
     ResolutionExhausted,
 )
@@ -35,16 +34,10 @@ from .tolerances import DEFAULT, Tolerances
 __all__ = [
     "ContractionReport",
     "M_MAX",
-    "OffDiagonalBlock",
     "WitnessCertificate",
-    "bin_commutation_check",
-    "bin_projection",
     "build_contractive_block",
     "contraction_bound",
     "contraction_threshold",
-    "minimal_spectral_gap",
-    "occupied_bins",
-    "offdiagonal_block_search",
     "witness_search",
 ]
 
@@ -54,109 +47,18 @@ __all__ = [
 M_MAX = 2**20
 
 
-def _check_bin_index(effect_set: EffectSet, m: int, ks) -> tuple[int, ...]:
-    if m < 1:
-        raise IndexOutOfRange(f"resolution m must be positive, got {m}")
-    ks = tuple(int(k) for k in ks)
-    if len(ks) != effect_set.n:
-        raise IndexOutOfRange(f"expected {effect_set.n} indices, got {len(ks)}")
-    for k in ks:
-        if not -1 <= k <= m - 1:
-            raise IndexOutOfRange(f"index {k} outside {{-1, ..., {m - 1}}}")
-    return ks
+def _group_by_window(values, m: int, tol: Tolerances) -> dict[tuple[int, ...], list[int]]:
+    """Row indices grouped by window-index tuple at resolution m, sorted by key.
 
-
-def bin_projection(effect_set: EffectSet, m: int, ks, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Product of per-effect window projectors: F^m_{k₁...kₙ} = Π P^{Eᵢ}(kᵢ/m, (kᵢ+1)/m]."""
-    _require_commuting(effect_set)
-    ks = _check_bin_index(effect_set, m, ks)
-    p = np.eye(effect_set.dim, dtype=complex)
-    for eff, k in zip(effect_set.effects, ks):
-        p = p @ spectral_window(eff, k / m, (k + 1) / m, tol).projector
-    return p
-
-
-def occupied_bins(effect_set: EffectSet, m: int, tol: Tolerances = DEFAULT) -> dict[tuple[int, ...], np.ndarray]:
-    """Nonzero bin projections at resolution m, keyed by index tuple.
-
-    Built from the joint eigenstructure, so only the at most d occupied tuples
-    are materialized instead of all (m+1)ⁿ candidates.  Keys are sorted
-    lexicographically for deterministic iteration.
+    Each row of `values` holds eigenvalues, one per effect, of one eigenvector
+    or one joint block; its key is the tuple of indices k of the windows
+    (k/m, (k+1)/m] that contain them.  A key is one occupied bin F^m_{k₁...kₙ}.
     """
-    js = joint_eigenspaces(effect_set, tol)
-    groups: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for block in js.blocks:
-        key = tuple(window_index(float(v), m, tol.cluster) for v in block.values)
-        groups.setdefault(key, []).append(block.basis)
-    return {
-        key: mk.sum_terms([v @ v.conj().T for v in vs])
-        for key, vs in sorted(groups.items())
-    }
-
-
-def bin_commutation_check(effect_set: EffectSet, b, m: int, tol: Tolerances = DEFAULT) -> bool:
-    """True iff b commutes with every occupied bin projection at resolution m."""
-    _require_commuting(effect_set)
-    if m < 1:
-        raise IndexOutOfRange(f"resolution m must be positive, got {m}")
-    mat = mk.as_complex_matrix(b)
-    thresh = tol.commutator * mk.operator_norm(mat)
-    return all(
-        mk.operator_norm(f @ mat - mat @ f) <= thresh
-        for f in occupied_bins(effect_set, m, tol).values()
-    )
-
-
-def minimal_spectral_gap(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> float:
-    """Smallest positive gap between distinct per-effect eigenvalues of a commuting set.
-
-    Bin checks at resolutions m with 2/m below this gap separate every pair of
-    distinct eigenvalues, which is the point where commuting with all bins
-    forces commuting with the effects themselves.  Returns inf when every
-    effect is a scalar.
-    """
-    js = joint_eigenspaces(effect_set, tol)
-    gap = math.inf
-    values = np.array([b.values for b in js.blocks])
-    for i in range(effect_set.n):
-        col = np.sort(values[:, i])
-        for a, b in zip(col, col[1:]):
-            diff = float(b - a)
-            if diff > tol.cluster:
-                gap = min(gap, diff)
-    return gap
-
-
-@dataclass(frozen=True)
-class OffDiagonalBlock:
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    block_norm: float
-
-
-def offdiagonal_block_search(
-    effect_set: EffectSet,
-    b,
-    m: int,
-    witness_tol: float | None = None,
-    tol: Tolerances = DEFAULT,
-) -> OffDiagonalBlock | None:
-    """First pair of distinct occupied bins with ‖F b F'‖ above threshold, or None.
-
-    Pairs are scanned in lexicographic order of (left, right), so the result
-    is deterministic.
-    """
-    _require_commuting(effect_set)
-    mat = mk.as_complex_matrix(b)
-    thresh = tol.witness * mk.operator_norm(mat) if witness_tol is None else witness_tol
-    bins = occupied_bins(effect_set, m, tol)
-    for ks, ks2 in itertools.product(bins, repeat=2):
-        if ks == ks2:
-            continue
-        norm = mk.operator_norm(bins[ks] @ mat @ bins[ks2])
-        if norm > thresh:
-            return OffDiagonalBlock(ks, ks2, norm)
-    return None
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for row, vals in enumerate(values):
+        key = tuple(window_index(float(v), m, tol.cluster) for v in vals)
+        groups.setdefault(key, []).append(row)
+    return dict(sorted(groups.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +117,9 @@ def witness_search(
     u = effect.eigenvectors
     m = 2
     while m <= m_max:
-        groups: dict[int, list[int]] = {}
-        for idx, lam in enumerate(effect.eigenvalues):
-            groups.setdefault(window_index(float(lam), m, tol.cluster), []).append(idx)
-        projs = {
-            k: u[:, cols] @ u[:, cols].conj().T for k, cols in sorted(groups.items())
-        }
-        for k, j in itertools.product(sorted(projs), repeat=2):
+        groups = _group_by_window(effect.eigenvalues[:, None], m, tol)
+        projs = {key[0]: u[:, cols] @ u[:, cols].conj().T for key, cols in groups.items()}
+        for k, j in itertools.product(projs, repeat=2):
             if abs(k - j) < 2:
                 continue
             norm = mk.operator_norm(projs[k] @ mat @ projs[j])
@@ -247,12 +145,6 @@ def contraction_bound(n: int, m: int, p: int) -> float:
     return (p * p - 4 * math.sqrt(n) * m * p - 2 * n) / (2 * (p * m) ** 2)
 
 
-def _contraction_bound_alternate(n: int, m: int, p: int) -> float:
-    # Variant with the cross term not scaled by p; reported for reference,
-    # never used in verdicts.
-    return (p * p - 4 * math.sqrt(n) * m - 2 * n) / (2 * (p * m) ** 2)
-
-
 def contraction_threshold(n: int, m: int) -> int:
     """Smallest p with a positive contraction bound.
 
@@ -276,14 +168,13 @@ class ContractionReport:
     P and Q are products of bin projections from the commutant of the effect
     set, PQ = 0, and the refined first-coordinate indices satisfy
     |s₁ - s₁'| ≥ p.  achieved_ratio = (‖Y‖ - ‖Φ(Y)‖)/‖Y‖ is certified to be
-    at least `bound`; `bound_alternate` is an informational variant.
+    at least `bound`.
     """
 
     n: int
     m: int
     p: int
     bound: float
-    bound_alternate: float
     achieved_ratio: float
     coarse_left: tuple[int, ...]
     coarse_right: tuple[int, ...]
@@ -301,7 +192,6 @@ class ContractionReport:
             "m": self.m,
             "p": self.p,
             "bound": self.bound,
-            "bound_alternate": self.bound_alternate,
             "achieved_ratio": self.achieved_ratio,
             "coarse_left": list(self.coarse_left),
             "coarse_right": list(self.coarse_right),
@@ -317,14 +207,6 @@ class ContractionReport:
             out["left_projector"] = matrix_to_lists(self.left_projector)
             out["right_projector"] = matrix_to_lists(self.right_projector)
         return out
-
-
-def _group_by_bins(blocks: list[JointBlock], m: int, tol: Tolerances) -> dict[tuple[int, ...], list[JointBlock]]:
-    groups: dict[tuple[int, ...], list[JointBlock]] = {}
-    for block in blocks:
-        key = tuple(window_index(float(v), m, tol.cluster) for v in block.values)
-        groups.setdefault(key, []).append(block)
-    return groups
 
 
 def _projector_of(blocks: list[JointBlock]) -> np.ndarray:
@@ -356,10 +238,13 @@ def build_contractive_block(
     m, k, j = cert.m, cert.k, cert.j
     thresh = tol.witness * mk.operator_norm(mat) if witness_tol is None else witness_tol
 
-    js = joint_eigenspaces(effect_set, tol)
-    coarse = _group_by_bins(list(js.blocks), m, tol)
-    left_keys = sorted(t for t in coarse if t[0] == k)
-    right_keys = sorted(t for t in coarse if t[0] == j)
+    def bins(blocks: list[JointBlock], res: int) -> dict[tuple[int, ...], list[JointBlock]]:
+        groups = _group_by_window([b.values for b in blocks], res, tol)
+        return {key: [blocks[i] for i in rows] for key, rows in groups.items()}
+
+    coarse = bins(list(joint_eigenspaces(effect_set, tol).blocks), m)
+    left_keys = [t for t in coarse if t[0] == k]
+    right_keys = [t for t in coarse if t[0] == j]
     chosen = None
     for ks, ks2 in itertools.product(left_keys, right_keys):
         p0 = _projector_of(coarse[ks])
@@ -373,10 +258,10 @@ def build_contractive_block(
     ks, ks2, p0, q0, y0 = chosen
 
     fine = p * m
-    fine_left = _group_by_bins(coarse[ks], fine, tol)
-    fine_right = _group_by_bins(coarse[ks2], fine, tol)
+    fine_left = bins(coarse[ks], fine)
+    fine_right = bins(coarse[ks2], fine)
     refined = None
-    for s, s2 in itertools.product(sorted(fine_left), sorted(fine_right)):
+    for s, s2 in itertools.product(fine_left, fine_right):
         fs = _projector_of(fine_left[s])
         fs2 = _projector_of(fine_right[s2])
         if mk.operator_norm(fs @ y0 @ fs2) > thresh:
@@ -396,7 +281,6 @@ def build_contractive_block(
         m=m,
         p=p,
         bound=contraction_bound(effect_set.n, m, p),
-        bound_alternate=_contraction_bound_alternate(effect_set.n, m, p),
         achieved_ratio=(y_norm - image_norm) / y_norm,
         coarse_left=ks,
         coarse_right=ks2,

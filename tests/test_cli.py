@@ -15,7 +15,13 @@ from lueders.effects import (
     generate_noncommuting_resolution,
 )
 from lueders.operation import LuedersOperation, channel_norm
-from lueders.serialize import dump_effect_set, dump_operator
+from lueders.serialize import (
+    DIM_LIMIT,
+    dump_effect_set,
+    dump_operator,
+    effect_set_to_json,
+    operator_to_json,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -178,6 +184,31 @@ def test_nonfinite_entries_exit_three(tmp_path, capsys, entry):
     assert main(["witness", _pinching_file(tmp_path), str(op_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError:") and "finite" in err
+
+
+def test_effect_file_over_the_dimension_cap_exits_three(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(effect_set_to_json(build_effect_set([np.eye(DIM_LIMIT + 1)])))
+    assert main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError:") and f"at most {DIM_LIMIT}" in err
+
+
+def test_operator_file_over_the_dimension_cap_exits_three(tmp_path, capsys):
+    path = tmp_path / "big-op.json"
+    path.write_text(operator_to_json(np.eye(DIM_LIMIT + 1)))
+    assert main(["witness", _pinching_file(tmp_path), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError:") and f"at most {DIM_LIMIT}" in err
+
+
+def test_effect_file_at_the_dimension_cap_validates(tmp_path, capsys):
+    path = tmp_path / "cap.json"
+    assert main(["gen", "--flavor", "commuting-resolution", "--d", str(DIM_LIMIT), "--n", "1",
+                 "--out", str(path)]) == 0
+    assert main(["validate", str(path)]) == 0
+    report = json.loads(_out(capsys))
+    assert report["valid"] and report["d"] == DIM_LIMIT
 
 
 def test_gen_out_file_follows_the_umask(tmp_path):

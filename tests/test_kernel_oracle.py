@@ -1,10 +1,11 @@
 """The factorized kernels against a dense full-SVD / lstsq reference.
 
 `nullspace` takes one SVD of a QR-reduced matrix, `fixed_point_space` one
-``eigh`` and `nagy_solve` one LU solve.  The reference below is the direct
-route they replaced: a full SVD of the unreduced matrix for every kernel and
-``lstsq`` for the Φ(X) + X = I system.  It lives here, not in the package, so
-it stays an independent oracle.
+``eigh``, `nagy_solve` one LU solve and `orthonormalize` one thin SVD.  The
+references below are the direct routes they replaced: a full SVD of the
+unreduced matrix for every kernel, ``lstsq`` for the Φ(X) + X = I system and
+modified Gram-Schmidt for orthonormal bases.  They live here, not in the
+package, so they stay independent oracles.
 """
 
 import numpy as np
@@ -16,7 +17,13 @@ from lueders.effects import (
     generate_commuting_subnormalized,
     generate_noncommuting_resolution,
 )
-from lueders.operation import LuedersOperation, commutant, fixed_point_space, nagy_solve
+from lueders.operation import (
+    LuedersOperation,
+    commutant,
+    fixed_point_space,
+    nagy_solve,
+    unit_spectral_projector,
+)
 
 PROJECTOR_TOL = 1e-10
 
@@ -31,6 +38,21 @@ def _reference_nullspace(a, tol=1e-10):
     _, _, vh = np.linalg.svd(a, full_matrices=True)
     rank = int(np.count_nonzero(s > tol * s[0]))
     return vh[rank:].conj().T
+
+
+def _reference_orthonormalize(mats, drop_tol=1e-10):
+    """Modified Gram-Schmidt with a second pass; residuals below drop_tol are dropped."""
+    basis = []
+    for m in mats:
+        v = np.array(m, dtype=complex)
+        for _ in range(2):
+            for b in basis:
+                v = v - np.vdot(b, v) * b
+        nrm = np.linalg.norm(v)
+        if nrm < drop_tol:
+            continue
+        basis.append(v / nrm)
+    return basis
 
 
 def _projector_distance(v1, v2):
@@ -112,3 +134,30 @@ def test_nagy_solve_matches_reference(name):
     sol = nagy_solve(op)
     assert np.linalg.norm(sol.solution - mk.unvec(x_vec, d)) <= 1e-12
     assert sol.residual <= 1e-12
+
+
+def _subnormalized_sets():
+    for d in (2, 3, 5, 8):
+        for n in (1, 2, 3):
+            for uf in (0.0, 0.25, 0.5, 1.0):
+                seed = 100 * d + 10 * n + int(4 * uf)
+                yield f"d{d}-n{n}-uf{uf}", generate_commuting_subnormalized(d, n, seed, uf)
+
+
+SUBNORMALIZED_SETS = dict(_subnormalized_sets())
+
+
+@pytest.mark.parametrize("name", sorted(SUBNORMALIZED_SETS))
+def test_orthonormalize_matches_gram_schmidt(name):
+    # The compressed commutant P·{Eᵢ}′, as the subnormalized verifier builds it.
+    es = SUBNORMALIZED_SETS[name]
+    p = unit_spectral_projector(es)
+    mats = [p @ b for b in commutant(es).basis]
+    got = _columns(mk.OperatorSubspace(es.dim, tuple(mk.orthonormalize(mats))))
+    want = _columns(mk.OperatorSubspace(es.dim, tuple(_reference_orthonormalize(mats))))
+    _assert_same_kernel(got, want)
+
+
+def test_orthonormalize_of_nothing_and_of_zeros():
+    assert mk.orthonormalize([]) == []
+    assert mk.orthonormalize([np.zeros((3, 3)), 1e-12 * np.eye(3)]) == []

@@ -1,0 +1,40 @@
+"""The public names the benchmark's tracer patches must exist.
+
+``bench/spans.py`` wraps the functions listed in its ``TRACED`` table by
+``getattr``; a public name deleted from ``lueders`` would make every traced
+benchmark run fail.  The table is read from the file, nothing is patched.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import lueders
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+MODULES = tuple(sorted(info.name for info in pkgutil.iter_modules(lueders.__path__)))
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("_bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+@pytest.mark.parametrize("module_name,attr,label", _traced())
+def test_traced_entry_resolves(module_name, attr, label):
+    obj = importlib.import_module(f"lueders.{module_name}")
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj) or isinstance(obj, property), label
+
+
+@pytest.mark.parametrize("module_name", ("",) + MODULES)
+def test_every_exported_name_exists(module_name):
+    module = importlib.import_module(f"lueders.{module_name}" if module_name else "lueders")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

@@ -4,24 +4,20 @@ import numpy as np
 import pytest
 
 from lueders import matkernel as mk
-from lueders.effects import build_effect_set, generate_commuting_resolution
+from lueders.effects import build_effect_set, generate_commuting_resolution, spectral_window
 from lueders.errors import (
     CommutesNoWitness,
     DimensionMismatch,
-    IndexOutOfRange,
     NotCommuting,
     ResolutionExhausted,
 )
-from lueders.operation import LuedersOperation
+from lueders.operation import LuedersOperation, joint_eigenspaces
+from lueders.tolerances import DEFAULT
 from lueders.witness import (
-    bin_commutation_check,
-    bin_projection,
+    _group_by_window,
     build_contractive_block,
     contraction_bound,
     contraction_threshold,
-    minimal_spectral_gap,
-    occupied_bins,
-    offdiagonal_block_search,
     witness_search,
 )
 
@@ -32,28 +28,34 @@ def _pinching():
     return build_effect_set([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
+def _bin_projection(es, m, ks):
+    """The bin projection F^m_{k₁...kₙ} = Π P^{Eᵢ}(kᵢ/m, (kᵢ+1)/m], straight from its definition."""
+    p = np.eye(es.dim, dtype=complex)
+    for eff, k in zip(es.effects, ks):
+        p = p @ spectral_window(eff, k / m, (k + 1) / m).projector
+    return p
+
+
+def _occupied_bins(es, m):
+    """Occupied bin projectors at resolution m, built from the grouping of joint blocks."""
+    blocks = joint_eigenspaces(es).blocks
+    groups = _group_by_window([b.values for b in blocks], m, DEFAULT)
+    return {
+        key: mk.sum_terms([blocks[i].basis @ blocks[i].basis.conj().T for i in rows])
+        for key, rows in groups.items()
+    }
+
+
 def test_bin_projection_pinching():
     es = _pinching()
-    assert np.abs(bin_projection(es, 2, (-1, 1)) - np.diag([0.0, 1.0])).max() < 1e-12
-    assert np.abs(bin_projection(es, 2, (1, -1)) - np.diag([1.0, 0.0])).max() < 1e-12
+    assert np.abs(_bin_projection(es, 2, (-1, 1)) - np.diag([0.0, 1.0])).max() < 1e-12
+    assert np.abs(_bin_projection(es, 2, (1, -1)) - np.diag([1.0, 0.0])).max() < 1e-12
     # mixed windows miss the joint spectrum entirely
-    assert np.abs(bin_projection(es, 2, (1, 1))).max() < 1e-12
-
-
-def test_bin_projection_index_checks():
-    es = _pinching()
-    with pytest.raises(IndexOutOfRange):
-        bin_projection(es, 0, (-1, -1))
-    with pytest.raises(IndexOutOfRange):
-        bin_projection(es, 2, (0,))
-    with pytest.raises(IndexOutOfRange):
-        bin_projection(es, 2, (2, 0))
-    with pytest.raises(IndexOutOfRange):
-        bin_projection(es, 2, (-2, 0))
+    assert np.abs(_bin_projection(es, 2, (1, 1))).max() < 1e-12
 
 
 def test_occupied_bins_pinching():
-    bins = occupied_bins(_pinching(), 2)
+    bins = _occupied_bins(_pinching(), 2)
     assert list(bins) == [(-1, 1), (1, -1)]
     assert np.abs(bins[(-1, 1)] - np.diag([0.0, 1.0])).max() < 1e-12
     assert np.abs(bins[(1, -1)] - np.diag([1.0, 0.0])).max() < 1e-12
@@ -62,32 +64,20 @@ def test_occupied_bins_pinching():
 @pytest.mark.parametrize("m", [2, 4, 16])
 def test_occupied_bins_partition_for_resolutions(m):
     es = generate_commuting_resolution(5, 3, seed=7)
-    bins = occupied_bins(es, m)
+    bins = _occupied_bins(es, m)
+    assert list(bins) == sorted(bins)
     total = mk.sum_terms(list(bins.values()))
     assert np.abs(total - np.eye(5)).max() < 1e-10
-    for p in bins.values():
+    for key, p in bins.items():
         assert np.abs(p @ p - p).max() < 1e-10
+        # each group is exactly the bin its key names
+        assert np.abs(p - _bin_projection(es, m, key)).max() < 1e-10
 
 
-def test_bin_commutation_check_examples():
-    es = _pinching()
-    assert bin_commutation_check(es, np.diag([3.0, -1.0]), 2)
-    assert not bin_commutation_check(es, SIGMA_X, 2)
-
-
-def test_minimal_spectral_gap():
-    assert minimal_spectral_gap(build_effect_set([np.eye(3)])) == math.inf
-    assert abs(minimal_spectral_gap(build_effect_set([np.diag([0.2, 0.2, 0.7])])) - 0.5) < 1e-12
-    assert abs(minimal_spectral_gap(_pinching()) - 1.0) < 1e-12
-
-
-def test_offdiagonal_block_search():
-    es = _pinching()
-    hit = offdiagonal_block_search(es, SIGMA_X, 2)
-    assert hit is not None
-    assert hit.left == (-1, 1) and hit.right == (1, -1)
-    assert abs(hit.block_norm - 1.0) < 1e-12
-    assert offdiagonal_block_search(es, np.diag([3.0, -1.0]), 2) is None
+def test_group_by_window_sorts_keys_and_keeps_row_order():
+    values = [(0.9, 0.1), (0.1, 0.9), (0.95, 0.05), (0.0, 1.0)]
+    assert _group_by_window(values, 2, DEFAULT) == {(-1, 1): [3], (0, 1): [1], (1, 0): [0, 2]}
+    assert _group_by_window(np.array([[0.5], [0.25], [0.5]]), 4, DEFAULT) == {(0,): [1], (1,): [0, 2]}
 
 
 def test_witness_search_pinching():
@@ -138,6 +128,18 @@ def test_witness_search_on_generated_sets(seed):
     again = witness_search(es.effects[0], b)
     assert (again.m, again.k, again.j) == (cert.m, cert.k, cert.j)
     assert again.block_norm == cert.block_norm
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_witness_projectors_are_spectral_windows(seed):
+    es = generate_commuting_resolution(5, 3, seed=100 + seed)
+    rng = np.random.Generator(np.random.Philox(500 + seed))
+    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    eff = es.effects[0]
+    cert = witness_search(eff, b)
+    m = cert.m
+    assert np.abs(cert.left_projector - spectral_window(eff, cert.k / m, (cert.k + 1) / m).projector).max() < 1e-10
+    assert np.abs(cert.right_projector - spectral_window(eff, cert.j / m, (cert.j + 1) / m).projector).max() < 1e-10
 
 
 def test_contraction_bound_values():
@@ -237,6 +239,20 @@ def test_build_contractive_block_on_generated_sets(seed):
     assert rep.achieved_ratio >= rep.bound > 0
     ratio = (rep.y_norm - mk.operator_norm(LuedersOperation(es).apply(rep.y))) / rep.y_norm
     assert abs(ratio - rep.achieved_ratio) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_contractive_block_projectors_are_bin_products(seed):
+    es = generate_commuting_resolution(5, 3, seed=100 + seed)
+    rng = np.random.Generator(np.random.Philox(600 + seed))
+    x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    rep = build_contractive_block(es, x, 16)
+    fine = rep.p * rep.m
+    left = _bin_projection(es, rep.m, rep.coarse_left) @ _bin_projection(es, fine, rep.refined_left)
+    right = _bin_projection(es, rep.m, rep.coarse_right) @ _bin_projection(es, fine, rep.refined_right)
+    assert np.abs(rep.left_projector - left).max() < 1e-10
+    assert np.abs(rep.right_projector - right).max() < 1e-10
+    assert np.abs(left).max() > 0.1 and np.abs(right).max() > 0.1
 
 
 def test_build_contractive_block_guards():
