@@ -32,7 +32,6 @@ __all__ = [
     "Effect",
     "EffectSet",
     "Normalization",
-    "SpectralWindow",
     "build_effect_set",
     "generate_commuting_resolution",
     "generate_commuting_subnormalized",
@@ -164,26 +163,13 @@ def window_index(lam: float, m: int, tol: float = DEFAULT.cluster) -> int:
     return min(max(k, -1), m - 1)
 
 
-@dataclass(frozen=True)
-class SpectralWindow:
-    """Spectral projector of an effect onto the eigenvalues in (a, b]."""
-
-    a: float
-    b: float
-    projector: np.ndarray
-
-
-def spectral_window(effect: Effect, a: float, b: float, tol: Tolerances = DEFAULT) -> SpectralWindow:
-    """Projector onto the eigenvectors of the effect with eigenvalue in (a, b]."""
+def spectral_window(effect: Effect, a: float, b: float, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Spectral projector onto the eigenvectors of the effect with eigenvalue in (a, b]."""
     if not a < b:
         raise InvalidInterval(f"need a < b, got ({a}, {b}]")
     sel = np.array([in_window(float(w), a, b, tol.cluster) for w in effect.eigenvalues])
-    if not sel.any():
-        proj = np.zeros((effect.dim, effect.dim), dtype=complex)
-    else:
-        u = effect.eigenvectors[:, sel]
-        proj = u @ u.conj().T
-    return SpectralWindow(float(a), float(b), proj)
+    u = effect.eigenvectors[:, sel]
+    return u @ u.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,6 @@ class NotDensityMatrix(LuedersError):
     """The state is not Hermitian, positive, and trace one."""
 
 
-class IndexOutOfRange(LuedersError):
-    """A bin index lies outside {-1, ..., m-1} or has the wrong arity."""
-
-
 class CommutesNoWitness(LuedersError):
     """The operator commutes with the effect; no witness exists."""
 

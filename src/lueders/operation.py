@@ -201,7 +201,6 @@ class TheoremReport:
     target_dim: int
     distance: float
     verdict: bool
-    details: str = ""
 
     def to_dict(self) -> dict:
         return {
@@ -225,25 +224,14 @@ def verify_resolution_fixed_points(effect_set: EffectSet, tol: Tolerances = DEFA
     comm = commutant(effect_set, tol.nullspace)
     cmp = mk.subspaces_equal(fixed, comm, tol.subspace)
     verdict = cmp.equal and fixed.dim == comm.dim
-    return TheoremReport(
-        "3.1",
-        fixed.dim,
-        comm.dim,
-        cmp.distance,
-        verdict,
-        details="fixed-point space vs commutant",
-    )
+    return TheoremReport("3.1", fixed.dim, comm.dim, cmp.distance, verdict)
 
 
 def unit_spectral_projector(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Spectral projector of F = Σ Eᵢ² at eigenvalue 1 (cluster width tol.cluster)."""
     f = effect_set.sum_of_squares
     eig = mk.hermitian_eigendecompose((f + f.conj().T) / 2, tol)
-    sel = np.abs(eig.eigenvalues - 1.0) <= tol.cluster
-    if not sel.any():
-        d = effect_set.dim
-        return np.zeros((d, d), dtype=complex)
-    u = eig.eigenvectors[:, sel]
+    u = eig.eigenvectors[:, np.abs(eig.eigenvalues - 1.0) <= tol.cluster]
     return u @ u.conj().T
 
 
@@ -263,14 +251,7 @@ def verify_subnormalized_fixed_points(effect_set: EffectSet, tol: Tolerances = D
     target = mk.OperatorSubspace(effect_set.dim, tuple(target_mats))
     cmp = mk.subspaces_equal(fixed, target, tol.subspace)
     verdict = cmp.equal and fixed.dim == target.dim
-    return TheoremReport(
-        "3.2",
-        fixed.dim,
-        target.dim,
-        cmp.distance,
-        verdict,
-        details="fixed-point space vs compressed commutant",
-    )
+    return TheoremReport("3.2", fixed.dim, target.dim, cmp.distance, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +271,6 @@ class ChannelNormCertificate:
     identity_image_norm: float
     max_probe_image_norm: float
     probes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "identity_image_norm": self.identity_image_norm,
-            "max_probe_image_norm": self.max_probe_image_norm,
-            "probes": self.probes,
-        }
 
 
 def channel_norm(op: LuedersOperation, probes: int = 200, seed: int = 0) -> ChannelNormCertificate:
@@ -359,26 +332,27 @@ def nagy_solve(op: LuedersOperation, tol: Tolerances = DEFAULT) -> NagySolution:
     return NagySolution(x, residual, half_distance, is_effect)
 
 
-def is_undisturbed_state(
-    op: LuedersOperation, rho, tol: float = 1e-9, config: Tolerances = DEFAULT
-) -> tuple[bool, bool]:
+def is_undisturbed_state(op: LuedersOperation, rho, tol: Tolerances = DEFAULT) -> tuple[bool, bool]:
     """Return (is_fixed, commutes_with_all) for a density matrix.
 
-    is_fixed holds when ‖Φ(ρ) - ρ‖_F ≤ tol; commutes_with_all when every
-    ‖[ρ, Eᵢ]‖ ≤ tol.  For Lüders operations of resolutions the two agree.
+    is_fixed holds when ‖Φ(ρ) - ρ‖_F ≤ tol.commutator; commutes_with_all when
+    every ‖[ρ, Eᵢ]‖ ≤ tol.commutator.  The state must be Hermitian within
+    tol.hermitian, have no eigenvalue below -tol.psd and satisfy
+    |tr ρ - 1| ≤ tol.commutator.  For Lüders operations of resolutions the
+    two verdicts agree.
     """
     mat = mk.as_complex_matrix(rho)
     if mat.shape != (op.dim, op.dim):
         raise DimensionMismatch(f"state shape {mat.shape} does not match dimension {op.dim}")
-    if mk.hermitian_defect(mat) > config.hermitian * max(mk.frobenius_norm(mat), 1.0):
+    if mk.hermitian_defect(mat) > tol.hermitian * max(mk.frobenius_norm(mat), 1.0):
         raise NotDensityMatrix("state is not Hermitian")
     w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    if w[0] < -config.psd:
+    if w[0] < -tol.psd:
         raise NotDensityMatrix(f"state has eigenvalue {w[0]:.3e} below 0")
-    if abs(float(np.real(np.trace(mat))) - 1.0) > 1e-9:
+    if abs(float(np.real(np.trace(mat))) - 1.0) > tol.commutator:
         raise NotDensityMatrix(f"trace {np.real(np.trace(mat)):.12f} is not 1")
-    is_fixed = mk.frobenius_norm(op.apply(mat) - mat) <= tol
+    is_fixed = mk.frobenius_norm(op.apply(mat) - mat) <= tol.commutator
     commutes = all(
-        mk.operator_norm(mat @ e - e @ mat) <= tol for e in op.effect_set.matrices
+        mk.operator_norm(mat @ e - e @ mat) <= tol.commutator for e in op.effect_set.matrices
     )
     return is_fixed, commutes

@@ -43,8 +43,12 @@ DIM_LIMIT = 64
 
 
 def format_float(x: float) -> str:
-    """Render a double with 17 significant digits (parses back bit-exactly)."""
-    return f"{float(x):.17g}"
+    """Render a double with 17 significant digits (parses back bit-exactly).
+
+    Negative zero renders as "-0.0": JSON reads a bare "-0" as the integer 0.
+    """
+    text = f"{float(x):.17g}"
+    return "-0.0" if text == "-0" else text
 
 
 def _matrix_fragment(m: np.ndarray) -> str:
@@ -102,6 +106,19 @@ def _as_float(obj, what: str) -> float:
     return x
 
 
+def _decode(text: str):
+    """json.loads with every decoding failure turned into a ParseError.
+
+    Besides JSONDecodeError, ``json.loads`` raises ValueError for an integer
+    over Python's digit limit and RecursionError for deeply nested arrays or
+    objects.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 def _parse_matrix(obj, d: int, what: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != d:
         raise ParseError(f"{what} must be a list of {d} rows")
@@ -126,10 +143,7 @@ def parse_effect_set(text: str, tol: Tolerances = DEFAULT) -> EffectSet:
     (Hermiticity, spectrum bounds, subnormalization) propagate as their own
     typed errors from the validator.
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = _decode(text)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("d", "n", "effects"):
@@ -149,10 +163,7 @@ def parse_effect_set(text: str, tol: Tolerances = DEFAULT) -> EffectSet:
 
 
 def parse_operator(text: str) -> np.ndarray:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = _decode(text)
     if not isinstance(doc, dict) or "d" not in doc or "matrix" not in doc:
         raise ParseError('operator document needs keys "d" and "matrix"')
     d = _as_int(doc["d"], "d")
@@ -163,14 +174,21 @@ def parse_operator(text: str) -> np.ndarray:
     return _parse_matrix(doc["matrix"], d, "matrix")
 
 
-def load_effect_set(path, tol: Tolerances = DEFAULT) -> EffectSet:
+def _read_text(path) -> str:
+    """File contents as text; bytes that are not UTF-8 are a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_effect_set(fh.read(), tol)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from exc
+
+
+def load_effect_set(path, tol: Tolerances = DEFAULT) -> EffectSet:
+    return parse_effect_set(_read_text(path), tol)
 
 
 def load_operator(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_operator(fh.read())
+    return parse_operator(_read_text(path))
 
 
 def write_text_atomic(path, text: str) -> None:

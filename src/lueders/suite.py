@@ -483,7 +483,7 @@ def _c9(scale: Scale) -> CriterionResult:
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             rho = g @ g.conj().T
             rho = rho / np.real(np.trace(rho))
-        fixed, commutes = is_undisturbed_state(op, rho, tol=1e-9)
+        fixed, commutes = is_undisturbed_state(op, rho)
         if fixed != commutes:
             disagreements += 1
     return CriterionResult(
@@ -515,7 +515,7 @@ def _c10(scale: Scale) -> CriterionResult:
         eff = _random_effect(d, philox_generator(15000 + t))
         for m in (2, 3, 5, 8):
             total = mk.sum_terms(
-                [spectral_window(eff, k / m, (k + 1) / m).projector for k in range(-1, m)]
+                [spectral_window(eff, k / m, (k + 1) / m) for k in range(-1, m)]
             )
             defect = float(np.linalg.norm(total - np.eye(d)))
             worst_partition = max(worst_partition, defect)

@@ -20,7 +20,10 @@ class Tolerances:
     hermitian       relative Frobenius asymmetry allowed before NotHermitian
     psd             absolute eigenvalue dust tolerated below 0 (clipped away)
     nullspace       relative singular-value cut for numerical kernels
-    commutator      commutation threshold, relative to the largest effect norm
+    commutator      commutation threshold: relative to the largest effect norm
+                    in build_effect_set and to ‖b‖ in witness_search; absolute
+                    in is_undisturbed_state, which bounds ‖Φ(ρ) - ρ‖_F, each
+                    ‖[ρ, Eᵢ]‖ and |tr ρ - 1| by it
     cluster         eigenvalue cluster gap and spectral-window edge snap
     resolution      Frobenius distance to the identity that still counts as a
                     resolution (generators land below 1e-10; subnormalized

@@ -91,19 +91,13 @@ class WitnessCertificate:
         return out
 
 
-def witness_search(
-    effect: Effect,
-    b,
-    witness_tol: float | None = None,
-    tol: Tolerances = DEFAULT,
-    m_max: int = M_MAX,
-) -> WitnessCertificate:
+def witness_search(effect: Effect, b, tol: Tolerances = DEFAULT) -> WitnessCertificate:
     """Find windows of one effect, two or more indices apart, that b couples.
 
     Doubles the resolution m = 2, 4, 8, ... and scans window pairs in
     lexicographic (k, j) order; the first block with norm above the threshold
     and |k - j| ≥ 2 wins.  Raises CommutesNoWitness when [b, E] vanishes
-    within tolerance and ResolutionExhausted past m_max.
+    within tolerance and ResolutionExhausted past M_MAX.
     """
     mat = mk.as_complex_matrix(b)
     if mat.shape != effect.matrix.shape:
@@ -112,11 +106,11 @@ def witness_search(
     comm = mk.operator_norm(effect.matrix @ mat - mat @ effect.matrix)
     if comm <= tol.commutator * b_norm:
         raise CommutesNoWitness(f"commutator norm {comm:.3e} within tolerance")
-    thresh = tol.witness * b_norm if witness_tol is None else witness_tol
+    thresh = tol.witness * b_norm
 
     u = effect.eigenvectors
     m = 2
-    while m <= m_max:
+    while m <= M_MAX:
         groups = _group_by_window(effect.eigenvalues[:, None], m, tol)
         projs = {key[0]: u[:, cols] @ u[:, cols].conj().T for key, cols in groups.items()}
         for k, j in itertools.product(projs, repeat=2):
@@ -126,7 +120,7 @@ def witness_search(
             if norm > thresh:
                 return WitnessCertificate(m, k, j, norm, projs[k], projs[j])
         m *= 2
-    raise ResolutionExhausted(f"no separated window pair up to resolution {m_max}")
+    raise ResolutionExhausted(f"no separated window pair up to resolution {M_MAX}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,40 +180,12 @@ class ContractionReport:
     y_norm: float
     image_norm: float
 
-    def to_dict(self, full: bool = False) -> dict:
-        out = {
-            "n": self.n,
-            "m": self.m,
-            "p": self.p,
-            "bound": self.bound,
-            "achieved_ratio": self.achieved_ratio,
-            "coarse_left": list(self.coarse_left),
-            "coarse_right": list(self.coarse_right),
-            "refined_left": list(self.refined_left),
-            "refined_right": list(self.refined_right),
-            "y_norm": self.y_norm,
-            "image_norm": self.image_norm,
-        }
-        if full:
-            from .serialize import matrix_to_lists
-
-            out["y"] = matrix_to_lists(self.y)
-            out["left_projector"] = matrix_to_lists(self.left_projector)
-            out["right_projector"] = matrix_to_lists(self.right_projector)
-        return out
-
 
 def _projector_of(blocks: list[JointBlock]) -> np.ndarray:
     return mk.sum_terms([b.basis @ b.basis.conj().T for b in blocks])
 
 
-def build_contractive_block(
-    effect_set: EffectSet,
-    x,
-    p: int,
-    witness_tol: float | None = None,
-    tol: Tolerances = DEFAULT,
-) -> ContractionReport:
+def build_contractive_block(effect_set: EffectSet, x, p: int, tol: Tolerances = DEFAULT) -> ContractionReport:
     """Construct a block of x that the Lüders operation provably contracts.
 
     Steps: find a witness pair (k, j) of the first effect at resolution m;
@@ -234,9 +200,9 @@ def build_contractive_block(
     mat = mk.as_complex_matrix(x)
     if mat.shape != (effect_set.dim, effect_set.dim):
         raise DimensionMismatch(f"operator shape {mat.shape} does not match dimension {effect_set.dim}")
-    cert = witness_search(effect_set.effects[0], mat, witness_tol, tol)
+    cert = witness_search(effect_set.effects[0], mat, tol)
     m, k, j = cert.m, cert.k, cert.j
-    thresh = tol.witness * mk.operator_norm(mat) if witness_tol is None else witness_tol
+    thresh = tol.witness * mk.operator_norm(mat)
 
     def bins(blocks: list[JointBlock], res: int) -> dict[tuple[int, ...], list[JointBlock]]:
         groups = _group_by_window([b.values for b in blocks], res, tol)

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import lueders
 from lueders.cli import main
 from lueders.effects import (
     build_effect_set,
@@ -186,6 +187,32 @@ def test_nonfinite_entries_exit_three(tmp_path, capsys, entry):
     assert err.startswith("error: ParseError:") and "finite" in err
 
 
+def _deeply_nested(path):
+    # about 200 KB of nested arrays: far past the JSON decoder's recursion limit
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+def test_deeply_nested_effect_file_exits_three(tmp_path, capsys):
+    assert main(["validate", _deeply_nested(tmp_path / "nested.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: ParseError: invalid JSON")
+
+
+def test_deeply_nested_operator_file_exits_three(tmp_path, capsys):
+    op_path = _deeply_nested(tmp_path / "nested-op.json")
+    assert main(["witness", _pinching_file(tmp_path), op_path]) == 3
+    assert capsys.readouterr().err.startswith("error: ParseError: invalid JSON")
+
+
+def test_non_utf8_files_exit_three(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"d": 1, "n": 1, "effects": [[[[0.5, 0]]]], "flavor": "\xff"}')
+    assert main(["validate", str(path)]) == 3
+    assert main(["witness", _pinching_file(tmp_path), str(path)]) == 3
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all(e.startswith("error: ParseError: not UTF-8") for e in errors)
+
+
 def test_effect_file_over_the_dimension_cap_exits_three(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(effect_set_to_json(build_effect_set([np.eye(DIM_LIMIT + 1)])))
@@ -252,9 +279,12 @@ def test_suite_quick(capsys):
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the same package as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(lueders.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "lueders.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "lueders" in proc.stdout
@@ -264,7 +294,7 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "lueders.cli", "gen", "--flavor",
          "noncommuting-resolution", "--d", "3", "--n", "3", "--seed", "1",
          "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["d"] == 3

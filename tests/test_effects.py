@@ -90,19 +90,19 @@ def test_build_effect_set_rejects_oversized_sum():
 def test_spectral_window_selects_halfopen():
     eff = validate_effect(np.diag([0.2, 0.6]))
     upper = spectral_window(eff, 0.5, 1.0)
-    assert np.abs(upper.projector - np.diag([0.0, 1.0])).max() < 1e-14
+    assert np.abs(upper - np.diag([0.0, 1.0])).max() < 1e-14
     # the left edge is excluded, the right edge included
     closed_at_06 = spectral_window(eff, 0.2, 0.6)
-    assert np.abs(closed_at_06.projector - np.diag([0.0, 1.0])).max() < 1e-14
+    assert np.abs(closed_at_06 - np.diag([0.0, 1.0])).max() < 1e-14
     closed_at_02 = spectral_window(eff, 0.1, 0.2)
-    assert np.abs(closed_at_02.projector - np.diag([1.0, 0.0])).max() < 1e-14
+    assert np.abs(closed_at_02 - np.diag([1.0, 0.0])).max() < 1e-14
 
 
 def test_spectral_window_snaps_edge_dust():
     # an eigenvalue a hair above the left edge snaps onto it and stays out
     eff = validate_effect(np.diag([0.2 + 1e-12, 0.6]))
     win = spectral_window(eff, 0.2, 0.6)
-    assert np.abs(win.projector - np.diag([0.0, 1.0])).max() < 1e-14
+    assert np.abs(win - np.diag([0.0, 1.0])).max() < 1e-14
 
 
 def test_spectral_window_rejects_empty_interval():
@@ -111,11 +111,17 @@ def test_spectral_window_rejects_empty_interval():
         spectral_window(eff, 0.5, 0.5)
 
 
+def test_empty_window_is_the_exact_zero_matrix():
+    win = spectral_window(validate_effect(np.diag([0.2, 0.6, 0.9])), 0.3, 0.5)
+    assert win.dtype == np.complex128 and win.shape == (3, 3)
+    assert not win.any()
+
+
 def test_windows_are_right_continuous():
     eff = validate_effect(np.diag([0.2, 0.5, 0.9]))
     # no eigenvalue in (0.5, 0.5 + eps] for eps below the gap
-    base = spectral_window(eff, -1.0, 0.5).projector
-    nudged = spectral_window(eff, -1.0, 0.5 + 0.1).projector
+    base = spectral_window(eff, -1.0, 0.5)
+    nudged = spectral_window(eff, -1.0, 0.5 + 0.1)
     assert np.abs(base - nudged).max() < 1e-14
 
 
@@ -125,14 +131,14 @@ def test_windows_partition_unity(m):
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
     e = (q * rng.uniform(0, 1, 5)) @ q.conj().T
     eff = validate_effect((e + e.conj().T) / 2)
-    total = mk.sum_terms([spectral_window(eff, k / m, (k + 1) / m).projector for k in range(-1, m)])
+    total = mk.sum_terms([spectral_window(eff, k / m, (k + 1) / m) for k in range(-1, m)])
     assert np.linalg.norm(total - np.eye(5)) < 1e-10
 
 
 def test_adjacent_windows_are_orthogonal():
     eff = validate_effect(np.diag([0.1, 0.4, 0.8]))
-    low = spectral_window(eff, 0.0, 0.5).projector
-    high = spectral_window(eff, 0.5, 1.0).projector
+    low = spectral_window(eff, 0.0, 0.5)
+    high = spectral_window(eff, 0.5, 1.0)
     assert np.abs(low @ high).max() < 1e-14
 
 

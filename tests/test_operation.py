@@ -27,6 +27,7 @@ from lueders.operation import (
     verify_resolution_fixed_points,
     verify_subnormalized_fixed_points,
 )
+from lueders.tolerances import Tolerances
 
 
 def _pinching():
@@ -203,6 +204,12 @@ def test_verify_subnormalized_partial_unit_spectrum():
     assert rep.verdict and rep.fixed_dim == rep.target_dim == 1
 
 
+def test_unit_spectral_projector_without_unit_eigenvalue_is_the_exact_zero_matrix():
+    p = unit_spectral_projector(generate_commuting_subnormalized(4, 2, seed=61, unit_fraction=0.0))
+    assert p.dtype == np.complex128 and p.shape == (4, 4)
+    assert not p.any()
+
+
 @pytest.mark.parametrize("uf", [0.0, 0.25, 0.5])
 def test_verify_subnormalized_on_generated_sets(uf):
     es = generate_commuting_subnormalized(6, 3, seed=60, unit_fraction=uf)
@@ -272,6 +279,14 @@ def test_undisturbed_state_rejects_bad_states():
         is_undisturbed_state(op, np.diag([1.5, -0.5]))
     with pytest.raises(NotDensityMatrix):
         is_undisturbed_state(op, np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+def test_undisturbed_state_reads_its_tolerances():
+    op = LuedersOperation(_pinching())
+    rho = np.diag([0.5 + 5e-10, 0.5])
+    assert is_undisturbed_state(op, rho) == (True, True)
+    with pytest.raises(NotDensityMatrix, match="trace"):
+        is_undisturbed_state(op, rho, Tolerances(commutator=1e-10))
 
 
 @pytest.mark.parametrize("seed", range(25))
