@@ -69,13 +69,20 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def _require_hermitian(a: np.ndarray, tol: float) -> None:
-    # Entries near the top of the double range would overflow both Frobenius
-    # norms to inf, and inf > tol * inf is false.  Scaling the largest real or
-    # imaginary part below 1 by a power of two is exact, so the verdict on
-    # every other matrix stays bit for bit the same.
+def _scaled_below_one(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a·2⁻ᵉ, e) with e ≥ 0 the least exponent that puts every real and imaginary part below 1.
+
+    Entries near the top of the double range overflow norms to inf, and inf > tol * inf
+    is false.  Scaling by a power of two is exact, so decisions on finite matrices stay
+    bit for bit the same, and a norm scales back exactly with ``math.ldexp(norm, e)``.
+    """
     big = float(np.abs(np.stack([a.real, a.imag])).max(initial=0.0))
-    scaled = a * 2.0 ** -max(math.frexp(big)[1], 0)
+    e = max(math.frexp(big)[1], 0)
+    return a * 2.0**-e, e
+
+
+def _require_hermitian(a: np.ndarray, tol: float) -> None:
+    scaled, _ = _scaled_below_one(a)
     if hermitian_defect(scaled) > tol * np.linalg.norm(scaled):
         raise NotHermitian(f"asymmetry {hermitian_defect(a):.3e} exceeds {tol:g} * ‖M‖")
 

@@ -3,18 +3,18 @@
 This module computes the operation itself, its matrix as a superoperator on
 vectorized operators, the fixed-point subspace {B : Φ(B) = B}, the commutant
 of the effect set, and the joint eigenspace decomposition of commuting sets.
-On top of those sit the two fixed-point verifiers:
-
-* resolution case: the fixed-point space coincides with the commutant;
-* subnormalized commuting case: it coincides with the commutant compressed by
-  the spectral projector of F = Σ Eᵢ² at eigenvalue 1.
-
-Reports carry the labels "3.1" and "3.2" respectively on the wire.
+On top of those sits one fixed-point check.  For F = Σ Eᵢ² ≤ I,
+I - S = [I - ½(Fᵀ⊗I + I⊗F)] + ½ Σᵢ Cᵢ†Cᵢ with both terms positive
+semidefinite (S the superoperator, Cᵢ the commutator blocks of `commutant`),
+so the fixed-point space is {Eᵢ}′ ∩ P·B(H)·P, P the spectral projector of F
+at eigenvalue 1, whether or not the effects commute.  Reports carry the label
+"3.1" for resolutions (P = I: the target is the commutant) and "3.2" for
+strictly subnormalized sets (for commuting ones the target equals P·{Eᵢ}′).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -151,20 +151,16 @@ def _cluster_slices(values: np.ndarray, gap: float):
     yield slice(start, len(values))
 
 
-def _require_commuting(effect_set: EffectSet) -> None:
-    if not effect_set.commuting:
-        raise NotCommuting(
-            f"largest pairwise commutator norm {effect_set.max_pairwise_commutator_norm:.3e}"
-        )
-
-
 def joint_eigenspaces(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> JointEigenstructure:
     """Iteratively refine eigenspace clusters across all effects of a commuting set.
 
     Blocks are ordered lexicographically by their eigenvalue tuples (ascending
     per effect), which makes the decomposition deterministic.
     """
-    _require_commuting(effect_set)
+    if not effect_set.commuting:
+        raise NotCommuting(
+            f"largest pairwise commutator norm {effect_set.max_pairwise_commutator_norm:.3e}"
+        )
     d = effect_set.dim
     bases: list[np.ndarray] = [np.eye(d, dtype=complex)]
     for e in effect_set.matrices:
@@ -192,8 +188,9 @@ def joint_eigenspaces(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> Joint
 class TheoremReport:
     """Outcome of a fixed-point space comparison.
 
-    theorem is the wire label of the claim checked: "3.1" for the resolution
-    case, "3.2" for the subnormalized commuting case.
+    theorem is the wire label of the claim checked: "3.1" for a resolution
+    (target {Eᵢ}′), "3.2" for any strictly subnormalized set (target
+    {Eᵢ}′ ∩ P·B(H)·P, which equals P·{Eᵢ}′ when the set commutes).
     """
 
     theorem: str
@@ -203,13 +200,26 @@ class TheoremReport:
     verdict: bool
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "fixed_dim": self.fixed_dim,
-            "target_dim": self.target_dim,
-            "distance": self.distance,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
+
+
+def _verify_fixed_points(effect_set: EffectSet, tol: Tolerances) -> TheoremReport:
+    """Compare the fixed-point space with {Eᵢ}′ ∩ P·B(H)·P (P = I for a resolution).
+
+    Commutant elements X commute with F, hence with P, so X = PXP means QX = 0
+    (Q = I - P): with V the commutant basis Bⱼ, the target basis is V·ker[vec(QBⱼ)]ⱼ.
+    """
+    fixed = fixed_point_space(LuedersOperation(effect_set), tol.nullspace)
+    target = commutant(effect_set, tol.nullspace)
+    resolution = effect_set.normalization is Normalization.RESOLUTION
+    if not resolution:
+        q = np.eye(effect_set.dim) - unit_spectral_projector(effect_set, tol)
+        v = np.column_stack([mk.vec(b) for b in target.basis])
+        system = np.column_stack([mk.vec(q @ b) for b in target.basis])
+        target = mk.OperatorSubspace.from_vectors(v @ mk.nullspace(system, tol.nullspace), effect_set.dim)
+    cmp = mk.subspaces_equal(fixed, target, tol.subspace)
+    verdict = cmp.equal and fixed.dim == target.dim
+    return TheoremReport("3.1" if resolution else "3.2", fixed.dim, target.dim, cmp.distance, verdict)
 
 
 def verify_resolution_fixed_points(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> TheoremReport:
@@ -220,11 +230,7 @@ def verify_resolution_fixed_points(effect_set: EffectSet, tol: Tolerances = DEFA
     """
     if effect_set.normalization is not Normalization.RESOLUTION:
         raise NotResolution("the squares do not sum to the identity")
-    fixed = fixed_point_space(LuedersOperation(effect_set), tol.nullspace)
-    comm = commutant(effect_set, tol.nullspace)
-    cmp = mk.subspaces_equal(fixed, comm, tol.subspace)
-    verdict = cmp.equal and fixed.dim == comm.dim
-    return TheoremReport("3.1", fixed.dim, comm.dim, cmp.distance, verdict)
+    return _verify_fixed_points(effect_set, tol)
 
 
 def unit_spectral_projector(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -236,22 +242,15 @@ def unit_spectral_projector(effect_set: EffectSet, tol: Tolerances = DEFAULT) ->
 
 
 def verify_subnormalized_fixed_points(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> TheoremReport:
-    """Check that the fixed-point space equals P·(commutant), P the unit eigenprojector of F.
+    """Check that the fixed-point space equals {Eᵢ}′ ∩ P·B(H)·P, P the unit eigenprojector of F.
 
-    Requires a commuting, strictly subnormalized set.  With no unit eigenspace
-    the target is the zero subspace and the fixed-point space must be trivial.
+    Requires a strictly subnormalized set, commuting or not; for a commuting
+    set the target equals P·{Eᵢ}′.  With no unit eigenspace the target is the
+    zero subspace and the fixed-point space must be trivial.
     """
-    _require_commuting(effect_set)
     if effect_set.normalization is Normalization.RESOLUTION:
         raise IsResolution("the squares sum to the identity; use the resolution verifier")
-    fixed = fixed_point_space(LuedersOperation(effect_set), tol.nullspace)
-    comm = commutant(effect_set, tol.nullspace)
-    p = unit_spectral_projector(effect_set, tol)
-    target_mats = mk.orthonormalize([p @ b for b in comm.basis], drop_tol=tol.nullspace)
-    target = mk.OperatorSubspace(effect_set.dim, tuple(target_mats))
-    cmp = mk.subspaces_equal(fixed, target, tol.subspace)
-    verdict = cmp.equal and fixed.dim == target.dim
-    return TheoremReport("3.2", fixed.dim, target.dim, cmp.distance, verdict)
+    return _verify_fixed_points(effect_set, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ C10  kernel health: eigendecomposition reconstruction and window partitions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -132,12 +132,7 @@ class CriterionResult:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -210,50 +205,44 @@ def _random_effect(d: int, rng: np.random.Generator):
 # criteria
 
 
-def _verify_resolutions(pool) -> tuple[int, float, int]:
-    """Run the Theorem 3.1 check over a pool: (sets checked, worst distance, failures)."""
+def _verify_pool(verify, cases) -> tuple[float, int]:
+    """Run a fixed-point verifier over (set, trivial) pairs: (worst distance, failures).
+
+    A set flagged trivial must also have a zero-dimensional fixed-point space.
+    """
     failures = 0
     worst = 0.0
-    for es in pool:
-        rep = verify_resolution_fixed_points(es)
+    for es, trivial in cases:
+        rep = verify(es)
         worst = max(worst, rep.distance)
-        if not (rep.verdict and rep.fixed_dim == rep.target_dim and rep.distance <= 1e-8):
+        ok = rep.verdict and rep.fixed_dim == rep.target_dim and rep.distance <= 1e-8
+        if not ok or (trivial and rep.fixed_dim != 0):
             failures += 1
-    return len(pool), worst, failures
+    return worst, failures
 
 
 def _c1(scale: Scale) -> CriterionResult:
-    sets, worst, failures = _verify_resolutions(_resolution_pool(scale))
+    pool = _resolution_pool(scale)
+    worst, failures = _verify_pool(verify_resolution_fixed_points, [(es, False) for es in pool])
     return CriterionResult(
         "C1",
         "commuting resolutions: fixed-point space equals the commutant",
         failures == 0,
-        {"sets": sets, "max_distance": worst, "failures": failures},
+        {"sets": len(pool), "max_distance": worst, "failures": failures},
     )
 
 
 def _c2(scale: Scale) -> CriterionResult:
-    pool = _subnormalized_pool(scale)
-    failures = 0
-    worst = 0.0
-    zero_rank_sets = 0
-    for uf, es in pool:
-        rep = verify_subnormalized_fixed_points(es)
-        worst = max(worst, rep.distance)
-        ok = rep.verdict and rep.fixed_dim == rep.target_dim and rep.distance <= 1e-8
-        if uf == 0.0:
-            zero_rank_sets += 1
-            ok = ok and rep.fixed_dim == 0
-        if not ok:
-            failures += 1
+    cases = [(es, uf == 0.0) for uf, es in _subnormalized_pool(scale)]
+    worst, failures = _verify_pool(verify_subnormalized_fixed_points, cases)
     return CriterionResult(
         "C2",
         "commuting subnormalized sets: fixed-point space equals the compressed commutant",
         failures == 0,
         {
-            "sets": len(pool),
+            "sets": len(cases),
             "max_distance": worst,
-            "zero_unit_fraction_sets": zero_rank_sets,
+            "zero_unit_fraction_sets": sum(trivial for _, trivial in cases),
             "failures": failures,
         },
     )
@@ -261,13 +250,13 @@ def _c2(scale: Scale) -> CriterionResult:
 
 def _c3(scale: Scale) -> CriterionResult:
     pool = _noncommuting_pool(scale)
-    sets, worst, failures = _verify_resolutions(pool)
+    worst, failures = _verify_pool(verify_resolution_fixed_points, [(es, False) for es in pool])
     return CriterionResult(
         "C3",
         "non-commuting resolutions: fixed-point space still equals the commutant",
         failures == 0,
         {
-            "sets": sets,
+            "sets": len(pool),
             "max_distance": worst,
             "min_commutator_norm": min((es.max_pairwise_commutator_norm for es in pool), default=None),
             "failures": failures,
@@ -401,15 +390,9 @@ def _c7(scale: Scale) -> CriterionResult:
         margin = rep.achieved_ratio - rep.bound
         margins.append(margin)
         proj_comm = max(
-            mk.operator_norm(rep.left_projector @ e - e @ rep.left_projector)
+            mk.operator_norm(q @ e - e @ q)
+            for q in (rep.left_projector, rep.right_projector)
             for e in es.matrices
-        )
-        proj_comm = max(
-            proj_comm,
-            max(
-                mk.operator_norm(rep.right_projector @ e - e @ rep.right_projector)
-                for e in es.matrices
-            ),
         )
         orthogonal = mk.operator_norm(rep.left_projector @ rep.right_projector)
         squeeze_ok = (

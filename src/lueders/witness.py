@@ -25,10 +25,11 @@ from .effects import Effect, EffectSet, window_index
 from .errors import (
     CommutesNoWitness,
     DimensionMismatch,
+    InvalidArgument,
     RefinementVanished,
     ResolutionExhausted,
 )
-from .operation import JointBlock, LuedersOperation, joint_eigenspaces, _require_commuting
+from .operation import JointBlock, LuedersOperation, joint_eigenspaces
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -97,15 +98,17 @@ def witness_search(effect: Effect, b, tol: Tolerances = DEFAULT) -> WitnessCerti
     Doubles the resolution m = 2, 4, 8, ... and scans window pairs in
     lexicographic (k, j) order; the first block with norm above the threshold
     and |k - j| ≥ 2 wins.  Raises CommutesNoWitness when [b, E] vanishes
-    within tolerance and ResolutionExhausted past M_MAX.
+    within tolerance and ResolutionExhausted past M_MAX.  Norms are taken of
+    b·2⁻ᵉ, which cannot overflow; InvalidArgument if block_norm = 2ᵉ·norm does.
     """
     mat = mk.as_complex_matrix(b)
     if mat.shape != effect.matrix.shape:
         raise DimensionMismatch(f"operator shape {mat.shape} does not match effect shape {effect.matrix.shape}")
+    mat, e = mk._scaled_below_one(mat)
     b_norm = mk.operator_norm(mat)
     comm = mk.operator_norm(effect.matrix @ mat - mat @ effect.matrix)
     if comm <= tol.commutator * b_norm:
-        raise CommutesNoWitness(f"commutator norm {comm:.3e} within tolerance")
+        raise CommutesNoWitness(f"commutator norm {math.ldexp(comm, e):.3e} within tolerance")
     thresh = tol.witness * b_norm
 
     u = effect.eigenvectors
@@ -118,7 +121,11 @@ def witness_search(effect: Effect, b, tol: Tolerances = DEFAULT) -> WitnessCerti
                 continue
             norm = mk.operator_norm(projs[k] @ mat @ projs[j])
             if norm > thresh:
-                return WitnessCertificate(m, k, j, norm, projs[k], projs[j])
+                try:
+                    block_norm = math.ldexp(norm, e)
+                except OverflowError:
+                    raise InvalidArgument(f"block norm {norm!r} * 2^{e} exceeds the double range") from None
+                return WitnessCertificate(m, k, j, block_norm, projs[k], projs[j])
         m *= 2
     raise ResolutionExhausted(f"no separated window pair up to resolution {M_MAX}")
 
@@ -132,7 +139,10 @@ def contraction_bound(n: int, m: int, p: int) -> float:
 
     n is the number of effects, m the witness resolution, p the refinement
     factor.  Positive once p exceeds roughly (4m + 2)√n; grows towards
-    1/(2m²) as p → ∞.
+    1/(2m²) as p → ∞.  In floating point the numerator and denominator round
+    independently, so beyond p ≈ 10⁹ the value at p + 1 can fall about one
+    ulp below the value at p.  The formula is kept as written because every
+    monotone rewrite changes the printed digits of suite criterion C7.
     """
     if n < 1 or m < 1 or p < 1:
         raise ValueError("need n, m, p >= 1")
@@ -194,7 +204,7 @@ def build_contractive_block(effect_set: EffectSet, x, p: int, tol: Tolerances = 
     surviving block Y = P x Q then loses at least contraction_bound(n, m, p)
     of its operator norm under the operation.
     """
-    _require_commuting(effect_set)
+    joint = joint_eigenspaces(effect_set, tol)
     if p < 1:
         raise ValueError("refinement factor p must be >= 1")
     mat = mk.as_complex_matrix(x)
@@ -208,7 +218,7 @@ def build_contractive_block(effect_set: EffectSet, x, p: int, tol: Tolerances = 
         groups = _group_by_window([b.values for b in blocks], res, tol)
         return {key: [blocks[i] for i in rows] for key, rows in groups.items()}
 
-    coarse = bins(list(joint_eigenspaces(effect_set, tol).blocks), m)
+    coarse = bins(list(joint.blocks), m)
     left_keys = [t for t in coarse if t[0] == k]
     right_keys = [t for t in coarse if t[0] == j]
     chosen = None

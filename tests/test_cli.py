@@ -123,12 +123,13 @@ def test_verify_resolution_and_subnormalized(tmp_path, capsys):
     assert rep2["fixed_dim"] == rep2["target_dim"] == 1
 
 
-def test_verify_noncommuting_subnormalized_is_an_input_error(tmp_path, capsys):
+def test_verify_noncommuting_subnormalized_reports_theorem_3_2(tmp_path, capsys):
     scaled = [0.9 * e for e in generate_noncommuting_resolution(3, 3, seed=2).matrices]
     path = tmp_path / "nc.json"
     dump_effect_set(path, build_effect_set(scaled))
-    assert main(["verify", str(path)]) == 3
-    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    rep = json.loads(_out(capsys))
+    assert (rep["theorem"], rep["fixed_dim"], rep["target_dim"], rep["verdict"]) == ("3.2", 0, 0, True)
 
 
 def test_witness_finds_pair_and_handles_commuting(tmp_path, capsys):
@@ -185,6 +186,23 @@ def test_nonfinite_entries_exit_three(tmp_path, capsys, entry):
     assert main(["witness", _pinching_file(tmp_path), str(op_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError:") and "finite" in err
+
+
+def test_witness_near_the_top_of_the_double_range(tmp_path, capsys):
+    sign = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+    es_path, op_path = tmp_path / "set.json", tmp_path / "op.json"
+    dump_effect_set(es_path, build_effect_set([np.diag([0.1, 0.5, 0.9])]))
+    dump_operator(op_path, 1.7e308 * sign)
+    assert main(["witness", str(es_path), str(op_path)]) == 0
+    cert = json.loads(_out(capsys), parse_constant=pytest.fail)
+    assert cert == {"m": 4, "k": 0, "j": 3, "block_norm": 1.7e308}
+
+    # a 2×2 block of such entries has a norm no double can hold
+    dump_effect_set(es_path, build_effect_set([np.diag([0.1, 0.1, 0.9, 0.9])]))
+    dump_operator(op_path, np.kron([[0.0, 1.7e308], [0.0, 0.0]], np.ones((2, 2))))
+    assert main(["witness", str(es_path), str(op_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "InvalidArgument" in captured.err and "double range" in captured.err
 
 
 def _deeply_nested(path):

@@ -5,14 +5,19 @@
 references below are the direct routes they replaced: a full SVD of the
 unreduced matrix for every kernel, ``lstsq`` for the Φ(X) + X = I system and
 modified Gram-Schmidt for orthonormal bases.  They live here, not in the
-package, so they stay independent oracles.
+package, so they stay independent oracles.  The fixed-point target of a
+non-commuting subnormalized set is checked against one stacked kernel.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from lueders import matkernel as mk
+from lueders.cli import main
 from lueders.effects import (
+    build_effect_set,
     generate_commuting_resolution,
     generate_commuting_subnormalized,
     generate_noncommuting_resolution,
@@ -23,7 +28,9 @@ from lueders.operation import (
     fixed_point_space,
     nagy_solve,
     unit_spectral_projector,
+    verify_subnormalized_fixed_points,
 )
+from lueders.serialize import dump_effect_set
 
 PROJECTOR_TOL = 1e-10
 
@@ -149,7 +156,7 @@ SUBNORMALIZED_SETS = dict(_subnormalized_sets())
 
 @pytest.mark.parametrize("name", sorted(SUBNORMALIZED_SETS))
 def test_orthonormalize_matches_gram_schmidt(name):
-    # The compressed commutant P·{Eᵢ}′, as the subnormalized verifier builds it.
+    # The compressed commutant P·{Eᵢ}′ of commuting subnormalized sets.
     es = SUBNORMALIZED_SETS[name]
     p = unit_spectral_projector(es)
     mats = [p @ b for b in commutant(es).basis]
@@ -161,3 +168,57 @@ def test_orthonormalize_matches_gram_schmidt(name):
 def test_orthonormalize_of_nothing_and_of_zeros():
     assert mk.orthonormalize([]) == []
     assert mk.orthonormalize([np.zeros((3, 3)), 1e-12 * np.eye(3)]) == []
+
+
+def _d2_unit_projector_not_commuting():
+    """E₁, E₂ on C² with F = diag(1, 0.619…): P = diag(1, 0) and ‖[P, E₁]‖ = 0.3."""
+    y = -np.sqrt(0.02)
+    return build_effect_set([np.array([[0.5, 0.3], [0.3, 0.2]]), np.array([[0.8, y], [y, -0.21 / y - 0.8]])])
+
+
+def _noncommuting_subnormalized_sets():
+    """(name, set, fixed-point dimension) of strictly subnormalized sets that do not commute."""
+    a = generate_noncommuting_resolution(3, 3, seed=2)
+    b = generate_noncommuting_resolution(3, 3, seed=4)
+    yield "scaled-0.9", build_effect_set([0.9 * e for e in a.matrices]), 0
+    # a non-commuting resolution on one block, 0.8× another on the other, in a random basis
+    u, _ = np.linalg.qr(_rand(6, 6, 17))
+    zero = np.zeros((3, 3))
+    blocks = [np.block([[x, zero], [zero, 0.8 * w]]) for x, w in zip(a.matrices, b.matrices)]
+    yield "block-resolution-plus-0.8", build_effect_set([u @ m @ u.conj().T for m in blocks]), 1
+    yield "d2-unit-projector-not-commuting", _d2_unit_projector_not_commuting(), 0
+
+
+NONCOMMUTING_SUBNORMALIZED = {name: (es, dim) for name, es, dim in _noncommuting_subnormalized_sets()}
+
+
+@pytest.mark.parametrize("name", sorted(NONCOMMUTING_SUBNORMALIZED))
+def test_noncommuting_subnormalized_fixed_points_match_stacked_kernel(name, tmp_path, capsys):
+    # Fix(Φ) = {Eᵢ}′ ∩ {X : X = PXP}: the kernel of [Cᵢ; I⊗Q; Qᵀ⊗I], Q = I - P.
+    es, dim = NONCOMMUTING_SUBNORMALIZED[name]
+    assert not es.commuting
+    d = es.dim
+    eye = np.eye(d)
+    w, v = np.linalg.eigh(es.sum_of_squares)
+    unit = v[:, np.abs(w - 1.0) <= 1e-9]
+    q = eye - unit @ unit.conj().T
+    blocks = [np.kron(e.T, eye) - np.kron(eye, e) for e in es.matrices]
+    want = _reference_nullspace(np.vstack(blocks + [np.kron(eye, q), np.kron(q.T, eye)]))
+    assert want.shape[1] == dim
+    _assert_same_kernel(_columns(fixed_point_space(LuedersOperation(es))), want)
+    rep = verify_subnormalized_fixed_points(es)
+    assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.2", dim, dim, True)
+    path = tmp_path / "set.json"
+    dump_effect_set(path, es)
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["theorem"] == "3.2"
+
+
+def test_unit_projector_need_not_commute_with_the_effects():
+    # Here the compressed commutant P·{Eᵢ}′ = span{P} is not the fixed-point space {0}.
+    es = _d2_unit_projector_not_commuting()
+    p = unit_spectral_projector(es)
+    assert np.abs(es.sum_of_squares - np.diag([1.0, 0.619121])).max() < 1e-6
+    assert abs(mk.operator_norm(p @ es.matrices[0] - es.matrices[0] @ p) - 0.3) < 1e-12
+    assert len(mk.orthonormalize([p @ b for b in commutant(es).basis])) == 1
+    assert fixed_point_space(LuedersOperation(es)).dim == 0

@@ -222,9 +222,10 @@ def test_verify_subnormalized_on_generated_sets(uf):
 def test_verify_subnormalized_rejects_wrong_inputs():
     with pytest.raises(IsResolution):
         verify_subnormalized_fixed_points(_pinching())
+    # a non-commuting set is no wrong input: with F = 0.81·I nothing is fixed
     scaled = [0.9 * e for e in generate_noncommuting_resolution(3, 3, seed=2).matrices]
-    with pytest.raises(NotCommuting):
-        verify_subnormalized_fixed_points(build_effect_set(scaled))
+    rep = verify_subnormalized_fixed_points(build_effect_set(scaled))
+    assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.2", 0, 0, True)
 
 
 def test_channel_norm_certificate():

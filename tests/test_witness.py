@@ -8,6 +8,7 @@ from lueders.effects import build_effect_set, generate_commuting_resolution, spe
 from lueders.errors import (
     CommutesNoWitness,
     DimensionMismatch,
+    InvalidArgument,
     NotCommuting,
     ResolutionExhausted,
 )
@@ -109,6 +110,20 @@ def test_witness_search_exhausts_on_tiny_gap():
     eff = build_effect_set([np.diag([0.5, 0.5 + 1e-7])]).effects[0]
     with pytest.raises(ResolutionExhausted):
         witness_search(eff, SIGMA_X)
+
+
+def test_witness_search_scales_operators_near_the_top_of_the_double_range():
+    # unscaled, ‖b‖ overflows to inf and no block can exceed the threshold inf·tol
+    eff = build_effect_set([np.diag([0.1, 0.5, 0.9])]).effects[0]
+    sign = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+    cert = witness_search(eff, 1.7e308 * sign)
+    small = witness_search(eff, 1.7e308 * 2.0**-1014 * sign)
+    assert (cert.m, cert.k, cert.j) == (small.m, small.k, small.j) == (4, 0, 3)
+    assert cert.block_norm == math.ldexp(small.block_norm, 1014) == 1.7e308
+    b = np.zeros((4, 4))
+    b[:2, 2:] = 1.7e308
+    with pytest.raises(InvalidArgument, match="double range"):
+        witness_search(build_effect_set([np.diag([0.1, 0.1, 0.9, 0.9])]).effects[0], b)
 
 
 @pytest.mark.parametrize("seed", range(8))
