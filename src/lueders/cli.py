@@ -84,8 +84,12 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> int:
 
 
 def _cmd_gen(args) -> int:
-    d = _check_range("d", args.d, 1, serialize.DIM_LIMIT)
-    n = _check_range("n", args.n, 1, serialize.DIM_LIMIT)
+    # A non-commuting set needs d >= 2 and n >= 3 (see the generator).
+    noncommuting = args.flavor == "noncommuting-resolution"
+    d = _check_range("d", args.d, 2 if noncommuting else 1, serialize.DIM_LIMIT)
+    n = _check_range("n", args.n, 3 if noncommuting else 1, serialize.DIM_LIMIT)
+    if args.seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {args.seed}")
     meta = {"flavor": args.flavor, "seed": args.seed}
     if args.flavor == "commuting-resolution":
         es = generate_commuting_resolution(d, n, args.seed)
@@ -177,9 +181,9 @@ def _cmd_bound(args) -> int:
     m = _check_range("m", args.m, 1, 10**6)
     lines = []
     if args.p is not None:
-        if args.p < 1:
-            raise InvalidArgument(f"p must be >= 1, got {args.p}")
-        lines.append(f"bound(n={n}, m={m}, p={args.p}) = {contraction_bound(n, m, args.p):.7f}")
+        # 2**53 is the largest p that converts to a double exactly.
+        p = _check_range("p", args.p, 1, 2**53)
+        lines.append(f"bound(n={n}, m={m}, p={p}) = {contraction_bound(n, m, p):.7f}")
     lines.append(f"p* = {contraction_threshold(n, m)}")
     _emit("\n".join(lines), args.out)
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matkernel as mk
+from . import matkernel as mk, tolerances as tol
 from .errors import (
     DimensionMismatch,
     InvalidInterval,
@@ -26,7 +26,6 @@ from .errors import (
     SpectrumBelowZero,
 )
 from .rng import philox_generator
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "Effect",
@@ -71,15 +70,15 @@ class Effect:
         return self.eig.eigenvectors
 
 
-def validate_effect(m, tol: Tolerances = DEFAULT) -> Effect:
-    """Check Hermiticity and spectrum ⊂ [-tol.psd, 1 + tol.psd]; clip the dust."""
+def validate_effect(m) -> Effect:
+    """Check Hermiticity and spectrum ⊂ [-PSD, 1 + PSD]; clip the dust."""
     mat = mk.as_complex_matrix(m)
-    eig = mk.hermitian_eigendecompose(mat, tol)
+    eig = mk.hermitian_eigendecompose(mat)
     lo = float(eig.eigenvalues[0])
     hi = float(eig.eigenvalues[-1])
-    if lo < -tol.psd:
+    if lo < -tol.PSD:
         raise SpectrumBelowZero(f"eigenvalue {lo:.6e} below 0")
-    if hi > 1 + tol.psd:
+    if hi > 1 + tol.PSD:
         raise SpectrumAboveOne(f"eigenvalue {hi:.6e} above 1")
     clipped = np.clip(eig.eigenvalues, 0.0, 1.0)
     return Effect(mat.copy(), mk.HermitianEigensystem(clipped, eig.eigenvectors))
@@ -110,17 +109,18 @@ class EffectSet:
         return tuple(e.matrix for e in self.effects)
 
 
-def build_effect_set(mats, tol: Tolerances = DEFAULT) -> EffectSet:
+def build_effect_set(mats) -> EffectSet:
     """Validate each matrix and classify the set.
 
     Raises NotSubnormalized when the sum of squares has an eigenvalue above
-    1 + tol.psd.  Commuting means every pairwise commutator norm stays at or
-    below tol.commutator times the largest effect norm.
+    1 + PSD.  Commuting means every pairwise commutator norm stays at or
+    below COMMUTATOR times the largest effect norm; a resolution has
+    ‖F - I‖_F ≤ RESOLUTION.
     """
     mats = list(mats)
     if not mats:
         raise ValueError("an effect set needs at least one effect")
-    effects = [validate_effect(m, tol) for m in mats]
+    effects = [validate_effect(m) for m in mats]
     d = effects[0].dim
     for e in effects:
         if e.dim != d:
@@ -128,7 +128,7 @@ def build_effect_set(mats, tol: Tolerances = DEFAULT) -> EffectSet:
 
     f = mk.sum_terms([e.matrix @ e.matrix for e in effects])
     f_eigs = np.linalg.eigvalsh((f + f.conj().T) / 2)
-    if f_eigs[-1] > 1 + tol.psd:
+    if f_eigs[-1] > 1 + tol.PSD:
         raise NotSubnormalized(f"sum of squares has eigenvalue {f_eigs[-1]:.6e} above 1")
 
     max_comm = 0.0
@@ -137,9 +137,9 @@ def build_effect_set(mats, tol: Tolerances = DEFAULT) -> EffectSet:
             a, b = effects[i].matrix, effects[j].matrix
             max_comm = max(max_comm, mk.operator_norm(a @ b - b @ a))
     max_norm = max(float(e.eigenvalues[-1]) for e in effects)
-    commuting = max_comm <= tol.commutator * max_norm
+    commuting = max_comm <= tol.COMMUTATOR * max_norm
 
-    resolution = mk.frobenius_norm(f - np.eye(d)) <= tol.resolution
+    resolution = mk.frobenius_norm(f - np.eye(d)) <= tol.RESOLUTION
     norm = Normalization.RESOLUTION if resolution else Normalization.SUBNORMALIZED
     return EffectSet(tuple(effects), d, f, commuting, norm, max_comm)
 
@@ -148,26 +148,26 @@ def build_effect_set(mats, tol: Tolerances = DEFAULT) -> EffectSet:
 # spectral windows
 
 
-def in_window(lam: float, a: float, b: float, tol: float = DEFAULT.cluster) -> bool:
+def in_window(lam: float, a: float, b: float) -> bool:
     """Membership of λ in the half-open window (a, b].
 
-    Values within tol of an edge snap onto it, so λ = a is excluded and
-    λ = b (up to tol) is included, independent of rounding dust.
+    Values within CLUSTER of an edge snap onto it, so λ = a is excluded and
+    λ = b (up to CLUSTER) is included, independent of rounding dust.
     """
-    return (a + tol < lam) and (lam <= b + tol)
+    return (a + tol.CLUSTER < lam) and (lam <= b + tol.CLUSTER)
 
 
-def window_index(lam: float, m: int, tol: float = DEFAULT.cluster) -> int:
+def window_index(lam: float, m: int) -> int:
     """Index k ∈ {-1, ..., m-1} of the window (k/m, (k+1)/m] containing λ ∈ [0, 1]."""
-    k = math.ceil((lam - tol) * m) - 1
+    k = math.ceil((lam - tol.CLUSTER) * m) - 1
     return min(max(k, -1), m - 1)
 
 
-def spectral_window(effect: Effect, a: float, b: float, tol: Tolerances = DEFAULT) -> np.ndarray:
+def spectral_window(effect: Effect, a: float, b: float) -> np.ndarray:
     """Spectral projector onto the eigenvectors of the effect with eigenvalue in (a, b]."""
     if not a < b:
         raise InvalidInterval(f"need a < b, got ({a}, {b}]")
-    sel = np.array([in_window(float(w), a, b, tol.cluster) for w in effect.eigenvalues])
+    sel = np.array([in_window(float(w), a, b) for w in effect.eigenvalues])
     u = effect.eigenvectors[:, sel]
     return u @ u.conj().T
 
@@ -217,12 +217,12 @@ def _draw_joint_spectra(d: int, n: int, rng: np.random.Generator, radii: np.ndar
     return np.array(tuples)
 
 
-def _assemble(u: np.ndarray, tuples: np.ndarray, tol: Tolerances) -> EffectSet:
+def _assemble(u: np.ndarray, tuples: np.ndarray) -> EffectSet:
     effects = [_hermitize((u * tuples[:, i]) @ u.conj().T) for i in range(tuples.shape[1])]
-    return build_effect_set(effects, tol)
+    return build_effect_set(effects)
 
 
-def generate_commuting_resolution(d: int, n: int, seed: int, tol: Tolerances = DEFAULT) -> EffectSet:
+def generate_commuting_resolution(d: int, n: int, seed: int) -> EffectSet:
     """Commuting resolution: shared Haar basis, unit-sphere eigenvalue tuples.
 
     Each basis vector gets a tuple (λ₁, ..., λₙ) with Σ λᵢ² = 1 and λᵢ ≥ 0,
@@ -234,12 +234,10 @@ def generate_commuting_resolution(d: int, n: int, seed: int, tol: Tolerances = D
     rng = philox_generator(seed)
     u = _haar_unitary(d, rng)
     tuples = _draw_joint_spectra(d, n, rng, np.ones(d))
-    return _assemble(u, tuples, tol)
+    return _assemble(u, tuples)
 
 
-def generate_commuting_subnormalized(
-    d: int, n: int, seed: int, unit_fraction: float, tol: Tolerances = DEFAULT
-) -> EffectSet:
+def generate_commuting_subnormalized(d: int, n: int, seed: int, unit_fraction: float) -> EffectSet:
     """Commuting subnormalized set with a prescribed unit eigenspace of F = Σ Eᵢ².
 
     The first round(unit_fraction·d) basis vectors keep radius 1 (F eigenvalue
@@ -256,10 +254,10 @@ def generate_commuting_subnormalized(
     radii = np.ones(d)
     radii[k_unit:] = rng.uniform(0.3, 0.95, size=d - k_unit)
     tuples = _draw_joint_spectra(d, n, rng, radii)
-    return _assemble(u, tuples, tol)
+    return _assemble(u, tuples)
 
 
-def generate_noncommuting_resolution(d: int, n: int, seed: int, tol: Tolerances = DEFAULT) -> EffectSet:
+def generate_noncommuting_resolution(d: int, n: int, seed: int) -> EffectSet:
     """Non-commuting resolution: n-1 independent random effects, one closing effect.
 
     The first n-1 effects are scaled so their squares sum to at most 0.95·I;
@@ -284,8 +282,8 @@ def generate_noncommuting_resolution(d: int, n: int, seed: int, tol: Tolerances 
             continue
         c = math.sqrt(0.95 / mu)
         scaled = [c * b for b in base]
-        closer = mk.sqrt_psd(np.eye(d) - mk.sum_terms([e @ e for e in scaled]), tol)
-        es = build_effect_set(scaled + [closer], tol)
+        closer = mk.sqrt_psd(np.eye(d) - mk.sum_terms([e @ e for e in scaled]))
+        es = build_effect_set(scaled + [closer])
         if es.max_pairwise_commutator_norm >= 0.01:
             return es
     raise RuntimeError("could not reach the non-commutation floor")

@@ -8,7 +8,8 @@ dense LAPACK routines via numpy are used throughout.
 Each numerical kernel costs one factorization: ``nullspace`` takes one SVD,
 of the triangular QR factor when the matrix is tall, and the fixed-point
 space of a Lüders operation (in ``operation``) takes one Hermitian ``eigh``.
-Both cut their spectrum by the same relative rule, ``_kernel_columns``.
+Both cut their spectrum by the same relative rule, ``_kernel_columns``, at
+``tolerances.NULLSPACE``.
 
 Vectorization is column-stacking: vec(AXB) = (Bᵀ ⊗ A) vec(X).
 """
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPositive, NotSquare
-from .tolerances import DEFAULT, Tolerances
+from . import tolerances as tol
 
 __all__ = [
     "HermitianEigensystem",
@@ -72,7 +73,7 @@ def hermitian_defect(a: np.ndarray) -> float:
 def _scaled_below_one(a: np.ndarray) -> tuple[np.ndarray, int]:
     """(a·2⁻ᵉ, e) with e ≥ 0 the least exponent that puts every real and imaginary part below 1.
 
-    Entries near the top of the double range overflow norms to inf, and inf > tol * inf
+    Entries near the top of the double range overflow norms to inf, and inf > threshold * inf
     is false.  Scaling by a power of two is exact, so decisions on finite matrices stay
     bit for bit the same, and a norm scales back exactly with ``math.ldexp(norm, e)``.
     """
@@ -81,10 +82,10 @@ def _scaled_below_one(a: np.ndarray) -> tuple[np.ndarray, int]:
     return a * 2.0**-e, e
 
 
-def _require_hermitian(a: np.ndarray, tol: float) -> None:
+def _require_hermitian(a: np.ndarray) -> None:
     scaled, _ = _scaled_below_one(a)
-    if hermitian_defect(scaled) > tol * np.linalg.norm(scaled):
-        raise NotHermitian(f"asymmetry {hermitian_defect(a):.3e} exceeds {tol:g} * ‖M‖")
+    if hermitian_defect(scaled) > tol.HERMITIAN * np.linalg.norm(scaled):
+        raise NotHermitian(f"asymmetry {hermitian_defect(a):.3e} exceeds {tol.HERMITIAN:g} * ‖M‖")
 
 
 def operator_norm(m) -> float:
@@ -122,7 +123,7 @@ class HermitianEigensystem:
     eigenvectors: np.ndarray
 
 
-def hermitian_eigendecompose(m, tol: Tolerances = DEFAULT) -> HermitianEigensystem:
+def hermitian_eigendecompose(m) -> HermitianEigensystem:
     """Full eigensystem of a Hermitian matrix.
 
     Raises NotSquare / NotHermitian on malformed input and NoConvergence if
@@ -130,7 +131,7 @@ def hermitian_eigendecompose(m, tol: Tolerances = DEFAULT) -> HermitianEigensyst
     """
     a = as_complex_matrix(m)
     _require_square(a)
-    _require_hermitian(a, tol.hermitian)
+    _require_hermitian(a)
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -138,41 +139,39 @@ def hermitian_eigendecompose(m, tol: Tolerances = DEFAULT) -> HermitianEigensyst
     return HermitianEigensystem(w, u)
 
 
-def sqrt_psd(m, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Unique PSD square root; eigenvalue dust above -tol.psd is clipped to 0."""
-    eig = hermitian_eigendecompose(m, tol)
-    if eig.eigenvalues[0] < -tol.psd:
-        raise NotPositive(f"eigenvalue {eig.eigenvalues[0]:.3e} below -{tol.psd:g}")
+def sqrt_psd(m) -> np.ndarray:
+    """Unique PSD square root; eigenvalue dust above -PSD is clipped to 0."""
+    eig = hermitian_eigendecompose(m)
+    if eig.eigenvalues[0] < -tol.PSD:
+        raise NotPositive(f"eigenvalue {eig.eigenvalues[0]:.3e} below -{tol.PSD:g}")
     w = np.clip(eig.eigenvalues, 0.0, None)
     root = (eig.eigenvectors * np.sqrt(w)) @ eig.eigenvectors.conj().T
     return (root + root.conj().T) / 2
 
 
-def _kernel_columns(dist: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
-    """Columns of `vectors` whose distance to the kernel is at most tol·max(dist).
+def _kernel_columns(dist: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Columns of `vectors` whose distance to the kernel is at most NULLSPACE·max(dist).
 
     dist[i] is the singular value that column i belongs to.  When max(dist) ≤
-    tol the matrix counts as zero and the full identity basis is returned:
-    rounding dust must not masquerade as structure, and every returned x then
-    still satisfies ‖Mx‖ ≤ tol·‖x‖.
+    NULLSPACE the matrix counts as zero and the full identity basis is
+    returned: rounding dust must not masquerade as structure, and every
+    returned x then still satisfies ‖Mx‖ ≤ NULLSPACE·‖x‖.
     """
     scale = float(dist.max())
-    if scale <= tol:
+    if scale <= tol.NULLSPACE:
         return np.eye(vectors.shape[0], dtype=complex)
-    return vectors[:, dist <= tol * scale]
+    return vectors[:, dist <= tol.NULLSPACE * scale]
 
 
-def nullspace(m, tol: float = DEFAULT.nullspace) -> np.ndarray:
+def nullspace(m) -> np.ndarray:
     """Orthonormal columns spanning the numerical kernel of M.
 
     One SVD: a tall M is first reduced to its square triangular QR factor R,
     which has the same right singular vectors, so no left singular vectors of
     M are ever formed.  Right singular vectors whose singular value falls at
-    or below tol·σ_max are kept, together with every direction beyond the rank
-    of a wide M; see `_kernel_columns` for the zero-matrix rule.
+    or below NULLSPACE·σ_max are kept, together with every direction beyond
+    the rank of a wide M; see `_kernel_columns` for the zero-matrix rule.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a = as_complex_matrix(m)
     rows, cols = a.shape
     if a.size == 0:
@@ -182,7 +181,7 @@ def nullspace(m, tol: float = DEFAULT.nullspace) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     dist = np.zeros(cols)
     dist[: s.size] = s
-    return _kernel_columns(dist, vh.conj().T, tol)
+    return _kernel_columns(dist, vh.conj().T)
 
 
 @dataclass(frozen=True)
@@ -203,18 +202,18 @@ class OperatorSubspace:
         return cls(dim_hilbert, mats)
 
 
-def orthonormalize(mats: Sequence[np.ndarray], drop_tol: float = DEFAULT.nullspace) -> list[np.ndarray]:
+def orthonormalize(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal basis of the span under the Hilbert-Schmidt inner product tr(A†B).
 
     One thin SVD of the vectorized matrices stacked as columns; the left
-    singular vectors whose singular value exceeds drop_tol (an absolute cut)
-    are unvectorized and returned.
+    singular vectors whose singular value exceeds NULLSPACE (here an absolute
+    cut) are unvectorized and returned.
     """
     if not mats:
         return []
     d = np.shape(mats[0])[0]
     u, s, _ = np.linalg.svd(np.column_stack([vec(m) for m in mats]).astype(complex), full_matrices=False)
-    return [unvec(u[:, i], d) for i in np.flatnonzero(s > drop_tol)]
+    return [unvec(u[:, i], d) for i in np.flatnonzero(s > tol.NULLSPACE)]
 
 
 def subspace_projector(s: OperatorSubspace) -> np.ndarray:
@@ -232,9 +231,9 @@ class SubspaceComparison:
     distance: float
 
 
-def subspaces_equal(s1: OperatorSubspace, s2: OperatorSubspace, tol: float = DEFAULT.subspace) -> SubspaceComparison:
-    """Compare two operator subspaces by the Frobenius distance of their projectors."""
+def subspaces_equal(s1: OperatorSubspace, s2: OperatorSubspace) -> SubspaceComparison:
+    """Compare two operator subspaces by the Frobenius distance of their projectors (cut SUBSPACE)."""
     if s1.dim_hilbert != s2.dim_hilbert:
         raise DimensionMismatch(f"subspaces live on dimensions {s1.dim_hilbert} and {s2.dim_hilbert}")
     distance = float(np.linalg.norm(subspace_projector(s1) - subspace_projector(s2)))
-    return SubspaceComparison(distance <= tol, distance)
+    return SubspaceComparison(distance <= tol.SUBSPACE, distance)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import matkernel as mk
+from . import matkernel as mk, tolerances as tol
 from .effects import EffectSet, Normalization
 from .errors import (
     DimensionMismatch,
@@ -29,7 +29,6 @@ from .errors import (
     SingularSystem,
 )
 from .rng import philox_generator
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "ChannelNormCertificate",
@@ -77,7 +76,7 @@ class LuedersOperation:
         return self._superoperator
 
 
-def fixed_point_space(op: LuedersOperation, tol: float = DEFAULT.nullspace) -> mk.OperatorSubspace:
+def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
     """Orthonormal basis of {B : Φ(B) = B}: the eigenvalue-1 cluster of the superoperator.
 
     The superoperator Σ conj(Eᵢ)⊗Eᵢ is Hermitian, so one ``eigh`` of its
@@ -86,11 +85,11 @@ def fixed_point_space(op: LuedersOperation, tol: float = DEFAULT.nullspace) -> m
     """
     s = op.superoperator
     w, v = np.linalg.eigh((s + s.conj().T) / 2)
-    cols = mk._kernel_columns(np.abs(w - 1.0), v, tol)
+    cols = mk._kernel_columns(np.abs(w - 1.0), v)
     return mk.OperatorSubspace.from_vectors(cols, op.dim)
 
 
-def commutant(effect_set: EffectSet, tol: float = DEFAULT.nullspace) -> mk.OperatorSubspace:
+def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
     """Orthonormal basis of {B : [B, Eᵢ] = 0 for all i}.
 
     The simultaneous commutation conditions stack into one (n·d²)×d² map
@@ -103,7 +102,7 @@ def commutant(effect_set: EffectSet, tol: float = DEFAULT.nullspace) -> mk.Opera
     d = effect_set.dim
     eye = np.eye(d)
     blocks = [np.kron(e.T, eye) - np.kron(eye, e) for e in effect_set.matrices]
-    cols = mk.nullspace(np.vstack(blocks), tol)
+    cols = mk.nullspace(np.vstack(blocks))
     return mk.OperatorSubspace.from_vectors(cols, d)
 
 
@@ -141,17 +140,17 @@ class JointEigenstructure:
         return sum(b.dim**2 for b in self.blocks)
 
 
-def _cluster_slices(values: np.ndarray, gap: float):
-    """Maximal runs of ascending values with consecutive gaps at most `gap`."""
+def _cluster_slices(values: np.ndarray):
+    """Maximal runs of ascending values with consecutive gaps at most CLUSTER."""
     start = 0
     for i in range(1, len(values)):
-        if values[i] - values[i - 1] > gap:
+        if values[i] - values[i - 1] > tol.CLUSTER:
             yield slice(start, i)
             start = i
     yield slice(start, len(values))
 
 
-def joint_eigenspaces(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> JointEigenstructure:
+def joint_eigenspaces(effect_set: EffectSet) -> JointEigenstructure:
     """Iteratively refine eigenspace clusters across all effects of a commuting set.
 
     Blocks are ordered lexicographically by their eigenvalue tuples (ascending
@@ -168,7 +167,7 @@ def joint_eigenspaces(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> Joint
         for v in bases:
             c = v.conj().T @ e @ v
             w, wv = np.linalg.eigh((c + c.conj().T) / 2)
-            for sl in _cluster_slices(w, tol.cluster):
+            for sl in _cluster_slices(w):
                 refined.append(v @ wv[:, sl])
         bases = refined
     blocks = []
@@ -203,26 +202,26 @@ class TheoremReport:
         return asdict(self)
 
 
-def _verify_fixed_points(effect_set: EffectSet, tol: Tolerances) -> TheoremReport:
+def _verify_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """Compare the fixed-point space with {Eᵢ}′ ∩ P·B(H)·P (P = I for a resolution).
 
     Commutant elements X commute with F, hence with P, so X = PXP means QX = 0
     (Q = I - P): with V the commutant basis Bⱼ, the target basis is V·ker[vec(QBⱼ)]ⱼ.
     """
-    fixed = fixed_point_space(LuedersOperation(effect_set), tol.nullspace)
-    target = commutant(effect_set, tol.nullspace)
+    fixed = fixed_point_space(LuedersOperation(effect_set))
+    target = commutant(effect_set)
     resolution = effect_set.normalization is Normalization.RESOLUTION
     if not resolution:
-        q = np.eye(effect_set.dim) - unit_spectral_projector(effect_set, tol)
+        q = np.eye(effect_set.dim) - unit_spectral_projector(effect_set)
         v = np.column_stack([mk.vec(b) for b in target.basis])
         system = np.column_stack([mk.vec(q @ b) for b in target.basis])
-        target = mk.OperatorSubspace.from_vectors(v @ mk.nullspace(system, tol.nullspace), effect_set.dim)
-    cmp = mk.subspaces_equal(fixed, target, tol.subspace)
+        target = mk.OperatorSubspace.from_vectors(v @ mk.nullspace(system), effect_set.dim)
+    cmp = mk.subspaces_equal(fixed, target)
     verdict = cmp.equal and fixed.dim == target.dim
     return TheoremReport("3.1" if resolution else "3.2", fixed.dim, target.dim, cmp.distance, verdict)
 
 
-def verify_resolution_fixed_points(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> TheoremReport:
+def verify_resolution_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """Check that the fixed-point space of Φ equals the commutant of the effect set.
 
     Requires a resolution (Σ Eᵢ² = I); commutativity is not required at finite
@@ -230,18 +229,18 @@ def verify_resolution_fixed_points(effect_set: EffectSet, tol: Tolerances = DEFA
     """
     if effect_set.normalization is not Normalization.RESOLUTION:
         raise NotResolution("the squares do not sum to the identity")
-    return _verify_fixed_points(effect_set, tol)
+    return _verify_fixed_points(effect_set)
 
 
-def unit_spectral_projector(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Spectral projector of F = Σ Eᵢ² at eigenvalue 1 (cluster width tol.cluster)."""
+def unit_spectral_projector(effect_set: EffectSet) -> np.ndarray:
+    """Spectral projector of F = Σ Eᵢ² at eigenvalue 1 (cluster width CLUSTER)."""
     f = effect_set.sum_of_squares
-    eig = mk.hermitian_eigendecompose((f + f.conj().T) / 2, tol)
-    u = eig.eigenvectors[:, np.abs(eig.eigenvalues - 1.0) <= tol.cluster]
+    eig = mk.hermitian_eigendecompose((f + f.conj().T) / 2)
+    u = eig.eigenvectors[:, np.abs(eig.eigenvalues - 1.0) <= tol.CLUSTER]
     return u @ u.conj().T
 
 
-def verify_subnormalized_fixed_points(effect_set: EffectSet, tol: Tolerances = DEFAULT) -> TheoremReport:
+def verify_subnormalized_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """Check that the fixed-point space equals {Eᵢ}′ ∩ P·B(H)·P, P the unit eigenprojector of F.
 
     Requires a strictly subnormalized set, commuting or not; for a commuting
@@ -250,7 +249,7 @@ def verify_subnormalized_fixed_points(effect_set: EffectSet, tol: Tolerances = D
     """
     if effect_set.normalization is Normalization.RESOLUTION:
         raise IsResolution("the squares sum to the identity; use the resolution verifier")
-    return _verify_fixed_points(effect_set, tol)
+    return _verify_fixed_points(effect_set)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +302,7 @@ class NagySolution:
         }
 
 
-def nagy_solve(op: LuedersOperation, tol: Tolerances = DEFAULT) -> NagySolution:
+def nagy_solve(op: LuedersOperation) -> NagySolution:
     """Solve the complete-disturbance equation Φ(X) + X = I.
 
     The superoperator of Φ is Hermitian positive semidefinite, so S + I is
@@ -316,7 +315,7 @@ def nagy_solve(op: LuedersOperation, tol: Tolerances = DEFAULT) -> NagySolution:
     d = op.dim
     a = op.superoperator + np.eye(d * d)
     s = np.abs(np.linalg.eigvalsh(a))
-    if s.min() <= tol.nullspace * s.max():
+    if s.min() <= tol.NULLSPACE * s.max():
         raise SingularSystem("the superoperator has an eigenvalue at -1")
     x_vec = np.linalg.solve(a, mk.vec(np.eye(d)))
     x = mk.unvec(x_vec, d)
@@ -324,34 +323,34 @@ def nagy_solve(op: LuedersOperation, tol: Tolerances = DEFAULT) -> NagySolution:
     half_distance = mk.frobenius_norm(x - np.eye(d) / 2)
     w = np.linalg.eigvalsh((x + x.conj().T) / 2)
     is_effect = bool(
-        mk.hermitian_defect(x) <= tol.hermitian * mk.frobenius_norm(x)
-        and w[0] >= -tol.psd
-        and w[-1] <= 1 + tol.psd
+        mk.hermitian_defect(x) <= tol.HERMITIAN * mk.frobenius_norm(x)
+        and w[0] >= -tol.PSD
+        and w[-1] <= 1 + tol.PSD
     )
     return NagySolution(x, residual, half_distance, is_effect)
 
 
-def is_undisturbed_state(op: LuedersOperation, rho, tol: Tolerances = DEFAULT) -> tuple[bool, bool]:
+def is_undisturbed_state(op: LuedersOperation, rho) -> tuple[bool, bool]:
     """Return (is_fixed, commutes_with_all) for a density matrix.
 
-    is_fixed holds when ‖Φ(ρ) - ρ‖_F ≤ tol.commutator; commutes_with_all when
-    every ‖[ρ, Eᵢ]‖ ≤ tol.commutator.  The state must be Hermitian within
-    tol.hermitian, have no eigenvalue below -tol.psd and satisfy
-    |tr ρ - 1| ≤ tol.commutator.  For Lüders operations of resolutions the
+    is_fixed holds when ‖Φ(ρ) - ρ‖_F ≤ COMMUTATOR; commutes_with_all when
+    every ‖[ρ, Eᵢ]‖ ≤ COMMUTATOR.  The state must be Hermitian within
+    HERMITIAN, have no eigenvalue below -PSD and satisfy
+    |tr ρ - 1| ≤ COMMUTATOR.  For Lüders operations of resolutions the
     two verdicts agree.
     """
     mat = mk.as_complex_matrix(rho)
     if mat.shape != (op.dim, op.dim):
         raise DimensionMismatch(f"state shape {mat.shape} does not match dimension {op.dim}")
-    if mk.hermitian_defect(mat) > tol.hermitian * max(mk.frobenius_norm(mat), 1.0):
+    if mk.hermitian_defect(mat) > tol.HERMITIAN * max(mk.frobenius_norm(mat), 1.0):
         raise NotDensityMatrix("state is not Hermitian")
     w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    if w[0] < -tol.psd:
+    if w[0] < -tol.PSD:
         raise NotDensityMatrix(f"state has eigenvalue {w[0]:.3e} below 0")
-    if abs(float(np.real(np.trace(mat))) - 1.0) > tol.commutator:
+    if abs(float(np.real(np.trace(mat))) - 1.0) > tol.COMMUTATOR:
         raise NotDensityMatrix(f"trace {np.real(np.trace(mat)):.12f} is not 1")
-    is_fixed = mk.frobenius_norm(op.apply(mat) - mat) <= tol.commutator
+    is_fixed = mk.frobenius_norm(op.apply(mat) - mat) <= tol.COMMUTATOR
     commutes = all(
-        mk.operator_norm(mat @ e - e @ mat) <= tol.commutator for e in op.effect_set.matrices
+        mk.operator_norm(mat @ e - e @ mat) <= tol.COMMUTATOR for e in op.effect_set.matrices
     )
     return is_fixed, commutes

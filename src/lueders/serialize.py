@@ -20,7 +20,6 @@ import numpy as np
 
 from .effects import EffectSet, build_effect_set
 from .errors import ParseError
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "dump_effect_set",
@@ -136,7 +135,7 @@ def _parse_matrix(obj, d: int, what: str) -> np.ndarray:
     return out
 
 
-def parse_effect_set(text: str, tol: Tolerances = DEFAULT) -> EffectSet:
+def parse_effect_set(text: str) -> EffectSet:
     """Parse and validate an effect-set document.
 
     Schema violations raise ParseError; violations of the effect invariants
@@ -159,7 +158,7 @@ def parse_effect_set(text: str, tol: Tolerances = DEFAULT) -> EffectSet:
     if not isinstance(effects, list) or len(effects) != n:
         raise ParseError(f"effects must be a list of {n} matrices")
     mats = [_parse_matrix(mat, d, f"effect {i}") for i, mat in enumerate(effects)]
-    return build_effect_set(mats, tol)
+    return build_effect_set(mats)
 
 
 def parse_operator(text: str) -> np.ndarray:
@@ -183,8 +182,8 @@ def _read_text(path) -> str:
             raise ParseError(f"not UTF-8 text: {exc}") from exc
 
 
-def load_effect_set(path, tol: Tolerances = DEFAULT) -> EffectSet:
-    return parse_effect_set(_read_text(path), tol)
+def load_effect_set(path) -> EffectSet:
+    return parse_effect_set(_read_text(path))
 
 
 def load_operator(path) -> np.ndarray:

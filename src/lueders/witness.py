@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matkernel as mk
+from . import matkernel as mk, tolerances as tol
 from .effects import Effect, EffectSet, window_index
 from .errors import (
     CommutesNoWitness,
@@ -30,7 +30,6 @@ from .errors import (
     ResolutionExhausted,
 )
 from .operation import JointBlock, LuedersOperation, joint_eigenspaces
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "ContractionReport",
@@ -48,7 +47,7 @@ __all__ = [
 M_MAX = 2**20
 
 
-def _group_by_window(values, m: int, tol: Tolerances) -> dict[tuple[int, ...], list[int]]:
+def _group_by_window(values, m: int) -> dict[tuple[int, ...], list[int]]:
     """Row indices grouped by window-index tuple at resolution m, sorted by key.
 
     Each row of `values` holds eigenvalues, one per effect, of one eigenvector
@@ -57,7 +56,7 @@ def _group_by_window(values, m: int, tol: Tolerances) -> dict[tuple[int, ...], l
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for row, vals in enumerate(values):
-        key = tuple(window_index(float(v), m, tol.cluster) for v in vals)
+        key = tuple(window_index(float(v), m) for v in vals)
         groups.setdefault(key, []).append(row)
     return dict(sorted(groups.items()))
 
@@ -92,13 +91,13 @@ class WitnessCertificate:
         return out
 
 
-def witness_search(effect: Effect, b, tol: Tolerances = DEFAULT) -> WitnessCertificate:
+def witness_search(effect: Effect, b) -> WitnessCertificate:
     """Find windows of one effect, two or more indices apart, that b couples.
 
     Doubles the resolution m = 2, 4, 8, ... and scans window pairs in
-    lexicographic (k, j) order; the first block with norm above the threshold
-    and |k - j| ≥ 2 wins.  Raises CommutesNoWitness when [b, E] vanishes
-    within tolerance and ResolutionExhausted past M_MAX.  Norms are taken of
+    lexicographic (k, j) order; the first block with norm above WITNESS·‖b‖
+    and |k - j| ≥ 2 wins.  Raises CommutesNoWitness when ‖[b, E]‖ ≤
+    COMMUTATOR·‖b‖ and ResolutionExhausted past M_MAX.  Norms are taken of
     b·2⁻ᵉ, which cannot overflow; InvalidArgument if block_norm = 2ᵉ·norm does.
     """
     mat = mk.as_complex_matrix(b)
@@ -107,14 +106,14 @@ def witness_search(effect: Effect, b, tol: Tolerances = DEFAULT) -> WitnessCerti
     mat, e = mk._scaled_below_one(mat)
     b_norm = mk.operator_norm(mat)
     comm = mk.operator_norm(effect.matrix @ mat - mat @ effect.matrix)
-    if comm <= tol.commutator * b_norm:
+    if comm <= tol.COMMUTATOR * b_norm:
         raise CommutesNoWitness(f"commutator norm {math.ldexp(comm, e):.3e} within tolerance")
-    thresh = tol.witness * b_norm
+    thresh = tol.WITNESS * b_norm
 
     u = effect.eigenvectors
     m = 2
     while m <= M_MAX:
-        groups = _group_by_window(effect.eigenvalues[:, None], m, tol)
+        groups = _group_by_window(effect.eigenvalues[:, None], m)
         projs = {key[0]: u[:, cols] @ u[:, cols].conj().T for key, cols in groups.items()}
         for k, j in itertools.product(projs, repeat=2):
             if abs(k - j) < 2:
@@ -195,27 +194,30 @@ def _projector_of(blocks: list[JointBlock]) -> np.ndarray:
     return mk.sum_terms([b.basis @ b.basis.conj().T for b in blocks])
 
 
-def build_contractive_block(effect_set: EffectSet, x, p: int, tol: Tolerances = DEFAULT) -> ContractionReport:
+def build_contractive_block(effect_set: EffectSet, x, p: int) -> ContractionReport:
     """Construct a block of x that the Lüders operation provably contracts.
 
     Steps: find a witness pair (k, j) of the first effect at resolution m;
     expand to full bin tuples with first coordinates k and j that keep the
     block alive; refine both tuples at resolution p·m the same way.  The
     surviving block Y = P x Q then loses at least contraction_bound(n, m, p)
-    of its operator norm under the operation.
+    of its operator norm under the operation.  As in witness_search, blocks
+    are decided on x·2⁻ᵉ; y and its norms scale back by 2ᵉ exactly, and
+    InvalidArgument is raised if they leave the double range.
     """
-    joint = joint_eigenspaces(effect_set, tol)
+    joint = joint_eigenspaces(effect_set)
     if p < 1:
         raise ValueError("refinement factor p must be >= 1")
     mat = mk.as_complex_matrix(x)
     if mat.shape != (effect_set.dim, effect_set.dim):
         raise DimensionMismatch(f"operator shape {mat.shape} does not match dimension {effect_set.dim}")
-    cert = witness_search(effect_set.effects[0], mat, tol)
+    cert = witness_search(effect_set.effects[0], mat)
     m, k, j = cert.m, cert.k, cert.j
-    thresh = tol.witness * mk.operator_norm(mat)
+    mat, e = mk._scaled_below_one(mat)
+    thresh = tol.WITNESS * mk.operator_norm(mat)
 
     def bins(blocks: list[JointBlock], res: int) -> dict[tuple[int, ...], list[JointBlock]]:
-        groups = _group_by_window([b.values for b in blocks], res, tol)
+        groups = _group_by_window([b.values for b in blocks], res)
         return {key: [blocks[i] for i in rows] for key, rows in groups.items()}
 
     coarse = bins(list(joint.blocks), m)
@@ -252,12 +254,19 @@ def build_contractive_block(effect_set: EffectSet, x, p: int, tol: Tolerances = 
     y = left @ mat @ right
     y_norm = mk.operator_norm(y)
     image_norm = mk.operator_norm(LuedersOperation(effect_set).apply(y))
+    achieved_ratio = (y_norm - image_norm) / y_norm
+    try:
+        with np.errstate(over="raise"):
+            y.real, y.imag = np.ldexp(y.real, e), np.ldexp(y.imag, e)
+        y_norm, image_norm = math.ldexp(y_norm, e), math.ldexp(image_norm, e)
+    except (OverflowError, FloatingPointError):
+        raise InvalidArgument(f"block norm {y_norm!r} * 2^{e} exceeds the double range") from None
     return ContractionReport(
         n=effect_set.n,
         m=m,
         p=p,
         bound=contraction_bound(effect_set.n, m, p),
-        achieved_ratio=(y_norm - image_norm) / y_norm,
+        achieved_ratio=achieved_ratio,
         coarse_left=ks,
         coarse_right=ks2,
         refined_left=s,

@@ -77,6 +77,21 @@ def test_gen_argument_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--flavor", "commuting-resolution", "--d", "2", "--n", "2", "--seed", "-1"],
+    ["gen", "--flavor", "noncommuting-resolution", "--d", "3", "--n", "1"],
+    ["gen", "--flavor", "noncommuting-resolution", "--d", "3", "--n", "2"],
+    ["gen", "--flavor", "noncommuting-resolution", "--d", "1", "--n", "3"],
+    ["bound", "--n", "1", "--m", "1", "--p", str(10**200)],
+    ["bound", "--n", "1", "--m", "1", "--p", str(2**53 + 1)],
+], ids=["negative-seed", "noncommuting-n1", "noncommuting-n2", "noncommuting-d1", "p-1e200", "p-2^53+1"])
+def test_arguments_the_library_rejects_exit_three(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidArgument: ")
+    assert "Traceback" not in err
+
+
 def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -164,6 +179,8 @@ def test_bound_output(capsys):
 
     assert main(["bound", "--n", "1", "--m", "1", "--p", "0"]) == 3
     capsys.readouterr()
+    assert main(["bound", "--n", "1", "--m", "1", "--p", str(2**53)]) == 0
+    assert _out(capsys).startswith(f"bound(n=1, m=1, p={2**53}) = 0.5000000")
 
 
 def test_bound_at_the_argument_limit_is_fast(capsys):

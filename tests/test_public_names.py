@@ -7,6 +7,7 @@ benchmark run fail.  The table is read from the file, nothing is patched.
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -38,3 +39,18 @@ def test_every_exported_name_exists(module_name):
     module = importlib.import_module(f"lueders.{module_name}" if module_name else "lueders")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def _exported_callables():
+    for module_name in MODULES:
+        module = importlib.import_module(f"lueders.{module_name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if callable(obj):
+                yield pytest.param(obj, id=f"{module_name}.{name}")
+
+
+@pytest.mark.parametrize("obj", _exported_callables())
+def test_no_exported_callable_takes_a_tolerance(obj):
+    # The thresholds are the constants of lueders.tolerances; no caller picks its own.
+    assert not {"tol", "drop_tol"} & set(inspect.signature(obj).parameters)

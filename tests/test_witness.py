@@ -13,7 +13,6 @@ from lueders.errors import (
     ResolutionExhausted,
 )
 from lueders.operation import LuedersOperation, joint_eigenspaces
-from lueders.tolerances import DEFAULT
 from lueders.witness import (
     _group_by_window,
     build_contractive_block,
@@ -40,7 +39,7 @@ def _bin_projection(es, m, ks):
 def _occupied_bins(es, m):
     """Occupied bin projectors at resolution m, built from the grouping of joint blocks."""
     blocks = joint_eigenspaces(es).blocks
-    groups = _group_by_window([b.values for b in blocks], m, DEFAULT)
+    groups = _group_by_window([b.values for b in blocks], m)
     return {
         key: mk.sum_terms([blocks[i].basis @ blocks[i].basis.conj().T for i in rows])
         for key, rows in groups.items()
@@ -77,8 +76,8 @@ def test_occupied_bins_partition_for_resolutions(m):
 
 def test_group_by_window_sorts_keys_and_keeps_row_order():
     values = [(0.9, 0.1), (0.1, 0.9), (0.95, 0.05), (0.0, 1.0)]
-    assert _group_by_window(values, 2, DEFAULT) == {(-1, 1): [3], (0, 1): [1], (1, 0): [0, 2]}
-    assert _group_by_window(np.array([[0.5], [0.25], [0.5]]), 4, DEFAULT) == {(0,): [1], (1,): [0, 2]}
+    assert _group_by_window(values, 2) == {(-1, 1): [3], (0, 1): [1], (1, 0): [0, 2]}
+    assert _group_by_window(np.array([[0.5], [0.25], [0.5]]), 4) == {(0,): [1], (1,): [0, 2]}
 
 
 def test_witness_search_pinching():
@@ -268,6 +267,23 @@ def test_contractive_block_projectors_are_bin_products(seed):
     assert np.abs(rep.left_projector - left).max() < 1e-10
     assert np.abs(rep.right_projector - right).max() < 1e-10
     assert np.abs(left).max() > 0.1 and np.abs(right).max() > 0.1
+
+
+def test_build_contractive_block_scales_operators_near_the_top_of_the_double_range():
+    # unscaled, ‖x‖ overflows to inf and every refined block falls below the threshold inf·tol
+    es = build_effect_set([np.diag([0.1, 0.5, 0.9])])
+    x = 1.7e308 * np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+    rep = build_contractive_block(es, x, 40)
+    small = build_contractive_block(es, x * 2.0**-1024, 40)
+    assert rep.m == small.m == 4
+    assert rep.achieved_ratio == small.achieved_ratio >= rep.bound > 0
+    assert rep.y_norm == math.ldexp(small.y_norm, 1024) == 1.7e308
+    assert rep.image_norm == math.ldexp(small.image_norm, 1024)
+    assert np.array_equal(rep.y, np.ldexp(small.y.real, 1024))
+    b = np.zeros((4, 4))
+    b[:2, 2:] = 1.7e308
+    with pytest.raises(InvalidArgument, match="double range"):
+        build_contractive_block(build_effect_set([np.diag([0.1, 0.1, 0.9, 0.9])]), b, 40)
 
 
 def test_build_contractive_block_guards():
