@@ -82,4 +82,8 @@ class ParseError(LuedersError):
 
 
 class InvalidArgument(LuedersError):
-    """A command-line argument is outside its allowed range."""
+    """An argument is outside its allowed range.
+
+    Command-line options, the probe count and seed of `channel_norm`, and
+    inputs whose block norm would leave the double range all raise it.
+    """

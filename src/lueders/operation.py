@@ -22,6 +22,7 @@ from . import matkernel as mk, tolerances as tol
 from .effects import EffectSet, Normalization
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     IsResolution,
     NotCommuting,
     NotDensityMatrix,
@@ -64,7 +65,7 @@ class LuedersOperation:
         mat = mk.as_complex_matrix(b)
         if mat.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"operator shape {mat.shape} does not match dimension {self.dim}")
-        return mk.sum_terms([(e @ mat) @ e for e in self.effect_set.matrices])
+        return _phi(self.effect_set.matrices, mat)
 
     @property
     def superoperator(self) -> np.ndarray:
@@ -74,6 +75,15 @@ class LuedersOperation:
                 [np.kron(e.T, e) for e in self.effect_set.matrices]
             )
         return self._superoperator
+
+
+def _phi(matrices, b: np.ndarray) -> np.ndarray:
+    """Σᵢ (EᵢB)Eᵢ, summed left to right, for one d×d matrix B or a stack of them.
+
+    The terms come from a generator, so at most one of them is alive besides
+    the running sum: a list of stacked terms would hold all n at once.
+    """
+    return mk.sum_terms((e @ b) @ e for e in matrices)
 
 
 def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
@@ -272,16 +282,26 @@ class ChannelNormCertificate:
 
 
 def channel_norm(op: LuedersOperation, probes: int = 200, seed: int = 0) -> ChannelNormCertificate:
-    """Operator norm of Φ on B(H), which the identity attains: ‖Φ‖ = ‖Φ(I)‖ = ‖F‖."""
+    """Operator norm of Φ on B(H), which the identity attains: ‖Φ‖ = ‖Φ(I)‖ = ‖F‖.
+
+    The probes are one batched draw of shape (probes, 2, d, d) from the Philox
+    stream of seed, bit-equal to drawing the real and imaginary part of each
+    probe one at a time.  Each probe is divided by its operator norm, and Φ and
+    the image norms are applied to the whole stack at once.  A negative probe
+    count or seed raises InvalidArgument.
+    """
+    if probes < 0:
+        raise InvalidArgument(f"probes must be >= 0, got {probes}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     d = op.dim
     value = mk.operator_norm(op.effect_set.sum_of_squares)
     identity_norm = mk.operator_norm(op.apply(np.eye(d)))
-    rng = philox_generator(seed)
-    max_probe = 0.0
-    for _ in range(probes):
-        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        b = b / mk.operator_norm(b)
-        max_probe = max(max_probe, mk.operator_norm(op.apply(b)))
+    g = philox_generator(seed).standard_normal((probes, 2, d, d))
+    b = g[:, 0] + 1j * g[:, 1]
+    b = b / np.linalg.svd(b, compute_uv=False)[:, :1, None]
+    images = _phi(op.effect_set.matrices, b)
+    max_probe = float(np.linalg.svd(images, compute_uv=False).max(initial=0.0))
     return ChannelNormCertificate(value, identity_norm, max_probe, probes)
 
 

@@ -1,10 +1,12 @@
 """The factorized kernels against a dense full-SVD / lstsq reference.
 
 `nullspace` takes one SVD of a QR-reduced matrix, `fixed_point_space` one
-``eigh``, `nagy_solve` one LU solve and `orthonormalize` one thin SVD.  The
+``eigh``, `nagy_solve` one LU solve, `orthonormalize` one thin SVD and
+`channel_norm` one batched draw, Φ and SVD over all its probes.  The
 references below are the direct routes they replaced: a full SVD of the
-unreduced matrix for every kernel, ``lstsq`` for the Φ(X) + X = I system and
-modified Gram-Schmidt for orthonormal bases.  They live here, not in the
+unreduced matrix for every kernel, ``lstsq`` for the Φ(X) + X = I system,
+modified Gram-Schmidt for orthonormal bases and a per-probe loop for the
+channel norm.  They live here, not in the
 package, so they stay independent oracles.  The fixed-point target of a
 non-commuting subnormalized set is checked against one stacked kernel.
 """
@@ -23,14 +25,18 @@ from lueders.effects import (
     generate_noncommuting_resolution,
 )
 from lueders.operation import (
+    ChannelNormCertificate,
     LuedersOperation,
+    channel_norm,
     commutant,
     fixed_point_space,
     nagy_solve,
     unit_spectral_projector,
     verify_subnormalized_fixed_points,
 )
+from lueders.rng import philox_generator
 from lueders.serialize import dump_effect_set
+from lueders.suite import QUICK, _noncommuting_pool, _resolution_pool, _subnormalized_pool, run_criterion
 
 PROJECTOR_TOL = 1e-10
 
@@ -222,3 +228,49 @@ def test_unit_projector_need_not_commute_with_the_effects():
     assert abs(mk.operator_norm(p @ es.matrices[0] - es.matrices[0] @ p) - 0.3) < 1e-12
     assert len(mk.orthonormalize([p @ b for b in commutant(es).basis])) == 1
     assert fixed_point_space(LuedersOperation(es)).dim == 0
+
+
+def _reference_channel_norm(es, probes, seed):
+    """One probe at a time: two (d, d) draws, a norm, Φ as a list sum, a norm."""
+
+    def phi(b):
+        return mk.sum_terms([(e @ b) @ e for e in es.matrices])
+
+    rng = philox_generator(seed)
+    max_probe = 0.0
+    for _ in range(probes):
+        b = rng.standard_normal((es.dim, es.dim)) + 1j * rng.standard_normal((es.dim, es.dim))
+        b = b / mk.operator_norm(b)
+        max_probe = max(max_probe, mk.operator_norm(phi(b)))
+    value = mk.operator_norm(es.sum_of_squares)
+    return ChannelNormCertificate(value, mk.operator_norm(phi(np.eye(es.dim))), max_probe, probes)
+
+
+def _flavor(flavor, d):
+    if flavor == "cr":
+        return generate_commuting_resolution(d, 3, 40 + d)
+    if flavor == "cs":
+        return generate_commuting_subnormalized(d, 3, 40 + d, 0.5)
+    if d == 1:
+        return build_effect_set([0.6 * np.eye(1), 0.8 * np.eye(1)])
+    return generate_noncommuting_resolution(d, 3, 40 + d)
+
+
+@pytest.mark.parametrize("probes", [0, 1, 7, 200])
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 16])
+@pytest.mark.parametrize("flavor", ["cr", "cs", "nc"])
+def test_channel_norm_matches_per_probe_loop(flavor, d, probes):
+    es = _flavor(flavor, d)
+    want = _reference_channel_norm(es, probes, d + probes)
+    assert channel_norm(LuedersOperation(es), probes, seed=d + probes) == want
+
+
+def test_c5_probe_excess_matches_per_probe_loop():
+    sets = (
+        list(_resolution_pool(QUICK))
+        + [es for _, es in _subnormalized_pool(QUICK)]
+        + list(_noncommuting_pool(QUICK))
+    )
+    certs = [_reference_channel_norm(es, QUICK.norm_probes, 7000 + i) for i, es in enumerate(sets)]
+    want = max(c.max_probe_image_norm - c.value for c in certs)
+    assert run_criterion("C5", QUICK).details["max_probe_excess"] == want

@@ -10,6 +10,7 @@ from lueders.effects import (
 )
 from lueders.errors import (
     DimensionMismatch,
+    InvalidArgument,
     IsResolution,
     NotCommuting,
     NotDensityMatrix,
@@ -236,6 +237,21 @@ def test_channel_norm_certificate():
 
     scalar = channel_norm(LuedersOperation(build_effect_set([0.8 * np.eye(3)])), probes=20, seed=2)
     assert abs(scalar.value - 0.64) < 1e-12
+
+    assert channel_norm(LuedersOperation(es), probes=0, seed=1).max_probe_image_norm == 0.0
+
+
+@pytest.mark.parametrize("kwargs", [{"probes": -1}, {"seed": -1}], ids=["probes", "seed"])
+def test_channel_norm_rejects_negative_arguments(kwargs):
+    with pytest.raises(InvalidArgument):
+        channel_norm(LuedersOperation(generate_commuting_resolution(3, 2, seed=71)), **kwargs)
+
+
+def test_channel_norm_at_d64_n64():
+    # Φ sums its (200, 64, 64) terms one at a time; a list of all 64 peaks near 0.9 GB.
+    cert = channel_norm(LuedersOperation(generate_commuting_resolution(64, 64, seed=72)))
+    assert cert.identity_image_norm == cert.value
+    assert cert.max_probe_image_norm <= cert.value + 1e-10
 
 
 def test_nagy_resolution_gives_half_identity():
