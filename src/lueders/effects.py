@@ -3,7 +3,9 @@
 An effect is a Hermitian matrix with spectrum in [0, 1].  A finite effect set
 {E₁, ..., Eₙ} is classified by its sum of squares F = Σ Eᵢ²: F = I makes it a
 resolution, F ≤ I with F ≠ I makes it subnormalized.  Commutativity is decided
-from the pairwise commutator norms.
+from the pairwise commutator norms.  Spectral windows are given by index only:
+window k at resolution m is (k/m, (k+1)/m], and `window_index` alone decides
+which window holds an eigenvalue.
 
 Generators are fully deterministic: every draw comes from a Philox stream
 keyed by the seed, so identical arguments produce bit-identical sets.
@@ -20,7 +22,7 @@ import numpy as np
 from . import matkernel as mk, tolerances as tol
 from .errors import (
     DimensionMismatch,
-    InvalidInterval,
+    InvalidArgument,
     NotSubnormalized,
     SpectrumAboveOne,
     SpectrumBelowZero,
@@ -35,7 +37,6 @@ __all__ = [
     "generate_commuting_resolution",
     "generate_commuting_subnormalized",
     "generate_noncommuting_resolution",
-    "in_window",
     "spectral_window",
     "validate_effect",
     "window_index",
@@ -52,36 +53,26 @@ _DRAW_RETRIES = 200
 
 @dataclass(frozen=True)
 class Effect:
-    """A validated effect with its cached eigensystem (eigenvalues clipped to [0, 1])."""
+    """A validated effect with its eigensystem: eigenvalues ascending and clipped to [0, 1]."""
 
     matrix: np.ndarray
-    eig: mk.HermitianEigensystem
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.eig.eigenvalues
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self.eig.eigenvectors
-
 
 def validate_effect(m) -> Effect:
     """Check Hermiticity and spectrum ⊂ [-PSD, 1 + PSD]; clip the dust."""
     mat = mk.as_complex_matrix(m)
-    eig = mk.hermitian_eigendecompose(mat)
-    lo = float(eig.eigenvalues[0])
-    hi = float(eig.eigenvalues[-1])
-    if lo < -tol.PSD:
-        raise SpectrumBelowZero(f"eigenvalue {lo:.6e} below 0")
-    if hi > 1 + tol.PSD:
-        raise SpectrumAboveOne(f"eigenvalue {hi:.6e} above 1")
-    clipped = np.clip(eig.eigenvalues, 0.0, 1.0)
-    return Effect(mat.copy(), mk.HermitianEigensystem(clipped, eig.eigenvectors))
+    w, u = mk.hermitian_eigendecompose(mat)
+    if w[0] < -tol.PSD:
+        raise SpectrumBelowZero(f"eigenvalue {w[0]:.6e} below 0")
+    if w[-1] > 1 + tol.PSD:
+        raise SpectrumAboveOne(f"eigenvalue {w[-1]:.6e} above 1")
+    return Effect(mat.copy(), np.clip(w, 0.0, 1.0), u)
 
 
 class Normalization(enum.Enum):
@@ -119,7 +110,7 @@ def build_effect_set(mats) -> EffectSet:
     """
     mats = list(mats)
     if not mats:
-        raise ValueError("an effect set needs at least one effect")
+        raise InvalidArgument("an effect set needs at least one effect")
     effects = [validate_effect(m) for m in mats]
     d = effects[0].dim
     for e in effects:
@@ -148,27 +139,37 @@ def build_effect_set(mats) -> EffectSet:
 # spectral windows
 
 
-def in_window(lam: float, a: float, b: float) -> bool:
-    """Membership of λ in the half-open window (a, b].
-
-    Values within CLUSTER of an edge snap onto it, so λ = a is excluded and
-    λ = b (up to CLUSTER) is included, independent of rounding dust.
-    """
-    return (a + tol.CLUSTER < lam) and (lam <= b + tol.CLUSTER)
-
-
 def window_index(lam: float, m: int) -> int:
-    """Index k ∈ {-1, ..., m-1} of the window (k/m, (k+1)/m] containing λ ∈ [0, 1]."""
+    """Index k ∈ {-1, ..., m-1} of the window (k/m, (k+1)/m] containing λ ∈ [0, 1].
+
+    A λ within CLUSTER above an edge k/m stays in window k - 1, independent of rounding dust.
+    """
     k = math.ceil((lam - tol.CLUSTER) * m) - 1
     return min(max(k, -1), m - 1)
 
 
-def spectral_window(effect: Effect, a: float, b: float) -> np.ndarray:
-    """Spectral projector onto the eigenvectors of the effect with eigenvalue in (a, b]."""
-    if not a < b:
-        raise InvalidInterval(f"need a < b, got ({a}, {b}]")
-    sel = np.array([in_window(float(w), a, b) for w in effect.eigenvalues])
-    u = effect.eigenvectors[:, sel]
+def _group_by_window(values, m: int) -> dict[tuple[int, ...], list[int]]:
+    """Row indices grouped by window-index tuple at resolution m, sorted by key.
+
+    Each row of `values` holds eigenvalues, one per effect, of one eigenvector
+    or one joint block; its key is the tuple of indices k of the windows
+    (k/m, (k+1)/m] that contain them.  A key is one occupied bin F^m_{k₁...kₙ}.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for row, vals in enumerate(values):
+        key = tuple(window_index(float(v), m) for v in vals)
+        groups.setdefault(key, []).append(row)
+    return dict(sorted(groups.items()))
+
+
+def spectral_window(effect: Effect, k: int, m: int) -> np.ndarray:
+    """Spectral projector of the effect onto window k, (k/m, (k+1)/m]; exactly zero if empty.
+
+    Raises InvalidArgument for a resolution m < 1.
+    """
+    if m < 1:
+        raise InvalidArgument(f"resolution m must be >= 1, got {m}")
+    u = effect.eigenvectors[:, _group_by_window(effect.eigenvalues[:, None], m).get((k,), [])]
     return u @ u.conj().T
 
 
@@ -230,7 +231,7 @@ def generate_commuting_resolution(d: int, n: int, seed: int) -> EffectSet:
     the identity effect.
     """
     if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+        raise InvalidArgument(f"need d >= 1 and n >= 1, got d = {d}, n = {n}")
     rng = philox_generator(seed)
     u = _haar_unitary(d, rng)
     tuples = _draw_joint_spectra(d, n, rng, np.ones(d))
@@ -245,9 +246,9 @@ def generate_commuting_subnormalized(d: int, n: int, seed: int, unit_fraction: f
     the identity there with a gap of at least 0.0975.
     """
     if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+        raise InvalidArgument(f"need d >= 1 and n >= 1, got d = {d}, n = {n}")
     if not 0.0 <= unit_fraction <= 1.0:
-        raise ValueError("unit_fraction must lie in [0, 1]")
+        raise InvalidArgument(f"unit fraction must lie in [0, 1], got {unit_fraction}")
     k_unit = int(math.floor(unit_fraction * d + 0.5))
     rng = philox_generator(seed)
     u = _haar_unitary(d, rng)
@@ -266,9 +267,9 @@ def generate_noncommuting_resolution(d: int, n: int, seed: int) -> EffectSet:
     next sub-stream, so the result is deterministically non-commuting.
     """
     if d < 2:
-        raise ValueError("need d >= 2 for a non-commuting set")
+        raise InvalidArgument(f"need d >= 2 for a non-commuting set, got {d}")
     if n < 3:
-        raise ValueError("need n >= 3: the closing effect ties down the last two degrees of freedom")
+        raise InvalidArgument("need n >= 3: the closing effect ties down the last two degrees of freedom")
     for attempt in range(64):
         rng = philox_generator(seed, stream=attempt)
         base = []

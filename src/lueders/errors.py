@@ -41,10 +41,6 @@ class NotSubnormalized(LuedersError):
     """The sum of squared effects has an eigenvalue above 1."""
 
 
-class InvalidInterval(LuedersError):
-    """A spectral window (a, b] was requested with a >= b."""
-
-
 class NotCommuting(LuedersError):
     """The operation needs a pairwise-commuting effect set."""
 
@@ -84,6 +80,7 @@ class ParseError(LuedersError):
 class InvalidArgument(LuedersError):
     """An argument is outside its allowed range.
 
-    Command-line options, the probe count and seed of `channel_norm`, and
-    inputs whose block norm would leave the double range all raise it.
+    Each argument is checked once, by the library function that first needs
+    it (generator sizes, seeds, window resolutions, probe counts, ...); the
+    CLI adds only its size caps.  Block norms past the double range raise it too.
     """

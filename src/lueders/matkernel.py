@@ -23,11 +23,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPositive, NotSquare
+from .errors import DimensionMismatch, InvalidArgument, NoConvergence, NotHermitian, NotPositive, NotSquare
 from . import tolerances as tol
 
 __all__ = [
-    "HermitianEigensystem",
     "OperatorSubspace",
     "SubspaceComparison",
     "as_complex_matrix",
@@ -52,7 +51,7 @@ def as_complex_matrix(m) -> np.ndarray:
     if a.ndim != 2:
         raise NotSquare(f"expected a matrix, got array of rank {a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise InvalidArgument("matrix entries must be finite")
     return a
 
 
@@ -115,37 +114,28 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
-@dataclass(frozen=True)
-class HermitianEigensystem:
-    """Eigenvalues ascending, eigenvectors as unitary columns."""
+def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigensystem (w, u) of a Hermitian matrix, as ``np.linalg.eigh`` returns it.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigendecompose(m) -> HermitianEigensystem:
-    """Full eigensystem of a Hermitian matrix.
-
-    Raises NotSquare / NotHermitian on malformed input and NoConvergence if
-    the underlying solver gives up.
+    w holds the eigenvalues in ascending order and the columns of the unitary
+    u the matching eigenvectors.  Raises NotSquare / NotHermitian on malformed
+    input and NoConvergence if the underlying solver gives up.
     """
     a = as_complex_matrix(m)
     _require_square(a)
     _require_hermitian(a)
     try:
-        w, u = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return HermitianEigensystem(w, u)
 
 
 def sqrt_psd(m) -> np.ndarray:
     """Unique PSD square root; eigenvalue dust above -PSD is clipped to 0."""
-    eig = hermitian_eigendecompose(m)
-    if eig.eigenvalues[0] < -tol.PSD:
-        raise NotPositive(f"eigenvalue {eig.eigenvalues[0]:.3e} below -{tol.PSD:g}")
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    root = (eig.eigenvectors * np.sqrt(w)) @ eig.eigenvectors.conj().T
+    w, u = hermitian_eigendecompose(m)
+    if w[0] < -tol.PSD:
+        raise NotPositive(f"eigenvalue {w[0]:.3e} below -{tol.PSD:g}")
+    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
     return (root + root.conj().T) / 2
 
 
@@ -160,7 +150,8 @@ def _kernel_columns(dist: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     scale = float(dist.max())
     if scale <= tol.NULLSPACE:
         return np.eye(vectors.shape[0], dtype=complex)
-    return vectors[:, dist <= tol.NULLSPACE * scale]
+    # C order: a BLAS product can round differently by the memory layout of its operands.
+    return np.ascontiguousarray(vectors[:, dist <= tol.NULLSPACE * scale])
 
 
 def nullspace(m) -> np.ndarray:
@@ -186,20 +177,14 @@ def nullspace(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorSubspace:
-    """Subspace of d×d operators with an orthonormal basis under tr(A†B)."""
+    """Operator subspace: column j of the d²×k `vectors` is vec(Bⱼ), Bⱼ orthonormal under tr(A†B)."""
 
     dim_hilbert: int
-    basis: tuple[np.ndarray, ...]
+    vectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @classmethod
-    def from_vectors(cls, columns: np.ndarray, dim_hilbert: int) -> "OperatorSubspace":
-        """Build from orthonormal d²-vectors (columns), unvectorizing each."""
-        mats = tuple(unvec(columns[:, i], dim_hilbert) for i in range(columns.shape[1]))
-        return cls(dim_hilbert, mats)
+        return self.vectors.shape[1]
 
 
 def orthonormalize(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -217,12 +202,8 @@ def orthonormalize(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def subspace_projector(s: OperatorSubspace) -> np.ndarray:
-    """Orthogonal projector onto the subspace, as a d²×d² matrix."""
-    d2 = s.dim_hilbert**2
-    if not s.basis:
-        return np.zeros((d2, d2), dtype=complex)
-    v = np.column_stack([vec(b) for b in s.basis])
-    return v @ v.conj().T
+    """Orthogonal projector VV† onto the subspace, as a d²×d² matrix."""
+    return s.vectors @ s.vectors.conj().T
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ class LuedersOperation:
 
     def __init__(self, effect_set: EffectSet):
         self.effect_set = effect_set
-        self._superoperator: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -69,12 +68,8 @@ class LuedersOperation:
 
     @property
     def superoperator(self) -> np.ndarray:
-        """Matrix of the operation under column-stacking: Σᵢ Eᵢᵀ ⊗ Eᵢ."""
-        if self._superoperator is None:
-            self._superoperator = mk.sum_terms(
-                [np.kron(e.T, e) for e in self.effect_set.matrices]
-            )
-        return self._superoperator
+        """Matrix of the operation under column-stacking: Σᵢ Eᵢᵀ ⊗ Eᵢ, built on each read."""
+        return mk.sum_terms(np.kron(e.T, e) for e in self.effect_set.matrices)
 
 
 def _phi(matrices, b: np.ndarray) -> np.ndarray:
@@ -95,8 +90,7 @@ def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
     """
     s = op.superoperator
     w, v = np.linalg.eigh((s + s.conj().T) / 2)
-    cols = mk._kernel_columns(np.abs(w - 1.0), v)
-    return mk.OperatorSubspace.from_vectors(cols, op.dim)
+    return mk.OperatorSubspace(op.dim, mk._kernel_columns(np.abs(w - 1.0), v))
 
 
 def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
@@ -112,8 +106,7 @@ def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
     d = effect_set.dim
     eye = np.eye(d)
     blocks = [np.kron(e.T, eye) - np.kron(eye, e) for e in effect_set.matrices]
-    cols = mk.nullspace(np.vstack(blocks))
-    return mk.OperatorSubspace.from_vectors(cols, d)
+    return mk.OperatorSubspace(d, mk.nullspace(np.vstack(blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +215,11 @@ def _verify_fixed_points(effect_set: EffectSet) -> TheoremReport:
     target = commutant(effect_set)
     resolution = effect_set.normalization is Normalization.RESOLUTION
     if not resolution:
-        q = np.eye(effect_set.dim) - unit_spectral_projector(effect_set)
-        v = np.column_stack([mk.vec(b) for b in target.basis])
-        system = np.column_stack([mk.vec(q @ b) for b in target.basis])
-        target = mk.OperatorSubspace.from_vectors(v @ mk.nullspace(system), effect_set.dim)
+        d = effect_set.dim
+        q = np.eye(d) - unit_spectral_projector(effect_set)
+        v = target.vectors
+        system = np.column_stack([mk.vec(q @ mk.unvec(c, d)) for c in v.T])
+        target = mk.OperatorSubspace(d, v @ mk.nullspace(system))
     cmp = mk.subspaces_equal(fixed, target)
     verdict = cmp.equal and fixed.dim == target.dim
     return TheoremReport("3.1" if resolution else "3.2", fixed.dim, target.dim, cmp.distance, verdict)
@@ -245,8 +239,8 @@ def verify_resolution_fixed_points(effect_set: EffectSet) -> TheoremReport:
 def unit_spectral_projector(effect_set: EffectSet) -> np.ndarray:
     """Spectral projector of F = Σ Eᵢ² at eigenvalue 1 (cluster width CLUSTER)."""
     f = effect_set.sum_of_squares
-    eig = mk.hermitian_eigendecompose((f + f.conj().T) / 2)
-    u = eig.eigenvectors[:, np.abs(eig.eigenvalues - 1.0) <= tol.CLUSTER]
+    w, u = mk.hermitian_eigendecompose((f + f.conj().T) / 2)
+    u = u[:, np.abs(w - 1.0) <= tol.CLUSTER]
     return u @ u.conj().T
 
 
@@ -292,8 +286,6 @@ def channel_norm(op: LuedersOperation, probes: int = 200, seed: int = 0) -> Chan
     """
     if probes < 0:
         raise InvalidArgument(f"probes must be >= 0, got {probes}")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     d = op.dim
     value = mk.operator_norm(op.effect_set.sum_of_squares)
     identity_norm = mk.operator_norm(op.apply(np.eye(d)))

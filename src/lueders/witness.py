@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel as mk, tolerances as tol
-from .effects import Effect, EffectSet, window_index
+from .effects import Effect, EffectSet, _group_by_window
 from .errors import (
     CommutesNoWitness,
     DimensionMismatch,
@@ -45,20 +45,6 @@ __all__ = [
 # caught once 1/m falls below half the smallest gap between coupled distinct
 # eigenvalues, so the cap only converts pathological inputs into a typed error.
 M_MAX = 2**20
-
-
-def _group_by_window(values, m: int) -> dict[tuple[int, ...], list[int]]:
-    """Row indices grouped by window-index tuple at resolution m, sorted by key.
-
-    Each row of `values` holds eigenvalues, one per effect, of one eigenvector
-    or one joint block; its key is the tuple of indices k of the windows
-    (k/m, (k+1)/m] that contain them.  A key is one occupied bin F^m_{k₁...kₙ}.
-    """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for row, vals in enumerate(values):
-        key = tuple(window_index(float(v), m) for v in vals)
-        groups.setdefault(key, []).append(row)
-    return dict(sorted(groups.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +130,7 @@ def contraction_bound(n: int, m: int, p: int) -> float:
     monotone rewrite changes the printed digits of suite criterion C7.
     """
     if n < 1 or m < 1 or p < 1:
-        raise ValueError("need n, m, p >= 1")
+        raise InvalidArgument(f"need n, m, p >= 1, got n = {n}, m = {m}, p = {p}")
     return (p * p - 4 * math.sqrt(n) * m * p - 2 * n) / (2 * (p * m) ** 2)
 
 
@@ -207,7 +193,7 @@ def build_contractive_block(effect_set: EffectSet, x, p: int) -> ContractionRepo
     """
     joint = joint_eigenspaces(effect_set)
     if p < 1:
-        raise ValueError("refinement factor p must be >= 1")
+        raise InvalidArgument(f"refinement factor p must be >= 1, got {p}")
     mat = mk.as_complex_matrix(x)
     if mat.shape != (effect_set.dim, effect_set.dim):
         raise DimensionMismatch(f"operator shape {mat.shape} does not match dimension {effect_set.dim}")

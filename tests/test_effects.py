@@ -9,14 +9,13 @@ from lueders.effects import (
     generate_commuting_resolution,
     generate_commuting_subnormalized,
     generate_noncommuting_resolution,
-    in_window,
     spectral_window,
     validate_effect,
     window_index,
 )
 from lueders.errors import (
     DimensionMismatch,
-    InvalidInterval,
+    InvalidArgument,
     NotHermitian,
     NotSubnormalized,
     SpectrumAboveOne,
@@ -88,41 +87,37 @@ def test_build_effect_set_rejects_oversized_sum():
 
 
 def test_spectral_window_selects_halfopen():
+    # At m = 5 the windows are (k/5, (k+1)/5]: 0.2 closes window 0 and 0.6 closes window 2.
     eff = validate_effect(np.diag([0.2, 0.6]))
-    upper = spectral_window(eff, 0.5, 1.0)
-    assert np.abs(upper - np.diag([0.0, 1.0])).max() < 1e-14
-    # the left edge is excluded, the right edge included
-    closed_at_06 = spectral_window(eff, 0.2, 0.6)
-    assert np.abs(closed_at_06 - np.diag([0.0, 1.0])).max() < 1e-14
-    closed_at_02 = spectral_window(eff, 0.1, 0.2)
-    assert np.abs(closed_at_02 - np.diag([1.0, 0.0])).max() < 1e-14
+    assert np.abs(spectral_window(eff, 1, 2) - np.diag([0.0, 1.0])).max() < 1e-14
+    # the right edge is included, the left edge excluded
+    assert np.abs(spectral_window(eff, 0, 5) - np.diag([1.0, 0.0])).max() < 1e-14
+    assert not spectral_window(eff, 1, 5).any()
+    assert np.abs(spectral_window(eff, 2, 5) - np.diag([0.0, 1.0])).max() < 1e-14
+    assert not spectral_window(eff, 3, 5).any()
 
 
 def test_spectral_window_snaps_edge_dust():
-    # an eigenvalue a hair above the left edge snaps onto it and stays out
+    # an eigenvalue a hair above the edge 1/5 snaps onto it and stays in window 0
     eff = validate_effect(np.diag([0.2 + 1e-12, 0.6]))
-    win = spectral_window(eff, 0.2, 0.6)
-    assert np.abs(win - np.diag([0.0, 1.0])).max() < 1e-14
+    assert np.abs(spectral_window(eff, 0, 5) - np.diag([1.0, 0.0])).max() < 1e-14
+    assert not spectral_window(eff, 1, 5).any()
 
 
-def test_spectral_window_rejects_empty_interval():
+@pytest.mark.parametrize("m", [0, -3])
+def test_spectral_window_rejects_resolution_below_one(m):
     eff = validate_effect(np.diag([0.2, 0.6]))
-    with pytest.raises(InvalidInterval):
-        spectral_window(eff, 0.5, 0.5)
+    with pytest.raises(InvalidArgument):
+        spectral_window(eff, 0, m)
 
 
 def test_empty_window_is_the_exact_zero_matrix():
-    win = spectral_window(validate_effect(np.diag([0.2, 0.6, 0.9])), 0.3, 0.5)
-    assert win.dtype == np.complex128 and win.shape == (3, 3)
-    assert not win.any()
-
-
-def test_windows_are_right_continuous():
-    eff = validate_effect(np.diag([0.2, 0.5, 0.9]))
-    # no eigenvalue in (0.5, 0.5 + eps] for eps below the gap
-    base = spectral_window(eff, -1.0, 0.5)
-    nudged = spectral_window(eff, -1.0, 0.5 + 0.1)
-    assert np.abs(base - nudged).max() < 1e-14
+    eff = validate_effect(np.diag([0.2, 0.6, 0.9]))
+    # window 1 at m = 5 is (0.2, 0.4]; indices -2 and 5 lie outside {-1, ..., 4}
+    for k in (1, -2, 5):
+        win = spectral_window(eff, k, 5)
+        assert win.dtype == np.complex128 and win.shape == (3, 3)
+        assert not win.any()
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
@@ -131,14 +126,14 @@ def test_windows_partition_unity(m):
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
     e = (q * rng.uniform(0, 1, 5)) @ q.conj().T
     eff = validate_effect((e + e.conj().T) / 2)
-    total = mk.sum_terms([spectral_window(eff, k / m, (k + 1) / m) for k in range(-1, m)])
+    total = mk.sum_terms([spectral_window(eff, k, m) for k in range(-1, m)])
     assert np.linalg.norm(total - np.eye(5)) < 1e-10
 
 
 def test_adjacent_windows_are_orthogonal():
     eff = validate_effect(np.diag([0.1, 0.4, 0.8]))
-    low = spectral_window(eff, 0.0, 0.5)
-    high = spectral_window(eff, 0.5, 1.0)
+    low = spectral_window(eff, 0, 2)
+    high = spectral_window(eff, 1, 2)
     assert np.abs(low @ high).max() < 1e-14
 
 
@@ -148,7 +143,6 @@ def test_window_index_edges_and_snap():
     assert window_index(0.25, 4) == 0  # right edge belongs to its window
     assert window_index(0.25 + 1e-12, 4) == 0  # snap keeps edge dust in place
     assert window_index(0.26, 4) == 1
-    assert in_window(0.6, 0.5, 1.0) and not in_window(0.5, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -242,8 +236,25 @@ def test_noncommuting_resolution_invariants(d, n, seed):
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_effect_set([]),
+        lambda: generate_commuting_resolution(0, 2, seed=0),
+        lambda: generate_commuting_subnormalized(3, 0, seed=0, unit_fraction=0.5),
+        lambda: generate_commuting_subnormalized(3, 2, seed=0, unit_fraction=1.5),
+        lambda: generate_commuting_resolution(3, 2, seed=-1),
+        lambda: mk.as_complex_matrix([[np.nan]]),
+    ],
+    ids=["empty-set", "d0", "n0", "unit-fraction", "negative-seed", "nan-entry"],
+)
+def test_bad_arguments_raise_invalid_argument(call):
+    with pytest.raises(InvalidArgument):
+        call()
+
+
 def test_noncommuting_rejects_degenerate_requests():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         generate_noncommuting_resolution(1, 3, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         generate_noncommuting_resolution(4, 2, seed=0)

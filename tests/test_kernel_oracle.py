@@ -72,13 +72,6 @@ def _projector_distance(v1, v2):
     return float(np.linalg.norm(v1 @ v1.conj().T - v2 @ v2.conj().T))
 
 
-def _columns(sub):
-    d2 = sub.dim_hilbert**2
-    if not sub.basis:
-        return np.zeros((d2, 0), dtype=complex)
-    return np.column_stack([mk.vec(b) for b in sub.basis])
-
-
 def _assert_same_kernel(got, want):
     assert got.shape == want.shape
     assert np.linalg.norm(got.conj().T @ got - np.eye(got.shape[1])) < 1e-12
@@ -127,7 +120,7 @@ def test_fixed_point_space_matches_reference(name):
     op = LuedersOperation(EFFECT_SETS[name])
     d = op.dim
     want = _reference_nullspace(op.superoperator - np.eye(d * d))
-    _assert_same_kernel(_columns(fixed_point_space(op)), want)
+    _assert_same_kernel(fixed_point_space(op).vectors, want)
 
 
 @pytest.mark.parametrize("name", sorted(EFFECT_SETS))
@@ -136,7 +129,7 @@ def test_commutant_matches_reference(name):
     d = es.dim
     eye = np.eye(d)
     system = np.vstack([np.kron(e.T, eye) - np.kron(eye, e) for e in es.matrices])
-    _assert_same_kernel(_columns(commutant(es)), _reference_nullspace(system))
+    _assert_same_kernel(commutant(es).vectors, _reference_nullspace(system))
 
 
 @pytest.mark.parametrize("name", sorted(EFFECT_SETS))
@@ -164,10 +157,13 @@ SUBNORMALIZED_SETS = dict(_subnormalized_sets())
 def test_orthonormalize_matches_gram_schmidt(name):
     # The compressed commutant P·{Eᵢ}′ of commuting subnormalized sets.
     es = SUBNORMALIZED_SETS[name]
+    d = es.dim
     p = unit_spectral_projector(es)
-    mats = [p @ b for b in commutant(es).basis]
-    got = _columns(mk.OperatorSubspace(es.dim, tuple(mk.orthonormalize(mats))))
-    want = _columns(mk.OperatorSubspace(es.dim, tuple(_reference_orthonormalize(mats))))
+    mats = [p @ mk.unvec(c, d) for c in commutant(es).vectors.T]
+    got, want = (
+        np.array([mk.vec(b) for b in basis]).reshape(-1, d * d).T
+        for basis in (mk.orthonormalize(mats), _reference_orthonormalize(mats))
+    )
     _assert_same_kernel(got, want)
 
 
@@ -211,7 +207,7 @@ def test_noncommuting_subnormalized_fixed_points_match_stacked_kernel(name, tmp_
     blocks = [np.kron(e.T, eye) - np.kron(eye, e) for e in es.matrices]
     want = _reference_nullspace(np.vstack(blocks + [np.kron(eye, q), np.kron(q.T, eye)]))
     assert want.shape[1] == dim
-    _assert_same_kernel(_columns(fixed_point_space(LuedersOperation(es))), want)
+    _assert_same_kernel(fixed_point_space(LuedersOperation(es)).vectors, want)
     rep = verify_subnormalized_fixed_points(es)
     assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.2", dim, dim, True)
     path = tmp_path / "set.json"
@@ -226,7 +222,7 @@ def test_unit_projector_need_not_commute_with_the_effects():
     p = unit_spectral_projector(es)
     assert np.abs(es.sum_of_squares - np.diag([1.0, 0.619121])).max() < 1e-6
     assert abs(mk.operator_norm(p @ es.matrices[0] - es.matrices[0] @ p) - 0.3) < 1e-12
-    assert len(mk.orthonormalize([p @ b for b in commutant(es).basis])) == 1
+    assert len(mk.orthonormalize([p @ mk.unvec(c, 2) for c in commutant(es).vectors.T])) == 1
     assert fixed_point_space(LuedersOperation(es)).dim == 0
 
 

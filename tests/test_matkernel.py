@@ -12,23 +12,23 @@ def _rand_hermitian(d, seed):
 
 
 def test_eigendecompose_identity():
-    eig = mk.hermitian_eigendecompose(np.eye(3))
-    assert np.abs(eig.eigenvalues - 1.0).max() < 1e-14
-    assert np.abs(eig.eigenvectors @ eig.eigenvectors.conj().T - np.eye(3)).max() < 1e-14
+    w, u = mk.hermitian_eigendecompose(np.eye(3))
+    assert np.abs(w - 1.0).max() < 1e-14
+    assert np.abs(u @ u.conj().T - np.eye(3)).max() < 1e-14
 
 
 def test_eigendecompose_diagonal_orders_ascending():
-    eig = mk.hermitian_eigendecompose(np.diag([0.75, 0.25]))
-    assert np.abs(eig.eigenvalues - [0.25, 0.75]).max() < 1e-14
+    w, _ = mk.hermitian_eigendecompose(np.diag([0.75, 0.25]))
+    assert np.abs(w - [0.25, 0.75]).max() < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_eigendecompose_reconstructs(seed):
     h = _rand_hermitian(6, seed)
-    eig = mk.hermitian_eigendecompose(h)
-    rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
+    w, u = mk.hermitian_eigendecompose(h)
+    rebuilt = (u * w) @ u.conj().T
     assert np.linalg.norm(rebuilt - h) < 1e-10 * np.linalg.norm(h)
-    unitary_defect = eig.eigenvectors.conj().T @ eig.eigenvectors - np.eye(6)
+    unitary_defect = u.conj().T @ u - np.eye(6)
     assert np.abs(unitary_defect).max() < 1e-12
 
 
@@ -120,28 +120,37 @@ def test_orthonormalize_drops_dependent_vectors():
 
 def test_subspace_projector_and_trace():
     d = 3
-    units = [np.zeros((d, d), dtype=complex) for _ in range(d * d)]
-    for idx in range(d * d):
-        units[idx][idx % d, idx // d] = 1.0
-    full = mk.OperatorSubspace(d, tuple(units))
+    # the matrix units, column j = vec(E_{j mod d, j div d})
+    full = mk.OperatorSubspace(d, np.eye(d * d, dtype=complex))
     proj = mk.subspace_projector(full)
     assert np.abs(proj - np.eye(d * d)).max() < 1e-12
-    empty = mk.OperatorSubspace(d, ())
-    assert np.abs(mk.subspace_projector(empty)).max() == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_empty_subspace_projector_is_exact_zero(d):
+    empty = mk.OperatorSubspace(d, np.zeros((d * d, 0)))
+    proj = mk.subspace_projector(empty)
+    assert empty.dim == 0 and proj.shape == (d * d, d * d)
+    assert not proj.any()
 
 
 def test_subspace_projector_is_idempotent():
     rng = np.random.Generator(np.random.Philox(11))
     cols, _ = np.linalg.qr(rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4)))
-    sub = mk.OperatorSubspace.from_vectors(cols, 3)
+    sub = mk.OperatorSubspace(3, cols)
     p = mk.subspace_projector(sub)
     assert np.abs(p @ p - p).max() < 1e-12
     assert abs(np.trace(p).real - sub.dim) < 1e-8
 
 
+def _span(d, mats):
+    """The subspace spanned by HS-orthonormal d×d matrices."""
+    return mk.OperatorSubspace(d, np.column_stack([mk.vec(b) for b in mats]).astype(complex))
+
+
 def test_subspaces_equal_reports_distance():
-    e11 = mk.OperatorSubspace(2, (np.diag([1.0, 0.0]).astype(complex),))
-    e22 = mk.OperatorSubspace(2, (np.diag([0.0, 1.0]).astype(complex),))
+    e11 = _span(2, [np.diag([1.0, 0.0])])
+    e22 = _span(2, [np.diag([0.0, 1.0])])
     same = mk.subspaces_equal(e11, e11)
     assert same.equal and same.distance == 0.0
     crossed = mk.subspaces_equal(e11, e22)
@@ -153,12 +162,12 @@ def test_subspaces_equal_is_basis_independent():
     rng = np.random.Generator(np.random.Philox(13))
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    left = mk.OperatorSubspace(3, tuple(mk.orthonormalize([a, b])))
-    mixed = mk.OperatorSubspace(3, tuple(mk.orthonormalize([a + 2 * b, 1j * a - b])))
+    left = _span(3, mk.orthonormalize([a, b]))
+    mixed = _span(3, mk.orthonormalize([a + 2 * b, 1j * a - b]))
     cmp = mk.subspaces_equal(left, mixed)
     assert cmp.equal and cmp.distance < 1e-12
 
 
 def test_subspaces_equal_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        mk.subspaces_equal(mk.OperatorSubspace(2, ()), mk.OperatorSubspace(3, ()))
+        mk.subspaces_equal(mk.OperatorSubspace(2, np.zeros((4, 0))), mk.OperatorSubspace(3, np.zeros((9, 0))))

@@ -94,9 +94,8 @@ def test_fixed_space_of_identity_set_is_everything():
 
 def test_fixed_space_of_pinching_is_diagonal():
     sub = fixed_point_space(LuedersOperation(_pinching()))
-    diag = mk.OperatorSubspace(
-        2, (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    )
+    # vec(E₁₁) and vec(E₂₂) are the first and last unit vectors of C⁴
+    diag = mk.OperatorSubspace(2, np.eye(4, dtype=complex)[:, [0, 3]])
     cmp = mk.subspaces_equal(sub, diag)
     assert cmp.equal and sub.dim == 2
 
@@ -104,7 +103,7 @@ def test_fixed_space_of_pinching_is_diagonal():
 def test_fixed_space_of_single_subnormalized_effect():
     es = build_effect_set([np.diag([1.0, 0.5])])
     sub = fixed_point_space(LuedersOperation(es))
-    only = mk.OperatorSubspace(2, (np.diag([1.0, 0.0]).astype(complex),))
+    only = mk.OperatorSubspace(2, np.eye(4, dtype=complex)[:, [0]])
     assert sub.dim == 1
     assert mk.subspaces_equal(sub, only).equal
 
@@ -112,13 +111,15 @@ def test_fixed_space_of_single_subnormalized_effect():
 def test_fixed_space_members_are_fixed():
     es = generate_commuting_resolution(6, 3, seed=31)
     op = LuedersOperation(es)
-    for b in fixed_point_space(op).basis:
+    for c in fixed_point_space(op).vectors.T:
+        b = mk.unvec(c, 6)
         assert np.linalg.norm(op.apply(b) - b) < 1e-9
 
 
 def test_commutant_members_commute():
     es = generate_commuting_resolution(6, 3, seed=31)
-    for b in commutant(es).basis:
+    for c in commutant(es).vectors.T:
+        b = mk.unvec(c, 6)
         for e in es.matrices:
             assert mk.operator_norm(b @ e - e @ b) < 1e-9
 
@@ -131,7 +132,8 @@ def test_commutant_of_identity_and_pinching():
 def test_commutant_is_contained_in_fixed_space_for_resolutions():
     es = generate_noncommuting_resolution(5, 4, seed=12)
     op = LuedersOperation(es)
-    for b in commutant(es).basis:
+    for c in commutant(es).vectors.T:
+        b = mk.unvec(c, 5)
         assert np.linalg.norm(op.apply(b) - b) < 1e-9
 
 

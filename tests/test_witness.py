@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lueders import matkernel as mk
-from lueders.effects import build_effect_set, generate_commuting_resolution, spectral_window
+from lueders.effects import _group_by_window, build_effect_set, generate_commuting_resolution, spectral_window
 from lueders.errors import (
     CommutesNoWitness,
     DimensionMismatch,
@@ -14,7 +14,6 @@ from lueders.errors import (
 )
 from lueders.operation import LuedersOperation, joint_eigenspaces
 from lueders.witness import (
-    _group_by_window,
     build_contractive_block,
     contraction_bound,
     contraction_threshold,
@@ -32,7 +31,7 @@ def _bin_projection(es, m, ks):
     """The bin projection F^m_{k₁...kₙ} = Π P^{Eᵢ}(kᵢ/m, (kᵢ+1)/m], straight from its definition."""
     p = np.eye(es.dim, dtype=complex)
     for eff, k in zip(es.effects, ks):
-        p = p @ spectral_window(eff, k / m, (k + 1) / m)
+        p = p @ spectral_window(eff, k, m)
     return p
 
 
@@ -152,15 +151,15 @@ def test_witness_projectors_are_spectral_windows(seed):
     eff = es.effects[0]
     cert = witness_search(eff, b)
     m = cert.m
-    assert np.abs(cert.left_projector - spectral_window(eff, cert.k / m, (cert.k + 1) / m)).max() < 1e-10
-    assert np.abs(cert.right_projector - spectral_window(eff, cert.j / m, (cert.j + 1) / m)).max() < 1e-10
+    assert np.array_equal(cert.left_projector, spectral_window(eff, cert.k, m))
+    assert np.array_equal(cert.right_projector, spectral_window(eff, cert.j, m))
 
 
 def test_contraction_bound_values():
     assert abs(contraction_bound(1, 2, 100) - 0.114975) < 1e-12
     # approaches 1/(2m²) for large p
     assert abs(contraction_bound(1, 4, 10**6) - 1.0 / 32.0) < 1e-6
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         contraction_bound(0, 1, 1)
 
 
@@ -288,7 +287,7 @@ def test_build_contractive_block_scales_operators_near_the_top_of_the_double_ran
 
 def test_build_contractive_block_guards():
     es = _pinching()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         build_contractive_block(es, SIGMA_X, 0)
     with pytest.raises(DimensionMismatch):
         build_contractive_block(es, np.eye(3), 2)
