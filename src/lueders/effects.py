@@ -82,11 +82,16 @@ class Normalization(enum.Enum):
 
 @dataclass(frozen=True)
 class EffectSet:
-    """A finite effect set with its derived classification data."""
+    """A finite effect set with its derived classification data.
+
+    sum_of_squares_eigenvalues holds the ascending eigenvalues of the
+    Hermitized F = Σ Eᵢ², from the subnormalization check.
+    """
 
     effects: tuple[Effect, ...]
     dim: int
     sum_of_squares: np.ndarray
+    sum_of_squares_eigenvalues: np.ndarray
     commuting: bool
     normalization: Normalization
     max_pairwise_commutator_norm: float
@@ -132,7 +137,7 @@ def build_effect_set(mats) -> EffectSet:
 
     resolution = mk.frobenius_norm(f - np.eye(d)) <= tol.RESOLUTION
     norm = Normalization.RESOLUTION if resolution else Normalization.SUBNORMALIZED
-    return EffectSet(tuple(effects), d, f, commuting, norm, max_comm)
+    return EffectSet(tuple(effects), d, f, f_eigs, commuting, norm, max_comm)
 
 
 # ---------------------------------------------------------------------------

@@ -139,29 +139,35 @@ def sqrt_psd(m) -> np.ndarray:
     return (root + root.conj().T) / 2
 
 
-def _kernel_columns(dist: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Columns of `vectors` whose distance to the kernel is at most NULLSPACE·max(dist).
+def _kernel_columns(dist: np.ndarray, vectors: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Columns of `vectors` whose distance to the kernel is at most NULLSPACE·scale.
 
-    dist[i] is the singular value that column i belongs to.  When max(dist) ≤
-    NULLSPACE the matrix counts as zero and the full identity basis is
-    returned: rounding dust must not masquerade as structure, and every
-    returned x then still satisfies ‖Mx‖ ≤ NULLSPACE·‖x‖.
+    dist[i] is the singular value that column i belongs to; scale defaults to
+    max(dist).  When scale ≤ NULLSPACE the matrix counts as zero and the full
+    identity basis is returned: rounding dust must not masquerade as
+    structure, and every returned x then still satisfies ‖Mx‖ ≤ NULLSPACE·‖x‖.
     """
-    scale = float(dist.max())
+    if scale is None:
+        scale = float(dist.max())
     if scale <= tol.NULLSPACE:
         return np.eye(vectors.shape[0], dtype=complex)
     # C order: a BLAS product can round differently by the memory layout of its operands.
     return np.ascontiguousarray(vectors[:, dist <= tol.NULLSPACE * scale])
 
 
-def nullspace(m) -> np.ndarray:
+def nullspace(m, *, scale: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning the numerical kernel of M.
 
     One SVD: a tall M is first reduced to its square triangular QR factor R,
     which has the same right singular vectors, so no left singular vectors of
     M are ever formed.  Right singular vectors whose singular value falls at
-    or below NULLSPACE·σ_max are kept, together with every direction beyond
+    or below NULLSPACE·scale are kept, together with every direction beyond
     the rank of a wide M; see `_kernel_columns` for the zero-matrix rule.
+
+    scale defaults to σ_max(M).  A caller that passes only some columns of a
+    larger system passes that system's norm (or a bound on it): dropping
+    columns can only lower σ_max, and a cut taken against the smaller value
+    would count rounding dust of the kept columns as structure.
     """
     a = as_complex_matrix(m)
     rows, cols = a.shape
@@ -172,7 +178,7 @@ def nullspace(m) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     dist = np.zeros(cols)
     dist[: s.size] = s
-    return _kernel_columns(dist, vh.conj().T)
+    return _kernel_columns(dist, vh.conj().T, scale)
 
 
 @dataclass(frozen=True)

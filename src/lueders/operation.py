@@ -5,11 +5,13 @@ vectorized operators, the fixed-point subspace {B : Φ(B) = B}, the commutant
 of the effect set, and the joint eigenspace decomposition of commuting sets.
 On top of those sits one fixed-point check.  For F = Σ Eᵢ² ≤ I,
 I - S = [I - ½(Fᵀ⊗I + I⊗F)] + ½ Σᵢ Cᵢ†Cᵢ with both terms positive
-semidefinite (S the superoperator, Cᵢ the commutator blocks of `commutant`),
-so the fixed-point space is {Eᵢ}′ ∩ P·B(H)·P, P the spectral projector of F
-at eigenvalue 1, whether or not the effects commute.  Reports carry the label
-"3.1" for resolutions (P = I: the target is the commutant) and "3.2" for
-strictly subnormalized sets (for commuting ones the target equals P·{Eᵢ}′).
+semidefinite (S the superoperator, Cᵢ = Eᵢᵀ⊗I - I⊗Eᵢ the matrix of
+B ↦ BEᵢ - EᵢB), so the fixed-point space is {Eᵢ}′ ∩ P·B(H)·P, P the spectral
+projector of F at eigenvalue 1, whether or not the effects commute.  The
+commutant itself is solved on the eigenblocks of one random element of the
+algebra and never stacks the Cᵢ.  Reports carry the label "3.1" for
+resolutions (P = I: the target is the commutant) and "3.2" for strictly
+subnormalized sets (for commuting ones the target equals P·{Eᵢ}′).
 """
 
 from __future__ import annotations
@@ -96,17 +98,48 @@ def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
 def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
     """Orthonormal basis of {B : [B, Eᵢ] = 0 for all i}.
 
-    The simultaneous commutation conditions stack into one (n·d²)×d² map
-    whose kernel is the commutant; vec(BE - EB) = (Eᵀ ⊗ I - I ⊗ E) vec(B)
-    fixes each block.  Its kernel comes from `matkernel.nullspace` (QR, then
-    one SVD), a factorization independent of the ``eigh`` behind
-    `fixed_point_space`, so the verifiers never compare a computation with
-    itself.
+    Random-element reduction (Murota, Kanno, Kojima & Kojima, Japan J. Indust.
+    Appl. Math. 27, 2010): every B in the commutant commutes with
+    H = Σ cᵢEᵢ, so in the eigenbasis u of H it is block-diagonal on the
+    eigenspaces of H.  The cᵢ are one fixed Philox draw (seed 0).
+    Neighbouring eigenvalues of H at most ELEMENT_GAP·‖H‖ apart share a block;
+    merging blocks only enlarges the search space.  The unknowns are the
+    entries Y_pq with p and q in one block, K = Σ k_b² of them.  Each effect
+    contributes the d²×K block vec(ẼᵢY - YẼᵢ), Ẽᵢ = u†Eᵢu, folded at once into
+    a running K×K QR factor of the stacked blocks, so memory stays O(d²·K)
+    whatever n is.  That factor goes to `matkernel.nullspace` (one SVD; no
+    Gram matrix), and each kernel vector maps back through B = uYu†.
+
+    The cut is taken against (Σᵢ (λ_max(Eᵢ) - λ_min(Eᵢ))²)^½, which bounds the
+    norm of the unrestricted system [Cᵢ]: cut against the smaller norm of the
+    restricted one, eigenvector dust of H would count as structure.  QR and
+    SVD are independent of the ``eigh`` behind `fixed_point_space`, so the
+    verifiers never compare a computation with itself.
     """
     d = effect_set.dim
-    eye = np.eye(d)
-    blocks = [np.kron(e.T, eye) - np.kron(eye, e) for e in effect_set.matrices]
-    return mk.OperatorSubspace(d, mk.nullspace(np.vstack(blocks)))
+    mats = effect_set.matrices
+    c = philox_generator(0).standard_normal(len(mats))
+    h = mk.sum_terms(ci * e for ci, e in zip(c, mats))
+    w, u = np.linalg.eigh((h + h.conj().T) / 2)
+    blocks = [np.arange(sl.start, sl.stop) for sl in _cluster_slices(w, tol.ELEMENT_GAP * np.abs(w).max())]
+    # unknown k is Y_pq, p = rows[k] and q = cols[k], q running fastest within a block
+    rows = np.concatenate([np.repeat(b, b.size) for b in blocks])
+    cols = np.concatenate([np.tile(b, b.size) for b in blocks])
+    k = np.arange(rows.size)
+    factor = np.zeros((0, k.size), dtype=complex)
+    for e in mats:
+        et = u.conj().T @ e @ u
+        # t[s, r, k] is entry (r, s) of Ẽe_pe_qᵀ - e_pe_qᵀẼ, so t.reshape(d², K) has columns vec(·)
+        t = np.zeros((d, d, k.size), dtype=complex)
+        t[cols, :, k] = et[:, rows].T
+        t[:, rows, k] -= et[cols, :].T
+        factor = np.linalg.qr(np.vstack([factor, t.reshape(d * d, k.size)]), mode="r")
+    spreads = [e.eigenvalues[-1] - e.eigenvalues[0] for e in effect_set.effects]
+    y = mk.nullspace(factor, scale=float(np.linalg.norm(spreads)))
+    ys = np.zeros((y.shape[1], d, d), dtype=complex)
+    ys[:, rows, cols] = y.T
+    x = u @ ys @ u.conj().T
+    return mk.OperatorSubspace(d, np.ascontiguousarray(x.transpose(0, 2, 1).reshape(-1, d * d).T))
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +176,11 @@ class JointEigenstructure:
         return sum(b.dim**2 for b in self.blocks)
 
 
-def _cluster_slices(values: np.ndarray):
-    """Maximal runs of ascending values with consecutive gaps at most CLUSTER."""
+def _cluster_slices(values: np.ndarray, gap: float):
+    """Maximal runs of ascending values with consecutive gaps at most gap."""
     start = 0
     for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol.CLUSTER:
+        if values[i] - values[i - 1] > gap:
             yield slice(start, i)
             start = i
     yield slice(start, len(values))
@@ -170,7 +203,7 @@ def joint_eigenspaces(effect_set: EffectSet) -> JointEigenstructure:
         for v in bases:
             c = v.conj().T @ e @ v
             w, wv = np.linalg.eigh((c + c.conj().T) / 2)
-            for sl in _cluster_slices(w):
+            for sl in _cluster_slices(w, tol.CLUSTER):
                 refined.append(v @ wv[:, sl])
         bases = refined
     blocks = []

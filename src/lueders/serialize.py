@@ -119,6 +119,37 @@ def _decode(text: str):
 
 
 def _parse_matrix(obj, d: int, what: str) -> np.ndarray:
+    """d×d complex matrix from rows of [re, im] pairs.
+
+    A well-formed matrix of finite int or float leaves converts in one NumPy
+    call, read as complex through a view so that -0.0 keeps its sign.  Any
+    other input goes through the entry loop, which names the first failing
+    entry.
+    """
+    # Exact types, so that bool (an int subclass) takes the loop and is rejected there.
+    if (
+        isinstance(obj, list)
+        and len(obj) == d
+        and all(isinstance(row, list) and len(row) == d for row in obj)
+        and all(
+            isinstance(entry, list)
+            and len(entry) == 2
+            and type(entry[0]) in (int, float)
+            and type(entry[1]) in (int, float)
+            for row in obj
+            for entry in row
+        )
+    ):
+        try:
+            parts = np.array(obj, dtype=float)
+        except OverflowError:
+            parts = None
+        if parts is not None and np.isfinite(parts).all():
+            return parts.view(complex)[..., 0]
+    return _parse_matrix_entries(obj, d, what)
+
+
+def _parse_matrix_entries(obj, d: int, what: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != d:
         raise ParseError(f"{what} must be a list of {d} rows")
     out = np.empty((d, d), dtype=complex)

@@ -1,4 +1,4 @@
-"""The eight numerical thresholds, pinned as module constants.
+"""The nine numerical thresholds, pinned as module constants.
 
 Every numerical decision in the package (Hermitian checks, rank cuts, cluster
 gaps, commutation thresholds) reads one of these constants, so the acceptance
@@ -8,7 +8,17 @@ Scale-relative thresholds say so below; everything else is absolute.
 
 from __future__ import annotations
 
-__all__ = ["CLUSTER", "COMMUTATOR", "HERMITIAN", "NULLSPACE", "PSD", "RESOLUTION", "SUBSPACE", "WITNESS"]
+__all__ = [
+    "CLUSTER",
+    "COMMUTATOR",
+    "ELEMENT_GAP",
+    "HERMITIAN",
+    "NULLSPACE",
+    "PSD",
+    "RESOLUTION",
+    "SUBSPACE",
+    "WITNESS",
+]
 
 # Relative Frobenius asymmetry allowed before NotHermitian.
 HERMITIAN = 1e-10
@@ -23,6 +33,14 @@ NULLSPACE = 1e-10
 COMMUTATOR = 1e-9
 # Eigenvalue cluster gap and spectral-window edge snap.
 CLUSTER = 1e-9
+# Eigenvalue gap of the random element H = Σ cᵢEᵢ, relative to ‖H‖, at or
+# below which `commutant` merges neighbouring eigenvalues into one block.
+# By Davis–Kahan, eigenvectors of blocks farther apart are accurate to about
+# ε‖H‖/gap ≈ 2e-13, far below the NULLSPACE cut.  Merging more blocks only
+# costs time, never correctness.  With CLUSTER (1e-9) here, eigenvalues
+# 3e-9..3e-6·‖H‖ apart stay in separate blocks although their eigenvectors
+# are accurate only to ε‖H‖/gap, and commutant elements are lost.
+ELEMENT_GAP = 1e-3
 # Frobenius distance to the identity that still counts as a resolution
 # (generators land below 1e-10; subnormalized sets sit at least 9e-2 away,
 # so 1e-8 is unambiguous).

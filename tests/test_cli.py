@@ -21,6 +21,7 @@ from lueders.serialize import (
     dump_effect_set,
     dump_operator,
     effect_set_to_json,
+    load_effect_set,
     operator_to_json,
 )
 
@@ -53,6 +54,16 @@ def test_gen_validate_round_trip(tmp_path, capsys):
     assert report["valid"] and report["commuting"]
     assert report["normalization"] == "resolution"
     assert report["sum_of_squares"]["frobenius_distance_to_identity"] < 1e-10
+
+
+@pytest.mark.parametrize("flavor", ["commuting-resolution", "commuting-subnormalized", "noncommuting-resolution"])
+def test_validate_max_eigenvalue_is_that_of_the_hermitized_sum(flavor, tmp_path, capsys):
+    path = tmp_path / "set.json"
+    assert main(["gen", "--flavor", flavor, "--d", "7", "--n", "3", "--seed", "2", "--out", str(path)]) == 0
+    f = load_effect_set(path).sum_of_squares
+    assert main(["validate", str(path)]) == 0
+    want = float(np.linalg.eigvalsh((f + f.conj().T) / 2)[-1])
+    assert json.loads(_out(capsys))["sum_of_squares"]["max_eigenvalue"] == want
 
 
 def test_gen_is_byte_deterministic(tmp_path):

@@ -258,3 +258,13 @@ def test_noncommuting_rejects_degenerate_requests():
         generate_noncommuting_resolution(1, 3, seed=0)
     with pytest.raises(InvalidArgument):
         generate_noncommuting_resolution(4, 2, seed=0)
+
+
+def test_sum_of_squares_eigenvalues_are_those_of_the_hermitized_sum():
+    for es in (
+        generate_commuting_resolution(5, 3, seed=8),
+        generate_commuting_subnormalized(5, 3, seed=8, unit_fraction=0.4),
+        generate_noncommuting_resolution(5, 3, seed=8),
+    ):
+        f = es.sum_of_squares
+        assert np.array_equal(es.sum_of_squares_eigenvalues, np.linalg.eigvalsh((f + f.conj().T) / 2))

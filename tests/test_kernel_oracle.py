@@ -1,10 +1,12 @@
 """The factorized kernels against a dense full-SVD / lstsq reference.
 
 `nullspace` takes one SVD of a QR-reduced matrix, `fixed_point_space` one
-``eigh``, `nagy_solve` one LU solve, `orthonormalize` one thin SVD and
-`channel_norm` one batched draw, Φ and SVD over all its probes.  The
+``eigh``, `commutant` a QR + SVD restricted to the eigenblocks of one random
+element H = Σ cᵢEᵢ, `nagy_solve` one LU solve, `orthonormalize` one thin SVD
+and `channel_norm` one batched draw, Φ and SVD over all its probes.  The
 references below are the direct routes they replaced: a full SVD of the
-unreduced matrix for every kernel, ``lstsq`` for the Φ(X) + X = I system,
+unreduced matrix for every kernel (for the commutant, of the dense
+(n·d²)×d² commutator stack), ``lstsq`` for the Φ(X) + X = I system,
 modified Gram-Schmidt for orthonormal bases and a per-probe loop for the
 channel norm.  They live here, not in the
 package, so they stay independent oracles.  The fixed-point target of a
@@ -32,6 +34,7 @@ from lueders.operation import (
     fixed_point_space,
     nagy_solve,
     unit_spectral_projector,
+    verify_resolution_fixed_points,
     verify_subnormalized_fixed_points,
 )
 from lueders.rng import philox_generator
@@ -72,10 +75,21 @@ def _projector_distance(v1, v2):
     return float(np.linalg.norm(v1 @ v1.conj().T - v2 @ v2.conj().T))
 
 
-def _assert_same_kernel(got, want):
+def _commutator_blocks(es):
+    """Cᵢ = Eᵢᵀ⊗I - I⊗Eᵢ, the matrix of B ↦ BEᵢ - EᵢB on column-stacked vec(B)."""
+    eye = np.eye(es.dim)
+    return [np.kron(e.T, eye) - np.kron(eye, e) for e in es.matrices]
+
+
+def _dense_commutant(es):
+    """Kernel of the dense (n·d²)×d² stack of the Cᵢ, by one full SVD."""
+    return _reference_nullspace(np.vstack(_commutator_blocks(es)))
+
+
+def _assert_same_kernel(got, want, distance=PROJECTOR_TOL):
     assert got.shape == want.shape
     assert np.linalg.norm(got.conj().T @ got - np.eye(got.shape[1])) < 1e-12
-    assert _projector_distance(got, want) <= PROJECTOR_TOL
+    assert _projector_distance(got, want) <= distance
 
 
 def _rand(rows, cols, seed):
@@ -121,15 +135,6 @@ def test_fixed_point_space_matches_reference(name):
     d = op.dim
     want = _reference_nullspace(op.superoperator - np.eye(d * d))
     _assert_same_kernel(fixed_point_space(op).vectors, want)
-
-
-@pytest.mark.parametrize("name", sorted(EFFECT_SETS))
-def test_commutant_matches_reference(name):
-    es = EFFECT_SETS[name]
-    d = es.dim
-    eye = np.eye(d)
-    system = np.vstack([np.kron(e.T, eye) - np.kron(eye, e) for e in es.matrices])
-    _assert_same_kernel(commutant(es).vectors, _reference_nullspace(system))
 
 
 @pytest.mark.parametrize("name", sorted(EFFECT_SETS))
@@ -199,13 +204,11 @@ def test_noncommuting_subnormalized_fixed_points_match_stacked_kernel(name, tmp_
     # Fix(Φ) = {Eᵢ}′ ∩ {X : X = PXP}: the kernel of [Cᵢ; I⊗Q; Qᵀ⊗I], Q = I - P.
     es, dim = NONCOMMUTING_SUBNORMALIZED[name]
     assert not es.commuting
-    d = es.dim
-    eye = np.eye(d)
+    eye = np.eye(es.dim)
     w, v = np.linalg.eigh(es.sum_of_squares)
     unit = v[:, np.abs(w - 1.0) <= 1e-9]
     q = eye - unit @ unit.conj().T
-    blocks = [np.kron(e.T, eye) - np.kron(eye, e) for e in es.matrices]
-    want = _reference_nullspace(np.vstack(blocks + [np.kron(eye, q), np.kron(q.T, eye)]))
+    want = _reference_nullspace(np.vstack(_commutator_blocks(es) + [np.kron(eye, q), np.kron(q.T, eye)]))
     assert want.shape[1] == dim
     _assert_same_kernel(fixed_point_space(LuedersOperation(es)).vectors, want)
     rep = verify_subnormalized_fixed_points(es)
@@ -214,6 +217,139 @@ def test_noncommuting_subnormalized_fixed_points_match_stacked_kernel(name, tmp_
     dump_effect_set(path, es)
     assert main(["verify", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["theorem"] == "3.2"
+
+
+def _unitary(d, seed):
+    q, _ = np.linalg.qr(_rand(d, d, seed))
+    return q
+
+
+def _in_basis(u, diagonals):
+    """Effects u·diag(t)·u† for the columns t of a (d, n) array of joint eigenvalue tuples."""
+    mats = [(u * t) @ u.conj().T for t in np.asarray(diagonals, dtype=float).T]
+    return build_effect_set([(m + m.conj().T) / 2 for m in mats])
+
+
+def _degenerate_element_sets():
+    """(name, set, commutant dimension) where H = Σ cᵢEᵢ has repeated eigenvalues."""
+    yield "identity-d3", build_effect_set([np.eye(3)]), 9
+    yield "scalars-d4", build_effect_set([0.6 * np.eye(4), 0.8 * np.eye(4)]), 16
+    yield "pinching-d2", build_effect_set([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), 2
+    p = np.diag([1.0, 1.0, 0.0, 0.0, 0.0])
+    yield "rotated-pinching-d5", _in_basis(_unitary(5, 3), np.column_stack([np.diag(p), 1 - np.diag(p)])), 13
+    t = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8], [0.48, 0.6, 0.64]])
+    yield "joint-tuple-ties-d6", _in_basis(_unitary(6, 5), t[[0, 0, 1, 1, 1, 2]]), 14
+    # H merges the first two tuples (gap 3e-6·‖H‖); only the last effect tells them apart
+    t = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.20001], [0.1, 0.2, 0.3]])
+    yield "merged-block-split-by-last-effect", _in_basis(_unitary(3, 7), t), 3
+    es, _ = NONCOMMUTING_SUBNORMALIZED["block-resolution-plus-0.8"]
+    yield "block-resolution-plus-0.8", es, 2
+    es, _ = NONCOMMUTING_SUBNORMALIZED["d2-unit-projector-not-commuting"]
+    yield "d2-unit-projector-not-commuting", es, 1
+
+
+DEGENERATE_ELEMENT_SETS = {name: (es, dim) for name, es, dim in _degenerate_element_sets()}
+COMMUTANT_SETS = {
+    **EFFECT_SETS,
+    "cr-d16-n3": generate_commuting_resolution(16, 3, 56),
+    "cs-d16-n3": generate_commuting_subnormalized(16, 3, 56, 0.5),
+    "nc-d16-n3": generate_noncommuting_resolution(16, 3, 56),
+    **{name: es for name, (es, _) in DEGENERATE_ELEMENT_SETS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTANT_SETS))
+def test_commutant_matches_reference(name):
+    es = COMMUTANT_SETS[name]
+    want = _dense_commutant(es)
+    if name in DEGENERATE_ELEMENT_SETS:
+        assert want.shape[1] == DEGENERATE_ELEMENT_SETS[name][1]
+    _assert_same_kernel(commutant(es).vectors, want)
+
+
+def _element_eigenvalues(es):
+    """Ascending eigenvalues of H = Σ cᵢEᵢ for the seeded c of `commutant`."""
+    c = philox_generator(0).standard_normal(es.n)
+    return np.linalg.eigvalsh(sum(ci * e for ci, e in zip(c, es.matrices)))
+
+
+def _element_gap_set(gap, seed):
+    """Commuting resolution on C⁵ whose random element H has relative eigenvalue gap `gap`.
+
+    The two tuples a and b are far apart on the unit sphere, yet
+    c·b - c·a = gap·max|c·λ| for the seeded c of `commutant`, so H nearly
+    merges two eigenspaces that the effects keep apart.  Tuple a appears
+    twice, so H also has an exact tie.
+    """
+    c = philox_generator(0).standard_normal(3)
+    low = np.array([-c[0], 0.0, -c[2]]) / np.hypot(c[0], c[2])  # c·λ = -‖H‖
+    a = np.array([c[1], -c[0], 0.0]) / np.hypot(c[0], c[1])  # c·λ = 0
+    target = c @ a + gap * abs(c @ low)
+    phi = np.arctan(-c[1] / c[2])  # c·λ = 0 on the arc λ = (0, cos φ, sin φ)
+    for _ in range(50):
+        b = np.array([0.0, np.cos(phi), np.sin(phi)])
+        phi -= (c @ b - target) / (c[2] * np.cos(phi) - c[1] * np.sin(phi))
+    return _in_basis(_unitary(5, seed), [low, a, b, [0.0, 1.0, 0.0], a])
+
+
+@pytest.mark.parametrize("k", range(2, 29))
+def test_commutant_across_element_gaps(k):
+    # Relative gaps of H from 1e-1 down to 1e-14, two per decade.
+    gap = 10.0 ** (-k / 2)
+    es = _element_gap_set(gap, seed=k)
+    w = _element_eigenvalues(es)
+    assert abs(np.sort(np.diff(w))[1] / np.abs(w).max() - gap) <= 0.05 * gap
+    want = _dense_commutant(es)
+    assert want.shape[1] == 7
+    _assert_same_kernel(commutant(es).vectors, want)
+    assert verify_resolution_fixed_points(es).verdict
+
+
+def _near_commuting(delta, seed, d=4):
+    """E₁ = A/√2, E₂ = UAU†/√2 with U = exp(iδK), E₃ = √(I - E₁² - E₂²): commutators of order δ."""
+    u = _unitary(d, seed)
+    a = (u * np.linspace(0.65, 0.95, d)) @ u.conj().T
+    k = _rand(d, d, seed + 1)
+    w, v = np.linalg.eigh(k + k.conj().T)
+    rot = (v * np.exp(1j * delta * w)) @ v.conj().T
+    e1 = (a + a.conj().T) / (2 * np.sqrt(2))
+    e2 = rot @ e1 @ rot.conj().T
+    e2 = (e2 + e2.conj().T) / 2
+    return [e1, e2, mk.sqrt_psd(np.eye(d) - e1 @ e1 - e2 @ e2)]
+
+
+def _near_commuting_distance(delta):
+    # The smallest non-kernel singular value is of order δ, so either route
+    # fixes the kernel only to about ε/δ (measured: up to 1.2e-15/δ).
+    return max(PROJECTOR_TOL, 1e-14 / delta)
+
+
+@pytest.mark.parametrize("k", range(6, 19))
+def test_commutant_of_near_commuting_sets_matches_reference(k):
+    # The δ-sweep δ = 1e-3 … 1e-9: structured and dense kernels agree.
+    delta = 10.0 ** (-k / 2)
+    es = build_effect_set(_near_commuting(delta, seed=k))
+    _assert_same_kernel(commutant(es).vectors, _dense_commutant(es), _near_commuting_distance(delta))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_commutant_cut_sees_the_unrestricted_scale(k):
+    # A near-commuting block beside an exactly commuting one, with every
+    # eigenvalue gap of H above ELEMENT_GAP: the restricted system has norm
+    # of order δ, but the eigenvector dust of the commuting block must stay
+    # dust, so the commutant keeps both block identities (dim 5).  Cut against
+    # the restricted norm, δ ≤ 1e-6 gave dim 1.
+    zero = np.zeros((4, 4))
+    t = np.array([[0.0, 1.0, 0.0], [0.0, 0.6, 0.8], [0.6, 0.8, 0.0], [0.8, 0.0, 0.6]])
+    delta = 10.0**-k
+    mats = [np.block([[m, zero], [zero, np.diag(x)]]) for m, x in zip(_near_commuting(delta, seed=k), t.T)]
+    u = _unitary(8, 40 + k)
+    es = build_effect_set([(m + m.conj().T) / 2 for m in (u @ m @ u.conj().T for m in mats)])
+    w = _element_eigenvalues(es)
+    assert np.diff(w).min() > 5e-3 * np.abs(w).max()
+    want = _dense_commutant(es)
+    assert want.shape[1] == 5
+    _assert_same_kernel(commutant(es).vectors, want, _near_commuting_distance(delta))
 
 
 def test_unit_projector_need_not_commute_with_the_effects():

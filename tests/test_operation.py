@@ -129,6 +129,20 @@ def test_commutant_of_identity_and_pinching():
     assert commutant(_pinching()).dim == 2
 
 
+@pytest.mark.parametrize(
+    "generate,dim",
+    [(generate_noncommuting_resolution, 1), (generate_commuting_resolution, 64)],
+    ids=["noncommuting", "commuting"],
+)
+def test_commutant_at_d64_n64(generate, dim):
+    # The dense (n·d²)×d² commutator stack would take about 17 GB here.
+    es = generate(64, 64, seed=73)
+    sub = commutant(es)
+    assert sub.dim == dim
+    b = mk.unvec(sub.vectors[:, -1], 64)
+    assert max(mk.operator_norm(b @ e - e @ b) for e in es.matrices) < 1e-9
+
+
 def test_commutant_is_contained_in_fixed_space_for_resolutions():
     es = generate_noncommuting_resolution(5, 4, seed=12)
     op = LuedersOperation(es)

@@ -9,6 +9,8 @@ import pytest
 from lueders.effects import build_effect_set, generate_commuting_resolution
 from lueders.errors import NotHermitian, ParseError, SpectrumAboveOne
 from lueders.serialize import (
+    _parse_matrix,
+    _parse_matrix_entries,
     dump_effect_set,
     dump_operator,
     effect_set_to_json,
@@ -151,3 +153,59 @@ def test_integer_over_the_digit_limit_is_a_parse_error():
         parse_effect_set('{"d": 1, "n": 1, "effects": [[[[%s, 0]]]]}' % ("1" * 5000))
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_operator('{"d": 1, "matrix": [[[%s, 0]]]}' % ("1" * 5000))
+
+
+def _loop_or_error(obj, d):
+    try:
+        return _parse_matrix_entries(obj, d, "m")
+    except ParseError as exc:
+        return str(exc)
+
+
+def _fast_or_error(obj, d):
+    try:
+        return _parse_matrix(obj, d, "m")
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[[1, -0.0], [2**64 + 1, 0.5]], [[-0.0, 3], [1e-300, -(10**300)]]],
+        [[[True, 0], [0, 0]], [[0, 0], [0, 0]]],
+        [[[0, False], [0, 0]], [[0, 0], [0, 0]]],
+        [[["1", 0], [0, 0]], [[0, 0], [0, 0]]],
+        [[[None, 0], [0, 0]], [[0, 0], [0, 0]]],
+        [[[0, 0], [0, float("nan")]], [[0, 0], [0, 0]]],
+        [[[0, 0], [float("inf"), 0]], [[0, 0], [0, 0]]],
+        [[[0, 0], [0, 10**400]], [[0, 0], [0, 0]]],
+        [[[0, 0], [0, 0, 0]], [[0, 0], [0, 0]]],
+        [[[0, 0], [0, 0]], [[0, 0]]],
+        [[[0, 0], [0, 0]]],
+        [[[0, 0], [0, [0]]], [[0, 0], [0, 0]]],
+        [[[0, 0], (0, 0)], [[0, 0], [0, 0]]],
+        "rows",
+    ],
+)
+def test_matrix_fast_path_matches_entry_loop(obj):
+    # Same values bit for bit (signs of zero included), or the same ParseError text.
+    fast, loop = _fast_or_error(obj, 2), _loop_or_error(obj, 2)
+    if isinstance(loop, str):
+        assert fast == loop
+    else:
+        assert fast.dtype == complex and fast.shape == (2, 2)
+        assert np.array_equal(fast.view(float), loop.view(float))
+        assert np.array_equal(np.signbit(fast.view(float)), np.signbit(loop.view(float)))
+
+
+def test_parsed_negative_zero_keeps_its_sign():
+    m = parse_operator('{"d": 1, "matrix": [[[-0.0, -0.0]]]}')
+    assert np.signbit(m.real[0, 0]) and np.signbit(m.imag[0, 0])
+
+
+def test_generated_file_parses_bit_exactly_through_the_fast_path():
+    es = generate_commuting_resolution(16, 4, seed=3)
+    back = parse_effect_set(effect_set_to_json(es))
+    for a, b in zip(back.matrices, es.matrices):
+        assert a.tobytes() == b.tobytes()
