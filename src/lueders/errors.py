@@ -53,10 +53,6 @@ class IsResolution(LuedersError):
     """The operation needs a strictly subnormalized effect set."""
 
 
-class SingularSystem(LuedersError):
-    """The linear system is singular: the superoperator has an eigenvalue at -1."""
-
-
 class NotDensityMatrix(LuedersError):
     """The state is not Hermitian, positive, and trace one."""
 

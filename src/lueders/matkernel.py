@@ -2,14 +2,13 @@
 
 Hermitian eigendecomposition, operator norms, numerical nullspaces, PSD square
 roots, and orthonormal operator subspaces under the Hilbert-Schmidt inner
-product tr(A†B).  Dimensions stay small (d ≤ 64, superoperators ≤ 4096), so
-dense LAPACK routines via numpy are used throughout.
+product tr(A†B), held and compared as d²×k column bases.  Dimensions stay
+small (d ≤ 64), so dense LAPACK routines via numpy are used throughout.
 
-Each numerical kernel costs one factorization: ``nullspace`` takes one SVD,
-of the triangular QR factor when the matrix is tall, and the fixed-point
-space of a Lüders operation (in ``operation``) takes one Hermitian ``eigh``.
-Both cut their spectrum by the same relative rule, ``_kernel_columns``, at
-``tolerances.NULLSPACE``.
+``nullspace`` costs one SVD, of the triangular QR factor when the matrix is
+tall, and the fixed-point space of a Lüders operation (in ``operation``) one
+Hermitian ``eigh`` of its superoperator.  Both cut their spectrum by the same
+relative rule, ``_kernel_columns``, at ``tolerances.NULLSPACE``.
 
 Vectorization is column-stacking: vec(AXB) = (Bᵀ ⊗ A) vec(X).
 """
@@ -37,7 +36,6 @@ __all__ = [
     "operator_norm",
     "orthonormalize",
     "sqrt_psd",
-    "subspace_projector",
     "subspaces_equal",
     "sum_terms",
     "unvec",
@@ -207,11 +205,6 @@ def orthonormalize(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [unvec(u[:, i], d) for i in np.flatnonzero(s > tol.NULLSPACE)]
 
 
-def subspace_projector(s: OperatorSubspace) -> np.ndarray:
-    """Orthogonal projector VV† onto the subspace, as a d²×d² matrix."""
-    return s.vectors @ s.vectors.conj().T
-
-
 @dataclass(frozen=True)
 class SubspaceComparison:
     equal: bool
@@ -219,8 +212,14 @@ class SubspaceComparison:
 
 
 def subspaces_equal(s1: OperatorSubspace, s2: OperatorSubspace) -> SubspaceComparison:
-    """Compare two operator subspaces by the Frobenius distance of their projectors (cut SUBSPACE)."""
+    """Compare two operator subspaces by the Frobenius distance of their projectors (cut SUBSPACE).
+
+    With G = V₁†V₂, ‖P₁ - P₂‖²_F = ‖V₁ - V₂G†‖²_F + ‖V₂ - V₁G‖²_F, a sum of
+    squares that cannot go negative, unlike k₁ + k₂ - 2‖G‖²_F, which cancels.
+    """
     if s1.dim_hilbert != s2.dim_hilbert:
         raise DimensionMismatch(f"subspaces live on dimensions {s1.dim_hilbert} and {s2.dim_hilbert}")
-    distance = float(np.linalg.norm(subspace_projector(s1) - subspace_projector(s2)))
+    v1, v2 = s1.vectors, s2.vectors
+    g = v1.conj().T @ v2
+    distance = float(np.hypot(np.linalg.norm(v1 - v2 @ g.conj().T), np.linalg.norm(v2 - v1 @ g)))
     return SubspaceComparison(distance <= tol.SUBSPACE, distance)

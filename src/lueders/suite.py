@@ -71,7 +71,6 @@ class Scale:
     sub_dims: tuple[int, ...]
     sub_counts: tuple[int, ...]
     sub_seeds: int
-    unit_fractions: tuple[float, ...]
     nc_dims: tuple[int, ...]
     nc_counts: tuple[int, ...]
     nc_seeds: int
@@ -91,7 +90,6 @@ FULL = Scale(
     sub_dims=(2, 3, 4, 5, 6, 7),
     sub_counts=(1, 2, 3, 4),
     sub_seeds=2,
-    unit_fractions=(0.0, 0.25, 0.5),
     nc_dims=(2, 3, 4, 5, 6, 7, 8),
     nc_counts=(3, 4, 5),
     nc_seeds=5,
@@ -111,7 +109,6 @@ QUICK = Scale(
     sub_dims=(2, 3, 4),
     sub_counts=(1, 2),
     sub_seeds=1,
-    unit_fractions=(0.0, 0.25, 0.5),
     nc_dims=(2, 3, 4),
     nc_counts=(3,),
     nc_seeds=2,
@@ -168,11 +165,15 @@ def _resolution_pool(scale: Scale) -> tuple[EffectSet, ...]:
     return tuple(sets)
 
 
+# Share of each subnormalized pool set's joint basis kept at radius 1, the same at every scale.
+UNIT_FRACTIONS = (0.0, 0.25, 0.5)
+
+
 @lru_cache(maxsize=None)
 def _subnormalized_pool(scale: Scale) -> tuple[tuple[float, EffectSet], ...]:
     sets = []
     seed = 3001
-    for uf in scale.unit_fractions:
+    for uf in UNIT_FRACTIONS:
         for d in scale.sub_dims:
             for n in scale.sub_counts:
                 for _ in range(scale.sub_seeds):

@@ -2,15 +2,17 @@
 
 `nullspace` takes one SVD of a QR-reduced matrix, `fixed_point_space` one
 ``eigh``, `commutant` a QR + SVD restricted to the eigenblocks of one random
-element H = Σ cᵢEᵢ, `nagy_solve` one LU solve, `orthonormalize` one thin SVD
-and `channel_norm` one batched draw, Φ and SVD over all its probes.  The
-references below are the direct routes they replaced: a full SVD of the
-unreduced matrix for every kernel (for the commutant, of the dense
-(n·d²)×d² commutator stack), ``lstsq`` for the Φ(X) + X = I system,
-modified Gram-Schmidt for orthonormal bases and a per-probe loop for the
-channel norm.  They live here, not in the
-package, so they stay independent oracles.  The fixed-point target of a
-non-commuting subnormalized set is checked against one stacked kernel.
+element H = Σ cᵢEᵢ, `nagy_solve` conjugate gradients on Φ applied to d×d
+matrices, `subspaces_equal` two residuals of d²×k column bases,
+`orthonormalize` one thin SVD and `channel_norm` one batched draw, Φ and SVD
+over all its probes.  The references below are the direct routes they
+replaced: a full SVD of the unreduced matrix for every kernel (for the
+commutant, of the dense (n·d²)×d² commutator stack), ``lstsq`` on the dense
+superoperator for the Φ(X) + X = I system, the d²×d² projectors VV† for
+subspace distances, modified Gram-Schmidt for orthonormal bases and a
+per-probe loop for the channel norm.  They live here, not in the package, so
+they stay independent oracles.  The fixed-point target of a non-commuting
+subnormalized set is checked against one stacked kernel.
 """
 
 import json
@@ -71,8 +73,13 @@ def _reference_orthonormalize(mats, drop_tol=1e-10):
     return basis
 
 
+def subspace_projector(v):
+    """Orthogonal projector VV† onto the span of the orthonormal columns of V, as a d²×d² matrix."""
+    return v @ v.conj().T
+
+
 def _projector_distance(v1, v2):
-    return float(np.linalg.norm(v1 @ v1.conj().T - v2 @ v2.conj().T))
+    return float(np.linalg.norm(subspace_projector(v1) - subspace_projector(v2)))
 
 
 def _commutator_blocks(es):
@@ -95,6 +102,11 @@ def _assert_same_kernel(got, want, distance=PROJECTOR_TOL):
 def _rand(rows, cols, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _unitary(d, seed):
+    q, _ = np.linalg.qr(_rand(d, d, seed))
+    return q
 
 
 def _effect_sets():
@@ -137,16 +149,6 @@ def test_fixed_point_space_matches_reference(name):
     _assert_same_kernel(fixed_point_space(op).vectors, want)
 
 
-@pytest.mark.parametrize("name", sorted(EFFECT_SETS))
-def test_nagy_solve_matches_reference(name):
-    op = LuedersOperation(EFFECT_SETS[name])
-    d = op.dim
-    x_vec, *_ = np.linalg.lstsq(op.superoperator + np.eye(d * d), mk.vec(np.eye(d)), rcond=None)
-    sol = nagy_solve(op)
-    assert np.linalg.norm(sol.solution - mk.unvec(x_vec, d)) <= 1e-12
-    assert sol.residual <= 1e-12
-
-
 def _subnormalized_sets():
     for d in (2, 3, 5, 8):
         for n in (1, 2, 3):
@@ -156,6 +158,98 @@ def _subnormalized_sets():
 
 
 SUBNORMALIZED_SETS = dict(_subnormalized_sets())
+NAGY_SETS = {**EFFECT_SETS, **SUBNORMALIZED_SETS}
+
+
+@pytest.mark.parametrize("name", sorted(NAGY_SETS))
+def test_nagy_solve_matches_reference(name):
+    op = LuedersOperation(NAGY_SETS[name])
+    d = op.dim
+    x_vec, *_ = np.linalg.lstsq(op.superoperator + np.eye(d * d), mk.vec(np.eye(d)), rcond=None)
+    sol = nagy_solve(op)
+    assert np.linalg.norm(sol.solution - mk.unvec(x_vec, d)) <= 1e-12
+    assert sol.residual <= 1e-12
+
+
+def test_nagy_solve_at_the_generator_cap():
+    # d = 64, n = 64: the superoperator alone would be 268 MB.  X commutes with
+    # the commuting effects, so Φ(X) = XF and X = (I + F)⁻¹.
+    es = generate_commuting_subnormalized(64, 64, 11, 0.5)
+    sol = nagy_solve(LuedersOperation(es))
+    assert np.linalg.norm(sol.solution - np.linalg.inv(np.eye(64) + es.sum_of_squares)) <= 1e-12
+    assert sol.residual <= 1e-12
+    assert sol.is_effect
+
+
+def test_nagy_solve_of_the_zero_effect():
+    # Φ = 0: the first step lands on X = I with a residual of exactly 0.
+    sol = nagy_solve(LuedersOperation(build_effect_set([np.zeros((3, 3))])))
+    assert np.array_equal(sol.solution, np.eye(3))
+    assert sol.residual == 0.0
+
+
+def test_subspace_projector_and_trace():
+    d = 3
+    # the matrix units, column j = vec(E_{j mod d, j div d})
+    full = mk.OperatorSubspace(d, np.eye(d * d, dtype=complex))
+    proj = subspace_projector(full.vectors)
+    assert np.abs(proj - np.eye(d * d)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_empty_subspace_projector_is_exact_zero(d):
+    empty = mk.OperatorSubspace(d, np.zeros((d * d, 0)))
+    proj = subspace_projector(empty.vectors)
+    assert empty.dim == 0 and proj.shape == (d * d, d * d)
+    assert not proj.any()
+
+
+def test_subspace_projector_is_idempotent():
+    rng = np.random.Generator(np.random.Philox(11))
+    cols, _ = np.linalg.qr(rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4)))
+    sub = mk.OperatorSubspace(3, cols)
+    p = subspace_projector(sub.vectors)
+    assert np.abs(p @ p - p).max() < 1e-12
+    assert abs(np.trace(p).real - sub.dim) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "first,second,shared",
+    [((0, 0), (0, 0), 0), ((0, 0), (0, 3), 0), ((0, 4), (0, 0), 0), ((0, 2), (0, 5), 2), ((0, 6), (3, 5), 2),
+     ((0, 4), (4, 9), 0), ((1, 8), (0, 9), 7), ((0, 1), (0, 1), 1), ((2, 6), (2, 6), 4), ((0, 9), (0, 9), 9)],
+)
+def test_subspaces_equal_matches_projector_oracle(first, second, shared):
+    # Column slices of one unitary on C⁹ (d = 3), the second in a rotated
+    # basis: the exact distance is the square root of the number of columns
+    # the two slices do not share, so equal slices give 0.
+    q = _unitary(9, 23)
+    s1 = mk.OperatorSubspace(3, q[:, slice(*first)])
+    v2 = q[:, slice(*second)]
+    s2 = mk.OperatorSubspace(3, v2 @ _unitary(v2.shape[1], 29))
+    cmp = mk.subspaces_equal(s1, s2)
+    exact = np.sqrt(s1.dim + s2.dim - 2 * shared)
+    assert cmp.distance >= 0.0 and abs(cmp.distance - exact) <= 1e-14
+    assert abs(cmp.distance - _projector_distance(s1.vectors, s2.vectors)) <= 1e-14
+    assert cmp.equal is (shared == s1.dim == s2.dim)
+
+
+def test_subspaces_equal_matches_projector_oracle_on_verifier_pairs(monkeypatch):
+    pairs = []
+    compare = mk.subspaces_equal
+
+    def record(s1, s2):
+        pairs.append((s1, s2))
+        return compare(s1, s2)
+
+    monkeypatch.setattr(mk, "subspaces_equal", record)
+    for es in _resolution_pool(QUICK) + _noncommuting_pool(QUICK):
+        assert verify_resolution_fixed_points(es).verdict
+    for _, es in _subnormalized_pool(QUICK):
+        assert verify_subnormalized_fixed_points(es).verdict
+    assert len(pairs) == 51
+    for s1, s2 in pairs:
+        got = compare(s1, s2).distance
+        assert got >= 0.0 and abs(got - _projector_distance(s1.vectors, s2.vectors)) <= 2e-15
 
 
 @pytest.mark.parametrize("name", sorted(SUBNORMALIZED_SETS))
@@ -217,11 +311,6 @@ def test_noncommuting_subnormalized_fixed_points_match_stacked_kernel(name, tmp_
     dump_effect_set(path, es)
     assert main(["verify", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["theorem"] == "3.2"
-
-
-def _unitary(d, seed):
-    q, _ = np.linalg.qr(_rand(d, d, seed))
-    return q
 
 
 def _in_basis(u, diagonals):

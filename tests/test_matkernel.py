@@ -118,31 +118,6 @@ def test_orthonormalize_drops_dependent_vectors():
             assert abs(np.vdot(a, b) - want) < 1e-12
 
 
-def test_subspace_projector_and_trace():
-    d = 3
-    # the matrix units, column j = vec(E_{j mod d, j div d})
-    full = mk.OperatorSubspace(d, np.eye(d * d, dtype=complex))
-    proj = mk.subspace_projector(full)
-    assert np.abs(proj - np.eye(d * d)).max() < 1e-12
-
-
-@pytest.mark.parametrize("d", [1, 3])
-def test_empty_subspace_projector_is_exact_zero(d):
-    empty = mk.OperatorSubspace(d, np.zeros((d * d, 0)))
-    proj = mk.subspace_projector(empty)
-    assert empty.dim == 0 and proj.shape == (d * d, d * d)
-    assert not proj.any()
-
-
-def test_subspace_projector_is_idempotent():
-    rng = np.random.Generator(np.random.Philox(11))
-    cols, _ = np.linalg.qr(rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4)))
-    sub = mk.OperatorSubspace(3, cols)
-    p = mk.subspace_projector(sub)
-    assert np.abs(p @ p - p).max() < 1e-12
-    assert abs(np.trace(p).real - sub.dim) < 1e-8
-
-
 def _span(d, mats):
     """The subspace spanned by HS-orthonormal d×d matrices."""
     return mk.OperatorSubspace(d, np.column_stack([mk.vec(b) for b in mats]).astype(complex))
