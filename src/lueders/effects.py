@@ -110,8 +110,9 @@ def build_effect_set(mats) -> EffectSet:
 
     Raises NotSubnormalized when the sum of squares has an eigenvalue above
     1 + PSD.  Commuting means every pairwise commutator norm stays at or
-    below COMMUTATOR times the largest effect norm; a resolution has
-    ‖F - I‖_F ≤ RESOLUTION.
+    below COMMUTATOR times the largest effect norm.  A resolution has every
+    eigenvalue of F within CLUSTER of 1, the same cut with which
+    `unit_spectral_projector` selects the unit eigenspace P.
     """
     mats = list(mats)
     if not mats:
@@ -135,7 +136,7 @@ def build_effect_set(mats) -> EffectSet:
     max_norm = max(float(e.eigenvalues[-1]) for e in effects)
     commuting = max_comm <= tol.COMMUTATOR * max_norm
 
-    resolution = mk.frobenius_norm(f - np.eye(d)) <= tol.RESOLUTION
+    resolution = bool(np.all(np.abs(f_eigs - 1.0) <= tol.CLUSTER))
     norm = Normalization.RESOLUTION if resolution else Normalization.SUBNORMALIZED
     return EffectSet(tuple(effects), d, f, f_eigs, commuting, norm, max_comm)
 
@@ -233,14 +234,10 @@ def generate_commuting_resolution(d: int, n: int, seed: int) -> EffectSet:
 
     Each basis vector gets a tuple (λ₁, ..., λₙ) with Σ λᵢ² = 1 and λᵢ ≥ 0,
     so the squares sum to the identity exactly up to rounding.  n = 1 yields
-    the identity effect.
+    the identity effect.  This is the subnormalized generator at unit
+    fraction 1, whose radius draw then takes nothing from the stream.
     """
-    if d < 1 or n < 1:
-        raise InvalidArgument(f"need d >= 1 and n >= 1, got d = {d}, n = {n}")
-    rng = philox_generator(seed)
-    u = _haar_unitary(d, rng)
-    tuples = _draw_joint_spectra(d, n, rng, np.ones(d))
-    return _assemble(u, tuples)
+    return generate_commuting_subnormalized(d, n, seed, 1.0)
 
 
 def generate_commuting_subnormalized(d: int, n: int, seed: int, unit_fraction: float) -> EffectSet:
@@ -248,7 +245,8 @@ def generate_commuting_subnormalized(d: int, n: int, seed: int, unit_fraction: f
 
     The first round(unit_fraction·d) basis vectors keep radius 1 (F eigenvalue
     exactly 1); the rest are scaled into [0.3, 0.95], leaving F strictly below
-    the identity there with a gap of at least 0.0975.
+    the identity there with a gap of at least 0.0975.  Unit fraction 1 gives
+    a resolution.
     """
     if d < 1 or n < 1:
         raise InvalidArgument(f"need d >= 1 and n >= 1, got d = {d}, n = {n}")

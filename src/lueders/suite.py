@@ -20,6 +20,7 @@ C10  kernel health: eigendecomposition reconstruction and window partitions
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -153,16 +154,15 @@ class SuiteReport:
 # seeded pools (cached per scale; seeds are fixed offsets so pools never move)
 
 
+def _draw(generate, dims, counts, seeds: int, first_seed: int, *args) -> tuple[EffectSet, ...]:
+    """generate(d, n, seed, *args) for each d, then each n, then `seeds` consecutive seeds from first_seed."""
+    seed = itertools.count(first_seed)
+    return tuple(generate(d, n, next(seed), *args) for d in dims for n in counts for _ in range(seeds))
+
+
 @lru_cache(maxsize=None)
 def _resolution_pool(scale: Scale) -> tuple[EffectSet, ...]:
-    sets = []
-    seed = 101
-    for d in scale.res_dims:
-        for n in scale.res_counts:
-            for _ in range(scale.res_seeds):
-                sets.append(generate_commuting_resolution(d, n, seed))
-                seed += 1
-    return tuple(sets)
+    return _draw(generate_commuting_resolution, scale.res_dims, scale.res_counts, scale.res_seeds, 101)
 
 
 # Share of each subnormalized pool set's joint basis kept at radius 1, the same at every scale.
@@ -171,27 +171,19 @@ UNIT_FRACTIONS = (0.0, 0.25, 0.5)
 
 @lru_cache(maxsize=None)
 def _subnormalized_pool(scale: Scale) -> tuple[tuple[float, EffectSet], ...]:
-    sets = []
-    seed = 3001
-    for uf in UNIT_FRACTIONS:
-        for d in scale.sub_dims:
-            for n in scale.sub_counts:
-                for _ in range(scale.sub_seeds):
-                    sets.append((uf, generate_commuting_subnormalized(d, n, seed, uf)))
-                    seed += 1
-    return tuple(sets)
+    # One seed run from 3001 across all unit fractions.
+    sizes = (scale.sub_dims, scale.sub_counts, scale.sub_seeds)
+    run = len(scale.sub_dims) * len(scale.sub_counts) * scale.sub_seeds
+    return tuple(
+        (uf, es)
+        for i, uf in enumerate(UNIT_FRACTIONS)
+        for es in _draw(generate_commuting_subnormalized, *sizes, 3001 + i * run, uf)
+    )
 
 
 @lru_cache(maxsize=None)
 def _noncommuting_pool(scale: Scale) -> tuple[EffectSet, ...]:
-    sets = []
-    seed = 5001
-    for d in scale.nc_dims:
-        for n in scale.nc_counts:
-            for _ in range(scale.nc_seeds):
-                sets.append(generate_noncommuting_resolution(d, n, seed))
-                seed += 1
-    return tuple(sets)
+    return _draw(generate_noncommuting_resolution, scale.nc_dims, scale.nc_counts, scale.nc_seeds, 5001)
 
 
 def _random_effect(d: int, rng: np.random.Generator):
@@ -206,8 +198,8 @@ def _random_effect(d: int, rng: np.random.Generator):
 # criteria
 
 
-def _verify_pool(verify, cases) -> tuple[float, int]:
-    """Run a fixed-point verifier over (set, trivial) pairs: (worst distance, failures).
+def _fixed_point_criterion(cid: str, description: str, verify, cases, **extra) -> CriterionResult:
+    """One criterion from a fixed-point verifier run over (set, trivial) pairs.
 
     A set flagged trivial must also have a zero-dimensional fixed-point space.
     """
@@ -219,49 +211,38 @@ def _verify_pool(verify, cases) -> tuple[float, int]:
         ok = rep.verdict and rep.fixed_dim == rep.target_dim and rep.distance <= 1e-8
         if not ok or (trivial and rep.fixed_dim != 0):
             failures += 1
-    return worst, failures
+    details = {"sets": len(cases), "max_distance": worst, **extra, "failures": failures}
+    return CriterionResult(cid, description, failures == 0, details)
 
 
 def _c1(scale: Scale) -> CriterionResult:
-    pool = _resolution_pool(scale)
-    worst, failures = _verify_pool(verify_resolution_fixed_points, [(es, False) for es in pool])
-    return CriterionResult(
+    return _fixed_point_criterion(
         "C1",
         "commuting resolutions: fixed-point space equals the commutant",
-        failures == 0,
-        {"sets": len(pool), "max_distance": worst, "failures": failures},
+        verify_resolution_fixed_points,
+        [(es, False) for es in _resolution_pool(scale)],
     )
 
 
 def _c2(scale: Scale) -> CriterionResult:
     cases = [(es, uf == 0.0) for uf, es in _subnormalized_pool(scale)]
-    worst, failures = _verify_pool(verify_subnormalized_fixed_points, cases)
-    return CriterionResult(
+    return _fixed_point_criterion(
         "C2",
         "commuting subnormalized sets: fixed-point space equals the compressed commutant",
-        failures == 0,
-        {
-            "sets": len(cases),
-            "max_distance": worst,
-            "zero_unit_fraction_sets": sum(trivial for _, trivial in cases),
-            "failures": failures,
-        },
+        verify_subnormalized_fixed_points,
+        cases,
+        zero_unit_fraction_sets=sum(trivial for _, trivial in cases),
     )
 
 
 def _c3(scale: Scale) -> CriterionResult:
     pool = _noncommuting_pool(scale)
-    worst, failures = _verify_pool(verify_resolution_fixed_points, [(es, False) for es in pool])
-    return CriterionResult(
+    return _fixed_point_criterion(
         "C3",
         "non-commuting resolutions: fixed-point space still equals the commutant",
-        failures == 0,
-        {
-            "sets": len(pool),
-            "max_distance": worst,
-            "min_commutator_norm": min((es.max_pairwise_commutator_norm for es in pool), default=None),
-            "failures": failures,
-        },
+        verify_resolution_fixed_points,
+        [(es, False) for es in pool],
+        min_commutator_norm=min((es.max_pairwise_commutator_norm for es in pool), default=None),
     )
 
 

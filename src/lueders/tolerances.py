@@ -1,4 +1,4 @@
-"""The nine numerical thresholds, pinned as module constants.
+"""The eight numerical thresholds, pinned as module constants.
 
 Every numerical decision in the package (Hermitian checks, rank cuts, cluster
 gaps, commutation thresholds) reads one of these constants, so the acceptance
@@ -15,7 +15,6 @@ __all__ = [
     "HERMITIAN",
     "NULLSPACE",
     "PSD",
-    "RESOLUTION",
     "SUBSPACE",
     "WITNESS",
 ]
@@ -31,7 +30,11 @@ NULLSPACE = 1e-10
 # is_undisturbed_state, which bounds ‖Φ(ρ) - ρ‖_F, each ‖[ρ, Eᵢ]‖ and
 # |tr ρ - 1| by it.
 COMMUTATOR = 1e-9
-# Eigenvalue cluster gap and spectral-window edge snap.
+# Eigenvalue cluster gap and spectral-window edge snap.  It also decides
+# which eigenvalues w of F = Σ Eᵢ² count as 1: P projects onto their
+# eigenvectors, and a set is a resolution exactly when every |w - 1| ≤ CLUSTER.
+# Generated resolutions land near 1e-15; subnormalized sets sit at least
+# 9e-2 away.
 CLUSTER = 1e-9
 # Eigenvalue gap of the random element H = Σ cᵢEᵢ, relative to ‖H‖, at or
 # below which `commutant` merges neighbouring eigenvalues into one block.
@@ -41,10 +44,6 @@ CLUSTER = 1e-9
 # 3e-9..3e-6·‖H‖ apart stay in separate blocks although their eigenvectors
 # are accurate only to ε‖H‖/gap, and commutant elements are lost.
 ELEMENT_GAP = 1e-3
-# Frobenius distance to the identity that still counts as a resolution
-# (generators land below 1e-10; subnormalized sets sit at least 9e-2 away,
-# so 1e-8 is unambiguous).
-RESOLUTION = 1e-8
 # Projector Frobenius distance for subspace equality.
 SUBSPACE = 1e-8
 # Block-norm threshold for witnesses, relative to the operator under test.

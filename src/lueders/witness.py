@@ -100,19 +100,34 @@ def witness_search(effect: Effect, b) -> WitnessCertificate:
     m = 2
     while m <= M_MAX:
         groups = _group_by_window(effect.eigenvalues[:, None], m)
-        projs = {key[0]: u[:, cols] @ u[:, cols].conj().T for key, cols in groups.items()}
-        for k, j in itertools.product(projs, repeat=2):
-            if abs(k - j) < 2:
-                continue
-            norm = mk.operator_norm(projs[k] @ mat @ projs[j])
-            if norm > thresh:
-                try:
-                    block_norm = math.ldexp(norm, e)
-                except OverflowError:
-                    raise InvalidArgument(f"block norm {norm!r} * 2^{e} exceeds the double range") from None
-                return WitnessCertificate(m, k, j, block_norm, projs[k], projs[j])
+        projs = {key: u[:, cols] @ u[:, cols].conj().T for key, cols in groups.items()}
+        pair = _first_coupled_pair(projs, projs, mat, thresh, apart=2)
+        if pair is not None:
+            (k,), (j,), _, norm = pair
+            try:
+                block_norm = math.ldexp(norm, e)
+            except OverflowError:
+                raise InvalidArgument(f"block norm {norm!r} * 2^{e} exceeds the double range") from None
+            return WitnessCertificate(m, k, j, block_norm, projs[(k,)], projs[(j,)])
         m *= 2
     raise ResolutionExhausted(f"no separated window pair up to resolution {M_MAX}")
+
+
+def _first_coupled_pair(left: dict, right: dict, x: np.ndarray, thresh: float, apart: int = 0):
+    """First key pair (a, b) of left × right, in lexicographic order, whose block
+    left[a]·x·right[b] has operator norm above thresh: (a, b, block, norm), or None.
+
+    Keys are window-index tuples; pairs whose first indices lie less than
+    `apart` apart are skipped.
+    """
+    for a, b in itertools.product(left, right):
+        if abs(a[0] - b[0]) < apart:
+            continue
+        block = left[a] @ x @ right[b]
+        norm = mk.operator_norm(block)
+        if norm > thresh:
+            return a, b, block, norm
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -207,36 +222,23 @@ def build_contractive_block(effect_set: EffectSet, x, p: int) -> ContractionRepo
         return {key: [blocks[i] for i in rows] for key, rows in groups.items()}
 
     coarse = bins(list(joint.blocks), m)
-    left_keys = [t for t in coarse if t[0] == k]
-    right_keys = [t for t in coarse if t[0] == j]
-    chosen = None
-    for ks, ks2 in itertools.product(left_keys, right_keys):
-        p0 = _projector_of(coarse[ks])
-        q0 = _projector_of(coarse[ks2])
-        y0 = p0 @ mat @ q0
-        if mk.operator_norm(y0) > thresh:
-            chosen = (ks, ks2, p0, q0, y0)
-            break
-    if chosen is None:
+    coarse_left = {t: _projector_of(coarse[t]) for t in coarse if t[0] == k}
+    coarse_right = {t: _projector_of(coarse[t]) for t in coarse if t[0] == j}
+    coarse_pair = _first_coupled_pair(coarse_left, coarse_right, mat, thresh)
+    if coarse_pair is None:
         raise RefinementVanished("expanding the witness to full bin tuples lost the block")
-    ks, ks2, p0, q0, y0 = chosen
+    ks, ks2, y0, _ = coarse_pair
 
     fine = p * m
-    fine_left = bins(coarse[ks], fine)
-    fine_right = bins(coarse[ks2], fine)
-    refined = None
-    for s, s2 in itertools.product(fine_left, fine_right):
-        fs = _projector_of(fine_left[s])
-        fs2 = _projector_of(fine_right[s2])
-        if mk.operator_norm(fs @ y0 @ fs2) > thresh:
-            refined = (s, s2, fs, fs2)
-            break
-    if refined is None:
+    fine_left = {t: _projector_of(b) for t, b in bins(coarse[ks], fine).items()}
+    fine_right = {t: _projector_of(b) for t, b in bins(coarse[ks2], fine).items()}
+    fine_pair = _first_coupled_pair(fine_left, fine_right, y0, thresh)
+    if fine_pair is None:
         raise RefinementVanished(f"refinement at resolution {fine} lost the block")
-    s, s2, fs, fs2 = refined
+    s, s2, _, _ = fine_pair
 
-    left = fs @ p0
-    right = q0 @ fs2
+    left = fine_left[s] @ coarse_left[ks]
+    right = coarse_right[ks2] @ fine_right[s2]
     y = left @ mat @ right
     y_norm = mk.operator_norm(y)
     image_norm = mk.operator_norm(LuedersOperation(effect_set).apply(y))

@@ -149,6 +149,29 @@ def test_verify_resolution_and_subnormalized(tmp_path, capsys):
     assert rep2["fixed_dim"] == rep2["target_dim"] == 1
 
 
+@pytest.mark.parametrize(
+    "eps,normalization,report",
+    [
+        (0.0, "resolution", ("3.1", 3, 3, True)),
+        (1e-12, "resolution", ("3.1", 3, 3, True)),
+        (5e-11, "resolution", ("3.1", 3, 3, True)),
+        (2e-9, "subnormalized", ("3.2", 2, 2, True)),
+        (5e-9, "subnormalized", ("3.2", 2, 2, True)),
+        (9e-9, "subnormalized", ("3.2", 2, 2, True)),
+    ],
+)
+def test_verify_unit_deficit_family(eps, normalization, report, tmp_path, capsys):
+    # F = diag(1, 1, 1 - ε): a deficit beyond CLUSTER makes a subnormalized set, not a false 3.1.
+    r = np.sqrt(1.0 - eps)
+    path = tmp_path / "deficit.json"
+    dump_effect_set(path, build_effect_set([np.diag([0.6, 1.0, 0.28 * r]), np.diag([0.8, 0.0, 0.96 * r])]))
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(_out(capsys))["normalization"] == normalization
+    assert main(["verify", str(path)]) == 0
+    rep = json.loads(_out(capsys))
+    assert (rep["theorem"], rep["fixed_dim"], rep["target_dim"], rep["verdict"]) == report
+
+
 def test_verify_noncommuting_subnormalized_reports_theorem_3_2(tmp_path, capsys):
     scaled = [0.9 * e for e in generate_noncommuting_resolution(3, 3, seed=2).matrices]
     path = tmp_path / "nc.json"

@@ -70,6 +70,17 @@ def test_build_effect_set_effect_and_complement_root():
     assert np.linalg.norm(es.sum_of_squares - np.eye(4)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "deficit,normalization",
+    [(5e-10, Normalization.RESOLUTION), (2e-9, Normalization.SUBNORMALIZED)],
+)
+def test_unit_deficit_of_the_sum_of_squares_is_cut_at_cluster(deficit, normalization):
+    # F = diag(1, 1 - deficit); the cut is CLUSTER = 1e-9 on every |w - 1|.
+    es = build_effect_set([np.diag([1.0, np.sqrt(1.0 - deficit)])])
+    assert abs(1.0 - es.sum_of_squares_eigenvalues[0] - deficit) < 1e-15
+    assert es.normalization is normalization
+
+
 def test_build_effect_set_rejects_dimension_mix():
     with pytest.raises(DimensionMismatch):
         build_effect_set([np.eye(2), np.eye(3)])

@@ -3,6 +3,7 @@ import pytest
 
 from lueders import matkernel as mk
 from lueders.effects import (
+    Normalization,
     build_effect_set,
     generate_commuting_resolution,
     generate_commuting_subnormalized,
@@ -204,6 +205,37 @@ def test_verify_resolution_on_generated_sets(seed):
 def test_verify_resolution_rejects_subnormalized():
     with pytest.raises(NotResolution):
         verify_resolution_fixed_points(build_effect_set([np.diag([0.8, 0.8])]))
+
+
+def _unit_deficit_pair(eps):
+    """E₁ = diag(0.6, 1, 0.28r), E₂ = diag(0.8, 0, 0.96r), r = √(1 - ε): F = diag(1, 1, 1 - ε)."""
+    r = np.sqrt(1.0 - eps)
+    return build_effect_set([np.diag([0.6, 1.0, 0.28 * r]), np.diag([0.8, 0.0, 0.96 * r])])
+
+
+@pytest.mark.parametrize(
+    "eps,normalization,report",
+    [
+        (0.0, Normalization.RESOLUTION, ("3.1", 3, 3, True)),
+        (1e-12, Normalization.RESOLUTION, ("3.1", 3, 3, True)),
+        (5e-11, Normalization.RESOLUTION, ("3.1", 3, 3, True)),
+        # Beyond CLUSTER the unit eigenspace of F is two-dimensional, and so is Fix(Φ).
+        (2e-9, Normalization.SUBNORMALIZED, ("3.2", 2, 2, True)),
+        (5e-9, Normalization.SUBNORMALIZED, ("3.2", 2, 2, True)),
+        (9e-9, Normalization.SUBNORMALIZED, ("3.2", 2, 2, True)),
+    ],
+)
+def test_unit_deficit_decides_the_theorem_by_the_unit_eigenspace_cut(eps, normalization, report):
+    es = _unit_deficit_pair(eps)
+    assert es.normalization is normalization
+    if normalization is Normalization.RESOLUTION:
+        rep = verify_resolution_fixed_points(es)
+    else:
+        with pytest.raises(NotResolution):
+            verify_resolution_fixed_points(es)
+        rep = verify_subnormalized_fixed_points(es)
+        assert np.abs(unit_spectral_projector(es) - np.diag([1.0, 1.0, 0.0])).max() < 1e-12
+    assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == report
 
 
 def test_verify_subnormalized_scalar_effect_has_trivial_fixed_space():

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from lueders import matkernel as mk
+from lueders import matkernel as mk, tolerances as tol
 from lueders.effects import _group_by_window, build_effect_set, generate_commuting_resolution, spectral_window
 from lueders.errors import (
     CommutesNoWitness,
@@ -33,6 +34,23 @@ def _bin_projection(es, m, ks):
     for eff, k in zip(es.effects, ks):
         p = p @ spectral_window(eff, k, m)
     return p
+
+
+def _bins_by_definition(es, m, first):
+    """Every nonzero bin projection F^m_s whose first index s₁ lies in `first`, keyed by s."""
+    windows = [[k for k in range(-1, m) if spectral_window(e, k, m).any()] for e in es.effects]
+    bins = {s: _bin_projection(es, m, s) for s in itertools.product(*windows) if s[0] in first}
+    return {s: p for s, p in bins.items() if np.trace(p).real > 0.5}
+
+
+def _first_coupled_pair_by_scan(left, right, x, block, apart=0):
+    """First key pair of left × right, in lexicographic order, with |a₁ - b₁| ≥ apart and
+    ‖left[a]·block·right[b]‖ > WITNESS·‖x‖; None if there is none."""
+    thresh = tol.WITNESS * mk.operator_norm(x)
+    for a, b in itertools.product(sorted(left), sorted(right)):
+        if abs(a[0] - b[0]) >= apart and mk.operator_norm(left[a] @ block @ right[b]) > thresh:
+            return a, b
+    return None
 
 
 def _occupied_bins(es, m):
@@ -141,6 +159,13 @@ def test_witness_search_on_generated_sets(seed):
     again = witness_search(es.effects[0], b)
     assert (again.m, again.k, again.j) == (cert.m, cert.k, cert.j)
     assert again.block_norm == cert.block_norm
+    # (m, k, j) is the first coupled separated pair at the first resolution that has one
+    m, pair = 1, None
+    while pair is None:
+        m *= 2
+        windows = _bins_by_definition(build_effect_set(es.matrices[:1]), m, range(-1, m))
+        pair = _first_coupled_pair_by_scan(windows, windows, b, b, apart=2)
+    assert ((cert.m,), (cert.k,), (cert.j,)) == ((m,), *pair)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -252,6 +277,14 @@ def test_build_contractive_block_on_generated_sets(seed):
     assert rep.achieved_ratio >= rep.bound > 0
     ratio = (rep.y_norm - mk.operator_norm(LuedersOperation(es).apply(rep.y))) / rep.y_norm
     assert abs(ratio - rep.achieved_ratio) < 1e-12
+    # both steps keep the first coupled pair in lexicographic order
+    left = _bins_by_definition(es, cert.m, {cert.k})
+    right = _bins_by_definition(es, cert.m, {cert.j})
+    assert (rep.coarse_left, rep.coarse_right) == _first_coupled_pair_by_scan(left, right, x, x)
+    y0 = left[rep.coarse_left] @ x @ right[rep.coarse_right]
+    # fine bins outside the coarse pair give zero blocks, so the scan may run over all of them
+    fine = _bins_by_definition(es, p * cert.m, range(-1, p * cert.m))
+    assert (rep.refined_left, rep.refined_right) == _first_coupled_pair_by_scan(fine, fine, x, y0)
 
 
 @pytest.mark.parametrize("seed", range(8))
