@@ -146,7 +146,7 @@ def _cmd_analyze(args) -> int:
         "commutant_dim": commutant(es).dim,
     }
     if es.commuting:
-        report["joint_block_dims"] = list(joint_eigenspaces(es).block_dims)
+        report["joint_block_dims"] = [b.dim for b in joint_eigenspaces(es)]
     _emit(json.dumps(report, indent=2), args.out)
     return 0
 

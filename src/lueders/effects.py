@@ -111,8 +111,9 @@ def build_effect_set(mats) -> EffectSet:
     Raises NotSubnormalized when the sum of squares has an eigenvalue above
     1 + PSD.  Commuting means every pairwise commutator norm stays at or
     below COMMUTATOR times the largest effect norm.  A resolution has every
-    eigenvalue of F within CLUSTER of 1, the same cut with which
-    `unit_spectral_projector` selects the unit eigenspace P.
+    eigenvalue w of F within CLUSTER of 1.  The fixed-point verifier cuts the
+    singular values of X ↦ (I - F)X on the commutant at the same CLUSTER; for
+    a commuting set those are exactly the deficits |1 - w|.
     """
     mats = list(mats)
     if not mats:

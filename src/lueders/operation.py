@@ -6,13 +6,14 @@ of the effect set, and the joint eigenspace decomposition of commuting sets.
 On top of those sits one fixed-point check.  For F = Σ Eᵢ² ≤ I,
 I - S = [I - ½(Fᵀ⊗I + I⊗F)] + ½ Σᵢ Cᵢ†Cᵢ with both terms positive
 semidefinite (S the superoperator, Cᵢ = Eᵢᵀ⊗I - I⊗Eᵢ the matrix of
-B ↦ BEᵢ - EᵢB), so the fixed-point space is {Eᵢ}′ ∩ P·B(H)·P, P the spectral
-projector of F at eigenvalue 1, whether or not the effects commute.  The
+B ↦ BEᵢ - EᵢB), so the fixed-point space is {X ∈ {Eᵢ}′ : (I - F)X = 0},
+whether or not the effects commute: a commutant element commutes with F, so
+(I - F)X = 0 says X lives on the eigenvalue-1 eigenspace of F.  The
 commutant itself is solved on the eigenblocks of one random element of the
 algebra and never stacks the Cᵢ.  Reports carry the label "3.1" for
-resolutions (P = I: the target is the commutant) and "3.2" for strictly
-subnormalized sets (for commuting ones the target equals P·{Eᵢ}′).  Only
-`fixed_point_space` builds S; `nagy_solve` applies Φ to d×d matrices.
+resolutions (F = I: the target is the commutant) and "3.2" for strictly
+subnormalized sets.  Only `fixed_point_space` builds S; `nagy_solve` applies
+Φ to d×d matrices.
 """
 
 from __future__ import annotations
@@ -22,21 +23,23 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import matkernel as mk, tolerances as tol
-from .effects import EffectSet, Normalization
+from .effects import EffectSet, Normalization, validate_effect
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
     IsResolution,
     NotCommuting,
     NotDensityMatrix,
+    NotHermitian,
     NotResolution,
+    SpectrumAboveOne,
+    SpectrumBelowZero,
 )
 from .rng import philox_generator
 
 __all__ = [
     "ChannelNormCertificate",
     "JointBlock",
-    "JointEigenstructure",
     "LuedersOperation",
     "NagySolution",
     "TheoremReport",
@@ -46,7 +49,6 @@ __all__ = [
     "is_undisturbed_state",
     "joint_eigenspaces",
     "nagy_solve",
-    "unit_spectral_projector",
     "verify_resolution_fixed_points",
     "verify_subnormalized_fixed_points",
 ]
@@ -162,20 +164,6 @@ class JointBlock:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class JointEigenstructure:
-    blocks: tuple[JointBlock, ...]
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(b.dim for b in self.blocks)
-
-    @property
-    def commutant_dimension(self) -> int:
-        """Σ dⱼ² over the joint blocks: the dimension of the commutant."""
-        return sum(b.dim**2 for b in self.blocks)
-
-
 def _cluster_slices(values: np.ndarray, gap: float):
     """Maximal runs of ascending values with consecutive gaps at most gap."""
     start = 0
@@ -186,11 +174,13 @@ def _cluster_slices(values: np.ndarray, gap: float):
     yield slice(start, len(values))
 
 
-def joint_eigenspaces(effect_set: EffectSet) -> JointEigenstructure:
+def joint_eigenspaces(effect_set: EffectSet) -> tuple[JointBlock, ...]:
     """Iteratively refine eigenspace clusters across all effects of a commuting set.
 
     Blocks are ordered lexicographically by their eigenvalue tuples (ascending
-    per effect), which makes the decomposition deterministic.
+    per effect), which makes the decomposition deterministic.  The commutant
+    is the direct sum of the full matrix algebras on the blocks, so
+    Σ dⱼ² over the block dimensions dⱼ equals dim {Eᵢ}′.
     """
     if not effect_set.commuting:
         raise NotCommuting(
@@ -212,7 +202,7 @@ def joint_eigenspaces(effect_set: EffectSet) -> JointEigenstructure:
             [float(np.real(np.trace(v.conj().T @ e @ v)) / v.shape[1]) for e in effect_set.matrices]
         )
         blocks.append(JointBlock(vals, v))
-    return JointEigenstructure(tuple(blocks))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +215,7 @@ class TheoremReport:
 
     theorem is the wire label of the claim checked: "3.1" for a resolution
     (target {Eᵢ}′), "3.2" for any strictly subnormalized set (target
-    {Eᵢ}′ ∩ P·B(H)·P, which equals P·{Eᵢ}′ when the set commutes).
+    {X ∈ {Eᵢ}′ : (I - F)X = 0}, F = Σ Eᵢ²).
     """
 
     theorem: str
@@ -239,20 +229,26 @@ class TheoremReport:
 
 
 def _verify_fixed_points(effect_set: EffectSet) -> TheoremReport:
-    """Compare the fixed-point space with {Eᵢ}′ ∩ P·B(H)·P (P = I for a resolution).
+    """Compare the fixed-point space with {X ∈ {Eᵢ}′ : (I - F)X = 0} (the commutant for a resolution).
 
-    Commutant elements X commute with F, hence with P, so X = PXP means QX = 0
-    (Q = I - P): with V the commutant basis Bⱼ, the target basis is V·ker[vec(QBⱼ)]ⱼ.
+    For X in the commutant Φ(X) = XF, so ‖(I - F)X‖_F = ‖Φ(X) - X‖_F.  With V
+    the commutant basis Bⱼ, the target basis is V·ker[vec((I - F)Bⱼ)]ⱼ: the
+    right singular vectors of that d²×k system whose singular value is at
+    most CLUSTER.  For a commuting set those singular values are the deficits
+    |1 - w| of the eigenvalues w of F, so this is the cut with which
+    `build_effect_set` tells resolutions apart.  The route reads F and the
+    commutant only, never the superoperator behind `fixed_point_space`.
     """
     fixed = fixed_point_space(LuedersOperation(effect_set))
     target = commutant(effect_set)
     resolution = effect_set.normalization is Normalization.RESOLUTION
     if not resolution:
         d = effect_set.dim
-        q = np.eye(d) - unit_spectral_projector(effect_set)
         v = target.vectors
-        system = np.column_stack([mk.vec(q @ mk.unvec(c, d)) for c in v.T])
-        target = mk.OperatorSubspace(d, v @ mk.nullspace(system))
+        # column j of v is vec(Bⱼ), so the (d, d·k) reshape holds B₁ | B₂ | ... side by side
+        deficit = (np.eye(d) - effect_set.sum_of_squares) @ v.reshape(d, -1, order="F")
+        _, s, vh = np.linalg.svd(deficit.reshape(d * d, -1, order="F"), full_matrices=False)
+        target = mk.OperatorSubspace(d, v @ vh[s <= tol.CLUSTER].conj().T)
     cmp = mk.subspaces_equal(fixed, target)
     verdict = cmp.equal and fixed.dim == target.dim
     return TheoremReport("3.1" if resolution else "3.2", fixed.dim, target.dim, cmp.distance, verdict)
@@ -269,20 +265,12 @@ def verify_resolution_fixed_points(effect_set: EffectSet) -> TheoremReport:
     return _verify_fixed_points(effect_set)
 
 
-def unit_spectral_projector(effect_set: EffectSet) -> np.ndarray:
-    """Spectral projector of F = Σ Eᵢ² at eigenvalue 1 (cluster width CLUSTER)."""
-    f = effect_set.sum_of_squares
-    w, u = mk.hermitian_eigendecompose((f + f.conj().T) / 2)
-    u = u[:, np.abs(w - 1.0) <= tol.CLUSTER]
-    return u @ u.conj().T
-
-
 def verify_subnormalized_fixed_points(effect_set: EffectSet) -> TheoremReport:
-    """Check that the fixed-point space equals {Eᵢ}′ ∩ P·B(H)·P, P the unit eigenprojector of F.
+    """Check that the fixed-point space equals {X ∈ {Eᵢ}′ : (I - F)X = 0}, F = Σ Eᵢ².
 
-    Requires a strictly subnormalized set, commuting or not; for a commuting
-    set the target equals P·{Eᵢ}′.  With no unit eigenspace the target is the
-    zero subspace and the fixed-point space must be trivial.
+    Requires a strictly subnormalized set, commuting or not.  When no
+    eigenvalue of F lies within CLUSTER of 1 the target is the zero subspace
+    and the fixed-point space must be trivial.
     """
     if effect_set.normalization is Normalization.RESOLUTION:
         raise IsResolution("the squares sum to the identity; use the resolution verifier")
@@ -347,6 +335,10 @@ class NagySolution:
         }
 
 
+# What `validate_effect` raises for a finite square matrix that is no effect.
+_NOT_AN_EFFECT = (NotHermitian, SpectrumBelowZero, SpectrumAboveOne)
+
+
 def nagy_solve(op: LuedersOperation) -> NagySolution:
     """Solve the complete-disturbance equation Φ(X) + X = I by conjugate gradients.
 
@@ -373,12 +365,11 @@ def nagy_solve(op: LuedersOperation) -> NagySolution:
         p = r + (rr / rr_old) * p
     residual = mk.frobenius_norm(op.apply(x) + x - np.eye(d))
     half_distance = mk.frobenius_norm(x - np.eye(d) / 2)
-    w = np.linalg.eigvalsh((x + x.conj().T) / 2)
-    is_effect = bool(
-        mk.hermitian_defect(x) <= tol.HERMITIAN * mk.frobenius_norm(x)
-        and w[0] >= -tol.PSD
-        and w[-1] <= 1 + tol.PSD
-    )
+    try:
+        validate_effect(x)
+        is_effect = True
+    except _NOT_AN_EFFECT:
+        is_effect = False
     return NagySolution(x, residual, half_distance, is_effect)
 
 
@@ -386,19 +377,18 @@ def is_undisturbed_state(op: LuedersOperation, rho) -> tuple[bool, bool]:
     """Return (is_fixed, commutes_with_all) for a density matrix.
 
     is_fixed holds when ‖Φ(ρ) - ρ‖_F ≤ COMMUTATOR; commutes_with_all when
-    every ‖[ρ, Eᵢ]‖ ≤ COMMUTATOR.  The state must be Hermitian within
-    HERMITIAN, have no eigenvalue below -PSD and satisfy
-    |tr ρ - 1| ≤ COMMUTATOR.  For Lüders operations of resolutions the
-    two verdicts agree.
+    every ‖[ρ, Eᵢ]‖ ≤ COMMUTATOR.  The state must pass `validate_effect`
+    (Hermitian within HERMITIAN·‖ρ‖_F, spectrum within [-PSD, 1 + PSD]) and
+    satisfy |tr ρ - 1| ≤ COMMUTATOR; each failure raises NotDensityMatrix.
+    For Lüders operations of resolutions the two verdicts agree.
     """
     mat = mk.as_complex_matrix(rho)
     if mat.shape != (op.dim, op.dim):
         raise DimensionMismatch(f"state shape {mat.shape} does not match dimension {op.dim}")
-    if mk.hermitian_defect(mat) > tol.HERMITIAN * max(mk.frobenius_norm(mat), 1.0):
-        raise NotDensityMatrix("state is not Hermitian")
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    if w[0] < -tol.PSD:
-        raise NotDensityMatrix(f"state has eigenvalue {w[0]:.3e} below 0")
+    try:
+        validate_effect(mat)
+    except _NOT_AN_EFFECT as exc:
+        raise NotDensityMatrix(f"state fails the effect check: {exc}") from exc
     if abs(float(np.real(np.trace(mat))) - 1.0) > tol.COMMUTATOR:
         raise NotDensityMatrix(f"trace {np.real(np.trace(mat)):.12f} is not 1")
     is_fixed = mk.frobenius_norm(op.apply(mat) - mat) <= tol.COMMUTATOR

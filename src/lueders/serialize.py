@@ -37,7 +37,9 @@ __all__ = [
 
 _META_KEYS = ("flavor", "seed", "unit_fraction")
 
-# Largest Hilbert-space dimension a file may declare; `gen` caps d and n here too.
+# Largest Hilbert-space dimension and effect count a file may declare; `gen`
+# caps d and n here too.  Classifying a set takes n(n - 1)/2 commutator
+# norms, so an uncapped n would let a small file run for minutes.
 DIM_LIMIT = 64
 
 
@@ -185,6 +187,8 @@ def parse_effect_set(text: str) -> EffectSet:
         raise ParseError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     if d > DIM_LIMIT:
         raise ParseError(f"d must be at most {DIM_LIMIT}, got {d}")
+    if n > DIM_LIMIT:
+        raise ParseError(f"n must be at most {DIM_LIMIT}, got {n}")
     effects = doc["effects"]
     if not isinstance(effects, list) or len(effects) != n:
         raise ParseError(f"effects must be a list of {n} matrices")

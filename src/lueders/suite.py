@@ -414,9 +414,8 @@ def _c8(scale: Scale) -> CriterionResult:
     sets = list(_resolution_pool(scale)) + [es for _, es in _subnormalized_pool(scale)]
     failures = 0
     for es in sets:
-        js = joint_eigenspaces(es)
-        comm = commutant(es)
-        if comm.dim != js.commutant_dimension:
+        blocks = joint_eigenspaces(es)
+        if commutant(es).dim != sum(b.dim**2 for b in blocks):
             failures += 1
     return CriterionResult(
         "C8",
@@ -438,8 +437,7 @@ def _c9(scale: Scale) -> CriterionResult:
         rng = philox_generator(11000 + t)
         if t % 2 == 0:
             # diagonal in the joint eigenbasis: undisturbed by construction
-            js = joint_eigenspaces(es)
-            u = np.hstack([b.basis for b in js.blocks])
+            u = np.hstack([b.basis for b in joint_eigenspaces(es)])
             w = rng.random(d)
             w = w / w.sum()
             rho = (u * w) @ u.conj().T

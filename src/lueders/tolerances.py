@@ -31,8 +31,9 @@ NULLSPACE = 1e-10
 # |tr ρ - 1| by it.
 COMMUTATOR = 1e-9
 # Eigenvalue cluster gap and spectral-window edge snap.  It also decides
-# which eigenvalues w of F = Σ Eᵢ² count as 1: P projects onto their
-# eigenvectors, and a set is a resolution exactly when every |w - 1| ≤ CLUSTER.
+# which eigenvalues w of F = Σ Eᵢ² count as 1: a set is a resolution exactly
+# when every |w - 1| ≤ CLUSTER, and the "3.2" target keeps the commutant
+# elements X whose singular value under X ↦ (I - F)X is at most CLUSTER.
 # Generated resolutions land near 1e-15; subnormalized sets sit at least
 # 9e-2 away.
 CLUSTER = 1e-9

@@ -221,7 +221,7 @@ def build_contractive_block(effect_set: EffectSet, x, p: int) -> ContractionRepo
         groups = _group_by_window([b.values for b in blocks], res)
         return {key: [blocks[i] for i in rows] for key, rows in groups.items()}
 
-    coarse = bins(list(joint.blocks), m)
+    coarse = bins(list(joint), m)
     coarse_left = {t: _projector_of(coarse[t]) for t in coarse if t[0] == k}
     coarse_right = {t: _projector_of(coarse[t]) for t in coarse if t[0] == j}
     coarse_pair = _first_coupled_pair(coarse_left, coarse_right, mat, thresh)

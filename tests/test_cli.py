@@ -16,6 +16,7 @@ from lueders.effects import (
     generate_noncommuting_resolution,
 )
 from lueders.operation import LuedersOperation, channel_norm
+from lueders.rng import philox_generator
 from lueders.serialize import (
     DIM_LIMIT,
     dump_effect_set,
@@ -149,6 +150,15 @@ def test_verify_resolution_and_subnormalized(tmp_path, capsys):
     assert rep2["fixed_dim"] == rep2["target_dim"] == 1
 
 
+def _unit_deficit_file(tmp_path, eps, q=np.eye(3)):
+    """E₁ = q·diag(0.6, 1, 0.28r)·q†, E₂ = q·diag(0.8, 0, 0.96r)·q†, r = √(1 - ε), as a file."""
+    r = np.sqrt(1.0 - eps)
+    mats = [(q * t) @ q.conj().T for t in ([0.6, 1.0, 0.28 * r], [0.8, 0.0, 0.96 * r])]
+    path = tmp_path / "deficit.json"
+    dump_effect_set(path, build_effect_set([(m + m.conj().T) / 2 for m in mats]))
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "eps,normalization,report",
     [
@@ -162,14 +172,24 @@ def test_verify_resolution_and_subnormalized(tmp_path, capsys):
 )
 def test_verify_unit_deficit_family(eps, normalization, report, tmp_path, capsys):
     # F = diag(1, 1, 1 - ε): a deficit beyond CLUSTER makes a subnormalized set, not a false 3.1.
-    r = np.sqrt(1.0 - eps)
-    path = tmp_path / "deficit.json"
-    dump_effect_set(path, build_effect_set([np.diag([0.6, 1.0, 0.28 * r]), np.diag([0.8, 0.0, 0.96 * r])]))
+    path = _unit_deficit_file(tmp_path, eps)
     assert main(["validate", str(path)]) == 0
     assert json.loads(_out(capsys))["normalization"] == normalization
     assert main(["verify", str(path)]) == 0
     rep = json.loads(_out(capsys))
     assert (rep["theorem"], rep["fixed_dim"], rep["target_dim"], rep["verdict"]) == report
+
+
+@pytest.mark.parametrize("eps,verdict", [(2e-9, None), (1e-8, None), (1e-7, True), (1e-6, True)])
+def test_verify_rotated_unit_deficit_family(eps, verdict, tmp_path, capsys):
+    # The ε family in a seeded random basis: the "3.2" target stays two-dimensional.
+    # The verdict is pinned only from 1e-7 up; below, the Fix side is off by up to 1.7e-7.
+    g = philox_generator(3).standard_normal((2, 3, 3))
+    code = main(["verify", _unit_deficit_file(tmp_path, eps, np.linalg.qr(g[0] + 1j * g[1])[0])])
+    rep = json.loads(_out(capsys))
+    assert (rep["theorem"], rep["fixed_dim"], rep["target_dim"]) == ("3.2", 2, 2)
+    if verdict is not None:
+        assert (code, rep["verdict"]) == (0, verdict)
 
 
 def test_verify_noncommuting_subnormalized_reports_theorem_3_2(tmp_path, capsys):
@@ -296,6 +316,30 @@ def test_operator_file_over_the_dimension_cap_exits_three(tmp_path, capsys):
     assert main(["witness", _pinching_file(tmp_path), str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError:") and f"at most {DIM_LIMIT}" in err
+
+
+def _scalar_effects_document(n):
+    """n copies of the 1×1 effect 0.03: F = 0.0009·n, subnormalized for every n ≤ 1111."""
+    return json.dumps({"d": 1, "n": n, "effects": [[[[0.03, 0.0]]]] * n})
+
+
+def test_effect_file_over_the_count_cap_exits_three_at_once(tmp_path, capsys):
+    # Classifying a set takes n(n - 1)/2 commutators (800 1×1 effects take about 7 s), so the cap comes first.
+    path = tmp_path / "many.json"
+    path.write_text(_scalar_effects_document(DIM_LIMIT + 1))
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: n must be") and f"at most {DIM_LIMIT}" in err
+
+
+def test_effect_file_at_the_count_cap_validates(tmp_path, capsys):
+    path = tmp_path / "cap-n.json"
+    path.write_text(_scalar_effects_document(DIM_LIMIT))
+    assert main(["validate", str(path)]) == 0
+    report = json.loads(_out(capsys))
+    assert report["valid"] and report["n"] == DIM_LIMIT
 
 
 def test_effect_file_at_the_dimension_cap_validates(tmp_path, capsys):

@@ -199,7 +199,7 @@ def test_commuting_resolution_invariants(d, n, seed):
     assert np.linalg.norm(es.sum_of_squares - np.eye(d)) < 1e-12
     assert es.max_pairwise_commutator_norm < 1e-12
     # exactly jointly diagonal: the joint basis strips all off-diagonal mass
-    u = np.hstack([b.basis for b in joint_eigenspaces(es).blocks])
+    u = np.hstack([b.basis for b in joint_eigenspaces(es)])
     for e in es.matrices:
         c = u.conj().T @ e @ u
         assert np.abs(c - np.diag(np.diag(c))).max() < 1e-10
@@ -207,7 +207,7 @@ def test_commuting_resolution_invariants(d, n, seed):
 
 def test_joint_tuples_keep_their_distance():
     es = generate_commuting_resolution(8, 3, seed=19)
-    values = np.array([b.values for b in joint_eigenspaces(es).blocks])
+    values = np.array([b.values for b in joint_eigenspaces(es)])
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             dist = np.linalg.norm(values[i] - values[j])

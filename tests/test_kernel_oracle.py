@@ -12,7 +12,9 @@ superoperator for the Φ(X) + X = I system, the d²×d² projectors VV† for
 subspace distances, modified Gram-Schmidt for orthonormal bases and a
 per-probe loop for the channel norm.  They live here, not in the package, so
 they stay independent oracles.  The fixed-point target of a non-commuting
-subnormalized set is checked against one stacked kernel.
+subnormalized set is checked against one stacked kernel built from the
+projector P onto the unit eigenspace of F = Σ Eᵢ², which the package never
+forms (it cuts (I - F)X = 0 on the commutant).
 """
 
 import json
@@ -23,6 +25,7 @@ import pytest
 from lueders import matkernel as mk
 from lueders.cli import main
 from lueders.effects import (
+    Normalization,
     build_effect_set,
     generate_commuting_resolution,
     generate_commuting_subnormalized,
@@ -35,7 +38,6 @@ from lueders.operation import (
     commutant,
     fixed_point_space,
     nagy_solve,
-    unit_spectral_projector,
     verify_resolution_fixed_points,
     verify_subnormalized_fixed_points,
 )
@@ -71,6 +73,14 @@ def _reference_orthonormalize(mats, drop_tol=1e-10):
             continue
         basis.append(v / nrm)
     return basis
+
+
+def unit_projector(es):
+    """Projector P onto the eigenvectors of the Hermitized F = Σ Eᵢ² whose eigenvalue lies within 1e-9 of 1."""
+    f = es.sum_of_squares
+    w, u = np.linalg.eigh((f + f.conj().T) / 2)
+    u = u[:, np.abs(w - 1.0) <= 1e-9]
+    return u @ u.conj().T
 
 
 def subspace_projector(v):
@@ -257,7 +267,7 @@ def test_orthonormalize_matches_gram_schmidt(name):
     # The compressed commutant P·{Eᵢ}′ of commuting subnormalized sets.
     es = SUBNORMALIZED_SETS[name]
     d = es.dim
-    p = unit_spectral_projector(es)
+    p = unit_projector(es)
     mats = [p @ mk.unvec(c, d) for c in commutant(es).vectors.T]
     got, want = (
         np.array([mk.vec(b) for b in basis]).reshape(-1, d * d).T
@@ -299,9 +309,7 @@ def test_noncommuting_subnormalized_fixed_points_match_stacked_kernel(name, tmp_
     es, dim = NONCOMMUTING_SUBNORMALIZED[name]
     assert not es.commuting
     eye = np.eye(es.dim)
-    w, v = np.linalg.eigh(es.sum_of_squares)
-    unit = v[:, np.abs(w - 1.0) <= 1e-9]
-    q = eye - unit @ unit.conj().T
+    q = eye - unit_projector(es)
     want = _reference_nullspace(np.vstack(_commutator_blocks(es) + [np.kron(eye, q), np.kron(q.T, eye)]))
     assert want.shape[1] == dim
     _assert_same_kernel(fixed_point_space(LuedersOperation(es)).vectors, want)
@@ -444,11 +452,40 @@ def test_commutant_cut_sees_the_unrestricted_scale(k):
 def test_unit_projector_need_not_commute_with_the_effects():
     # Here the compressed commutant P·{Eᵢ}′ = span{P} is not the fixed-point space {0}.
     es = _d2_unit_projector_not_commuting()
-    p = unit_spectral_projector(es)
+    p = unit_projector(es)
     assert np.abs(es.sum_of_squares - np.diag([1.0, 0.619121])).max() < 1e-6
     assert abs(mk.operator_norm(p @ es.matrices[0] - es.matrices[0] @ p) - 0.3) < 1e-12
     assert len(mk.orthonormalize([p @ mk.unvec(c, 2) for c in commutant(es).vectors.T])) == 1
     assert fixed_point_space(LuedersOperation(es)).dim == 0
+
+
+@pytest.mark.parametrize("eps", [2e-9, 5e-9, 9e-9])
+def test_unit_projector_of_the_unit_deficit_family(eps):
+    # F = diag(1, 1, 1 - ε): the deficit lies beyond the 1e-9 cut.
+    r = np.sqrt(1.0 - eps)
+    es = build_effect_set([np.diag([0.6, 1.0, 0.28 * r]), np.diag([0.8, 0.0, 0.96 * r])])
+    assert np.abs(unit_projector(es) - np.diag([1.0, 1.0, 0.0])).max() < 1e-12
+    assert np.abs(unit_projector(build_effect_set([np.diag([1.0, 0.5])])) - np.diag([1.0, 0.0])).max() < 1e-12
+
+
+def test_unit_projector_without_unit_eigenvalue_is_the_exact_zero_matrix():
+    p = unit_projector(generate_commuting_subnormalized(4, 2, seed=61, unit_fraction=0.0))
+    assert p.dtype == np.complex128 and p.shape == (4, 4)
+    assert not p.any()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(k for k, es in SUBNORMALIZED_SETS.items() if es.normalization is Normalization.SUBNORMALIZED)
+)
+def test_subnormalized_target_matches_the_compressed_commutant(name):
+    # The projector route: with Q = I - P, the target is V·ker[vec(QBⱼ)]ⱼ,
+    # V the commutant basis Bⱼ; its dimension must be the report's.
+    es = SUBNORMALIZED_SETS[name]
+    q = np.eye(es.dim) - unit_projector(es)
+    v = commutant(es).vectors
+    want = _reference_nullspace(np.column_stack([mk.vec(q @ mk.unvec(c, es.dim)) for c in v.T]))
+    rep = verify_subnormalized_fixed_points(es)
+    assert rep.verdict and rep.target_dim == want.shape[1]
 
 
 def _reference_channel_norm(es, probes, seed):

@@ -55,7 +55,7 @@ def _first_coupled_pair_by_scan(left, right, x, block, apart=0):
 
 def _occupied_bins(es, m):
     """Occupied bin projectors at resolution m, built from the grouping of joint blocks."""
-    blocks = joint_eigenspaces(es).blocks
+    blocks = joint_eigenspaces(es)
     groups = _group_by_window([b.values for b in blocks], m)
     return {
         key: mk.sum_terms([blocks[i].basis @ blocks[i].basis.conj().T for i in rows])
