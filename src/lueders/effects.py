@@ -64,14 +64,19 @@ class Effect:
         return self.matrix.shape[0]
 
 
-def validate_effect(m) -> Effect:
-    """Check Hermiticity and spectrum ⊂ [-PSD, 1 + PSD]; clip the dust."""
-    mat = mk.as_complex_matrix(m)
-    w, u = mk.hermitian_eigendecompose(mat)
+def _check_spectrum(w: np.ndarray) -> None:
+    """The spectrum rule of an effect, on ascending eigenvalues w: none below -PSD, none above 1 + PSD."""
     if w[0] < -tol.PSD:
         raise SpectrumBelowZero(f"eigenvalue {w[0]:.6e} below 0")
     if w[-1] > 1 + tol.PSD:
         raise SpectrumAboveOne(f"eigenvalue {w[-1]:.6e} above 1")
+
+
+def validate_effect(m) -> Effect:
+    """Check Hermiticity and spectrum ⊂ [-PSD, 1 + PSD]; clip the dust."""
+    mat = mk.as_complex_matrix(m)
+    w, u = mk.hermitian_eigendecompose(mat)
+    _check_spectrum(w)
     return Effect(mat.copy(), np.clip(w, 0.0, 1.0), u)
 
 

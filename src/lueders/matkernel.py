@@ -7,8 +7,10 @@ small (d ≤ 64), so dense LAPACK routines via numpy are used throughout.
 
 ``nullspace`` costs one SVD, of the triangular QR factor when the matrix is
 tall, and the fixed-point space of a Lüders operation (in ``operation``) one
-Hermitian ``eigh`` of its superoperator.  Both cut their spectrum by the same
-relative rule, ``_kernel_columns``, at ``tolerances.NULLSPACE``.
+real symmetric ``eigh`` of Φ in an orthonormal basis of the Hermitian
+matrices, which has the eigenvalues of the complex superoperator.  Both cut
+their spectrum by the same relative rule, ``_kernel_columns``, at
+``tolerances.NULLSPACE``.
 
 Vectorization is column-stacking: vec(AXB) = (Bᵀ ⊗ A) vec(X).
 """
@@ -148,7 +150,7 @@ def _kernel_columns(dist: np.ndarray, vectors: np.ndarray, scale: float | None =
     if scale is None:
         scale = float(dist.max())
     if scale <= tol.NULLSPACE:
-        return np.eye(vectors.shape[0], dtype=complex)
+        return np.eye(vectors.shape[0], dtype=vectors.dtype)
     # C order: a BLAS product can round differently by the memory layout of its operands.
     return np.ascontiguousarray(vectors[:, dist <= tol.NULLSPACE * scale])
 

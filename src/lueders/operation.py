@@ -1,19 +1,22 @@
 """The Lüders operation Φ(B) = Σᵢ EᵢBEᵢ and its structure theory.
 
-This module computes the operation itself, its matrix as a superoperator on
-vectorized operators, the fixed-point subspace {B : Φ(B) = B}, the commutant
-of the effect set, and the joint eigenspace decomposition of commuting sets.
-On top of those sits one fixed-point check.  For F = Σ Eᵢ² ≤ I,
-I - S = [I - ½(Fᵀ⊗I + I⊗F)] + ½ Σᵢ Cᵢ†Cᵢ with both terms positive
-semidefinite (S the superoperator, Cᵢ = Eᵢᵀ⊗I - I⊗Eᵢ the matrix of
-B ↦ BEᵢ - EᵢB), so the fixed-point space is {X ∈ {Eᵢ}′ : (I - F)X = 0},
-whether or not the effects commute: a commutant element commutes with F, so
-(I - F)X = 0 says X lives on the eigenvalue-1 eigenspace of F.  The
-commutant itself is solved on the eigenblocks of one random element of the
-algebra and never stacks the Cᵢ.  Reports carry the label "3.1" for
-resolutions (F = I: the target is the commutant) and "3.2" for strictly
-subnormalized sets.  Only `fixed_point_space` builds S; `nagy_solve` applies
-Φ to d×d matrices.
+This module computes the operation itself, the fixed-point subspace
+{B : Φ(B) = B}, the commutant of the effect set, and the joint eigenspace
+decomposition of commuting sets.  On top of those sits one fixed-point check.
+For F = Σ Eᵢ² ≤ I, I - S = [I - ½(Fᵀ⊗I + I⊗F)] + ½ Σᵢ Cᵢ†Cᵢ with both terms
+positive semidefinite (S = Σ Eᵢᵀ⊗Eᵢ the superoperator, Cᵢ = Eᵢᵀ⊗I - I⊗Eᵢ the
+matrix of B ↦ BEᵢ - EᵢB), so the fixed-point space is
+{X ∈ {Eᵢ}′ : (I - F)X = 0}, whether or not the effects commute: a commutant
+element commutes with F, so (I - F)X = 0 says X lives on the eigenvalue-1
+eigenspace of F.  The commutant itself is solved on the eigenblocks of one
+random element of the algebra and never stacks the Cᵢ.  Reports carry the
+label "3.1" for resolutions (F = I: the target is the commutant) and "3.2"
+for strictly subnormalized sets.
+
+No route here forms the complex d²×d² matrix S: `fixed_point_space` takes one
+real symmetric ``eigh`` of Φ on Herm(d), which Φ maps into itself because
+Φ(X)† = Φ(X†), and `nagy_solve` applies Φ to d×d matrices.
+`LuedersOperation.superoperator` builds S as the dense reference.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import matkernel as mk, tolerances as tol
-from .effects import EffectSet, Normalization, validate_effect
+from .effects import EffectSet, Normalization, _check_spectrum
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -72,7 +75,12 @@ class LuedersOperation:
 
     @property
     def superoperator(self) -> np.ndarray:
-        """Matrix of the operation under column-stacking: Σᵢ Eᵢᵀ ⊗ Eᵢ, built on each read."""
+        """Matrix of the operation under column-stacking: Σᵢ Eᵢᵀ ⊗ Eᵢ, built on each read.
+
+        The dense complex reference: no route of the package reads it, and the
+        tests hold `fixed_point_space` (its real Hermitian-coordinate form) and
+        `nagy_solve` (conjugate gradients on Φ) against it.
+        """
         return mk.sum_terms(np.kron(e.T, e) for e in self.effect_set.matrices)
 
 
@@ -86,15 +94,42 @@ def _phi(matrices, b: np.ndarray) -> np.ndarray:
 
 
 def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
-    """Orthonormal basis of {B : Φ(B) = B}: the eigenvalue-1 cluster of the superoperator.
+    """Orthonormal basis of {B : Φ(B) = B}: the eigenvalue-1 cluster of Φ in Hermitian coordinates.
 
-    The superoperator Σ conj(Eᵢ)⊗Eᵢ is Hermitian, so one ``eigh`` of its
-    Hermitized matrix gives the singular values |w - 1| of S - I with their
-    vectors, and the relative cut of `matkernel.nullspace` applies unchanged.
+    The Eᵢ are Hermitian, so Φ(X)† = Φ(X†) and Fix = (Fix ∩ Herm) ⊕ i·(Fix ∩ Herm).
+    A real d×d matrix Y stands for the Hermitian X = sym(Y) + i·antisym(Y).
+    That map is an isometry onto Herm(d): it sends the matrix units to E_pp
+    and (E_pq + E_qp)/2 ± i(E_pq - E_qp)/2, a rotation of the orthonormal
+    basis {E_pp, (E_pq + E_qp)/√2, i(E_pq - E_qp)/√2}.  In these coordinates Φ
+    is the real symmetric d²×d² matrix R = Re S + (Im S)·K, with S = Σ Eᵢᵀ⊗Eᵢ
+    the superoperator and K the swap vec(Y) ↦ vec(Yᵀ), and R has exactly the
+    eigenvalues of S.  The entries of S are a reshuffle of the one product
+    T = Σᵢ vec(Eᵢ)vec(Eᵢ)ᵀ, so R is read off T and no Kronecker product is
+    formed.  One real ``eigh`` of R gives the singular values |w - 1| of
+    R - I with their vectors, the relative cut of `matkernel.nullspace`
+    applies unchanged, and each kept Y maps back to vec(X).
+
+    The effects enter through their Hermitian parts (E + E†)/2: the Hermitian
+    part of S differs from the superoperator of those only by Σ Nᵢᵀ⊗Nᵢ, Nᵢ the
+    non-Hermitian parts, which `validate_effect` bounds by HERMITIAN·‖Eᵢ‖_F.
     """
-    s = op.superoperator
-    w, v = np.linalg.eigh((s + s.conj().T) / 2)
-    return mk.OperatorSubspace(op.dim, mk._kernel_columns(np.abs(w - 1.0), v))
+    d = op.dim
+    e = np.array(op.effect_set.matrices)
+    e = ((e + e.conj().transpose(0, 2, 1)) / 2).reshape(-1, d * d)
+    # Positions (i, j) in row-major order.  t[i, k, l, j] = Σ E[i, k]·E[l, j] is S at row (i, j),
+    # column (k, l), and R there is Re t[i, k, l, j] + Im t[i, l, k, j].
+    t = (e.T @ e).reshape(d, d, d, d)
+    r = np.empty((d, d, d, d))
+    np.add(t.real.transpose(0, 3, 1, 2), t.imag.transpose(0, 3, 2, 1), out=r)
+    del t
+    w, v = np.linalg.eigh(r.reshape(d * d, d * d))
+    y = mk._kernel_columns(np.abs(w - 1.0), v).reshape(d, d, -1)
+    # x[j, i] = X[i, j], so x.reshape(d², k) holds the column-stacked vec(X)
+    yt = y.transpose(1, 0, 2)
+    x = np.empty(y.shape, dtype=complex)
+    x.real = (yt + y) / 2
+    x.imag = (yt - y) / 2
+    return mk.OperatorSubspace(d, x.reshape(d * d, -1))
 
 
 def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
@@ -237,7 +272,8 @@ def _verify_fixed_points(effect_set: EffectSet) -> TheoremReport:
     most CLUSTER.  For a commuting set those singular values are the deficits
     |1 - w| of the eigenvalues w of F, so this is the cut with which
     `build_effect_set` tells resolutions apart.  The route reads F and the
-    commutant only, never the superoperator behind `fixed_point_space`.
+    commutant only, never the real matrix of Φ on Herm(d) whose ``eigh`` gives
+    `fixed_point_space`, so the two sides share no computation.
     """
     fixed = fixed_point_space(LuedersOperation(effect_set))
     target = commutant(effect_set)
@@ -335,8 +371,14 @@ class NagySolution:
         }
 
 
-# What `validate_effect` raises for a finite square matrix that is no effect.
+# What `_check_effect` raises for a finite square matrix that is no effect.
 _NOT_AN_EFFECT = (NotHermitian, SpectrumBelowZero, SpectrumAboveOne)
+
+
+def _check_effect(mat: np.ndarray) -> None:
+    """The rule of `validate_effect` for a finite square matrix, from its eigenvalues alone."""
+    mk._require_hermitian(mat)
+    _check_spectrum(np.linalg.eigvalsh(mat))
 
 
 def nagy_solve(op: LuedersOperation) -> NagySolution:
@@ -366,7 +408,7 @@ def nagy_solve(op: LuedersOperation) -> NagySolution:
     residual = mk.frobenius_norm(op.apply(x) + x - np.eye(d))
     half_distance = mk.frobenius_norm(x - np.eye(d) / 2)
     try:
-        validate_effect(x)
+        _check_effect(x)
         is_effect = True
     except _NOT_AN_EFFECT:
         is_effect = False
@@ -377,7 +419,7 @@ def is_undisturbed_state(op: LuedersOperation, rho) -> tuple[bool, bool]:
     """Return (is_fixed, commutes_with_all) for a density matrix.
 
     is_fixed holds when ‖Φ(ρ) - ρ‖_F ≤ COMMUTATOR; commutes_with_all when
-    every ‖[ρ, Eᵢ]‖ ≤ COMMUTATOR.  The state must pass `validate_effect`
+    every ‖[ρ, Eᵢ]‖ ≤ COMMUTATOR.  The state must pass the rule of `validate_effect`
     (Hermitian within HERMITIAN·‖ρ‖_F, spectrum within [-PSD, 1 + PSD]) and
     satisfy |tr ρ - 1| ≤ COMMUTATOR; each failure raises NotDensityMatrix.
     For Lüders operations of resolutions the two verdicts agree.
@@ -386,7 +428,7 @@ def is_undisturbed_state(op: LuedersOperation, rho) -> tuple[bool, bool]:
     if mat.shape != (op.dim, op.dim):
         raise DimensionMismatch(f"state shape {mat.shape} does not match dimension {op.dim}")
     try:
-        validate_effect(mat)
+        _check_effect(mat)
     except _NOT_AN_EFFECT as exc:
         raise NotDensityMatrix(f"state fails the effect check: {exc}") from exc
     if abs(float(np.real(np.trace(mat))) - 1.0) > tol.COMMUTATOR:

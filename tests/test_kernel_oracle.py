@@ -1,16 +1,21 @@
 """The factorized kernels against a dense full-SVD / lstsq reference.
 
 `nullspace` takes one SVD of a QR-reduced matrix, `fixed_point_space` one
-``eigh``, `commutant` a QR + SVD restricted to the eigenblocks of one random
-element H = Σ cᵢEᵢ, `nagy_solve` conjugate gradients on Φ applied to d×d
-matrices, `subspaces_equal` two residuals of d²×k column bases,
-`orthonormalize` one thin SVD and `channel_norm` one batched draw, Φ and SVD
-over all its probes.  The references below are the direct routes they
-replaced: a full SVD of the unreduced matrix for every kernel (for the
-commutant, of the dense (n·d²)×d² commutator stack), ``lstsq`` on the dense
-superoperator for the Φ(X) + X = I system, the d²×d² projectors VV† for
-subspace distances, modified Gram-Schmidt for orthonormal bases and a
-per-probe loop for the channel norm.  They live here, not in the package, so
+real symmetric ``eigh`` of Φ in an orthonormal basis of the Hermitian
+matrices (Φ(X)† = Φ(X†) for Hermitian effects, so that real d²×d² matrix has
+the eigenvalues of the complex superoperator S = Σ Eᵢᵀ⊗Eᵢ, and Fix(Φ) is the
+complex span of its Hermitian fixed points), `commutant` a QR + SVD
+restricted to the eigenblocks of one random element H = Σ cᵢEᵢ, `nagy_solve`
+conjugate gradients on Φ applied to d×d matrices, `subspaces_equal` two
+residuals of d²×k column bases, `orthonormalize` one thin SVD and
+`channel_norm` one batched draw, Φ and SVD over all its probes.  The
+references below are the direct routes they replaced: a full SVD of the
+unreduced matrix for every kernel (for the fixed points, of the complex
+S - I; for the commutant, of the dense (n·d²)×d² commutator stack),
+``lstsq`` on the dense superoperator for the Φ(X) + X = I system, the d²×d²
+projectors VV† for subspace distances, modified Gram-Schmidt for orthonormal
+bases and a per-probe loop for the channel norm.  They live here, not in the
+package (which keeps only `LuedersOperation.superoperator` to build S), so
 they stay independent oracles.  The fixed-point target of a non-commuting
 subnormalized set is checked against one stacked kernel built from the
 projector P onto the unit eigenspace of F = Σ Eᵢ², which the package never
@@ -157,6 +162,96 @@ def test_fixed_point_space_matches_reference(name):
     d = op.dim
     want = _reference_nullspace(op.superoperator - np.eye(d * d))
     _assert_same_kernel(fixed_point_space(op).vectors, want)
+
+
+def _assert_fixed_points_match_superoperator(es):
+    """`fixed_point_space` against the kernel of the Hermitian part of S - I, by one full SVD.
+
+    The Hermitian part ½(S + S†) is the superoperator of the Hermitian parts
+    (Eᵢ + Eᵢ†)/2 up to Σ Nᵢᵀ⊗Nᵢ, Nᵢ the non-Hermitian parts, and S itself for
+    Hermitian effects.  Rounding of size ε moves a kept eigenspace by about
+    ε/gap (Davis & Kahan), gap the smallest singular value beyond the cut, so
+    no two routes can agree closer than that; with a clear gap they agree to
+    1e-12.  The returned basis matrices must be Hermitian.
+    """
+    d = es.dim
+    s = LuedersOperation(es).superoperator
+    h = (s + s.conj().T) / 2 - np.eye(d * d)
+    want = _reference_nullspace(h)
+    got = fixed_point_space(LuedersOperation(es)).vectors
+    assert got.shape == want.shape
+    assert np.abs(got.conj().T @ got - np.eye(got.shape[1])).max(initial=0.0) <= 1e-12
+    for c in got.T:
+        x = mk.unvec(c, d)
+        assert np.abs(x - x.conj().T).max() <= 1e-14
+    k = want.shape[1]
+    gap = np.linalg.svd(h, compute_uv=False)[-k - 1] if k < d * d else np.inf
+    assert _projector_distance(got, want) <= max(1e-12, 16 * np.finfo(float).eps / gap)
+
+
+def _unit_deficit_set(eps, q=np.eye(3)):
+    """E₁ = q·diag(0.6, 1, 0.28r)·q†, E₂ = q·diag(0.8, 0, 0.96r)·q†, r = √(1 - ε): F = q·diag(1, 1, 1 - ε)·q†."""
+    r = np.sqrt(1.0 - eps)
+    mats = [(q * t) @ q.conj().T for t in ([0.6, 1.0, 0.28 * r], [0.8, 0.0, 0.96 * r])]
+    return build_effect_set([(m + m.conj().T) / 2 for m in mats])
+
+
+def _rotation():
+    """The seeded unitary of the rotated unit-deficit family."""
+    g = philox_generator(3).standard_normal((2, 3, 3))
+    return np.linalg.qr(g[0] + 1j * g[1])[0]
+
+
+def _with_non_hermitian_part(es, seed, share=0.99):
+    """The effects plus anti-Hermitian Nᵢ with ‖Eᵢ' - Eᵢ'†‖_F = share·HERMITIAN·‖Eᵢ‖_F, just under the check."""
+    mats = []
+    for i, e in enumerate(es.matrices):
+        g = _rand(es.dim, es.dim, seed + i)
+        n = (g - g.conj().T) / 2
+        mats.append(e + n * (share * 1e-10 * np.linalg.norm(e) / (2 * np.linalg.norm(n))))
+    out = build_effect_set(mats)
+    assert all(mk.hermitian_defect(e) > 0.9e-10 * np.linalg.norm(e) for e in out.matrices)
+    return out
+
+
+UNIT_DEFICIT_EPS = (0.0, 1e-12, 5e-11, 2e-9, 5e-9, 9e-9, 1e-8, 1e-7, 1e-6)
+NON_HERMITIAN_SETS = ("cr-d4-n2", "cs-d6-n3", "nc-d4-n3", "nc-d8-n5")
+
+
+@pytest.mark.parametrize("k", range(6, 19))
+def test_fixed_points_of_near_commuting_sets_match_superoperator(k):
+    # The δ-sweep δ = 1e-3 … 1e-9.
+    _assert_fixed_points_match_superoperator(build_effect_set(_near_commuting(10.0 ** (-k / 2), seed=k)))
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize("eps", UNIT_DEFICIT_EPS)
+def test_fixed_points_of_unit_deficit_families_match_superoperator(eps, rotated):
+    _assert_fixed_points_match_superoperator(_unit_deficit_set(eps, _rotation() if rotated else np.eye(3)))
+
+
+@pytest.mark.parametrize("name", NON_HERMITIAN_SETS)
+def test_fixed_points_of_nearly_hermitian_effects_match_superoperator(name):
+    _assert_fixed_points_match_superoperator(_with_non_hermitian_part(EFFECT_SETS[name], seed=len(name)))
+
+
+@pytest.mark.parametrize(
+    "mats,dim",
+    [
+        ([np.eye(1)], 1),
+        ([0.6 * np.eye(1), 0.8 * np.eye(1)], 1),
+        ([0.5 * np.eye(1)], 0),
+        ([np.eye(3)], 9),
+        ([np.zeros((1, 1))], 0),
+        ([np.zeros((3, 3))], 0),
+    ],
+    ids=["d1-identity", "d1-resolution", "d1-subnormalized", "identity", "d1-zero", "zero"],
+)
+def test_fixed_points_of_edge_cases_match_superoperator(mats, dim):
+    # E = I fixes all of B(H); the zero effect fixes nothing.
+    es = build_effect_set(mats)
+    assert fixed_point_space(LuedersOperation(es)).dim == dim
+    _assert_fixed_points_match_superoperator(es)
 
 
 def _subnormalized_sets():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,30 @@ def test_fixed_space_members_are_fixed():
     for c in fixed_point_space(op).vectors.T:
         b = mk.unvec(c, 6)
         assert np.linalg.norm(op.apply(b) - b) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: generate_commuting_resolution(16, 3, seed=16),
+        lambda: generate_commuting_subnormalized(16, 3, seed=16, unit_fraction=0.5),
+        lambda: generate_noncommuting_resolution(16, 3, seed=16),
+    ],
+    ids=["cr", "cs", "nc"],
+)
+def test_fixed_space_peak_memory_at_d16(generate):
+    # At most three complex d²×d² arrays (3·16·d⁴ bytes) are alive at once;
+    # the Kronecker sum of the complex superoperator route held five.
+    op = LuedersOperation(generate())
+    d = op.dim
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fixed_point_space(op)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * d**4
 
 
 def test_commutant_members_commute():
