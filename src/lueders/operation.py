@@ -21,7 +21,7 @@ real symmetric ``eigh`` of Φ on Herm(d), which Φ maps into itself because
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,7 +246,7 @@ def joint_eigenspaces(effect_set: EffectSet) -> tuple[JointBlock, ...]:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Outcome of a fixed-point space comparison.
+    """Plain-data outcome of a fixed-point space comparison.
 
     theorem is the wire label of the claim checked: "3.1" for a resolution
     (target {Eᵢ}′), "3.2" for any strictly subnormalized set (target
@@ -258,9 +258,6 @@ class TheoremReport:
     target_dim: int
     distance: float
     verdict: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _verify_fixed_points(effect_set: EffectSet) -> TheoremReport:
@@ -356,19 +353,12 @@ def channel_norm(op: LuedersOperation, probes: int = 200, seed: int = 0) -> Chan
 
 @dataclass(frozen=True)
 class NagySolution:
-    """Solution of Φ(X) + X = I with its diagnostics."""
+    """Plain-data solution of Φ(X) + X = I with its diagnostics."""
 
     solution: np.ndarray
     residual: float
     half_identity_distance: float
     is_effect: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "half_identity_distance": self.half_identity_distance,
-            "is_effect": self.is_effect,
-        }
 
 
 # What `_check_effect` raises for a finite square matrix that is no effect.

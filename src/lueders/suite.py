@@ -21,7 +21,7 @@ C10  kernel health: eigendecomposition reconstruction and window partitions
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -124,30 +124,24 @@ QUICK = Scale(
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """Plain-data outcome of one criterion; details keep their insertion order."""
+
     id: str
     description: str
     passed: bool
     details: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """Plain-data outcome of one run, criteria in C1…C10 order."""
+
     scale: str
     results: tuple[CriterionResult, ...]
 
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def to_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "criteria": [r.to_dict() for r in self.results],
-            "all_passed": self.all_passed,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ M_MAX = 2**20
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    """A separated window pair of one effect that the operator couples.
+    """Plain data: a separated window pair of one effect that the operator couples.
 
     At resolution m the operator has a block of norm block_norm between the
     windows with indices k and j, |k - j| ≥ 2, so the windows enclose spectral
@@ -66,15 +66,6 @@ class WitnessCertificate:
     block_norm: float
     left_projector: np.ndarray
     right_projector: np.ndarray
-
-    def to_dict(self, full: bool = False) -> dict:
-        out = {"m": self.m, "k": self.k, "j": self.j, "block_norm": self.block_norm}
-        if full:
-            from .serialize import matrix_to_lists
-
-            out["left_projector"] = matrix_to_lists(self.left_projector)
-            out["right_projector"] = matrix_to_lists(self.right_projector)
-        return out
 
 
 def witness_search(effect: Effect, b) -> WitnessCertificate:

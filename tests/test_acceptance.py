@@ -5,6 +5,7 @@ Each test prints a single PASS/FAIL line with the criterion's diagnostics so
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -16,4 +17,4 @@ def test_criterion(cid):
     result = run_criterion(cid, FULL)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.id}: {result.description} | {json.dumps(result.details)}")
-    assert result.passed, json.dumps(result.to_dict(), indent=2)
+    assert result.passed, json.dumps(asdict(result), indent=2)

@@ -55,6 +55,7 @@ def test_gen_validate_round_trip(tmp_path, capsys):
     assert report["valid"] and report["commuting"]
     assert report["normalization"] == "resolution"
     assert report["sum_of_squares"]["frobenius_distance_to_identity"] < 1e-10
+    assert list(report["sum_of_squares"]) == ["frobenius_distance_to_identity", "max_eigenvalue"]
 
 
 @pytest.mark.parametrize("flavor", ["commuting-resolution", "commuting-subnormalized", "noncommuting-resolution"])
@@ -216,7 +217,10 @@ def test_witness_finds_pair_and_handles_commuting(tmp_path, capsys):
     diag_path = tmp_path / "diag.json"
     dump_operator(diag_path, np.diag([3.0, -1.0]))
     assert main(["witness", es_path, str(diag_path)]) == 2
-    assert json.loads(_out(capsys))["result"] == "commutes-no-witness"
+    assert _out(capsys) == (
+        '{\n  "result": "commutes-no-witness",\n'
+        '  "detail": "commutator norm 0.000e+00 within tolerance"\n}\n'
+    )
 
     assert main(["witness", es_path, str(op_path), "--index", "3"]) == 3
     capsys.readouterr()
@@ -384,11 +388,82 @@ def test_nagy_resolution(tmp_path, capsys):
     assert np.abs(np.array(full["solution"])[:, :, 0] - 0.5 * np.eye(2)).max() < 1e-10
 
 
+SUITE_DETAIL_KEYS = {
+    "C1": ["sets", "max_distance", "failures"],
+    "C2": ["sets", "max_distance", "zero_unit_fraction_sets", "failures"],
+    "C3": ["sets", "max_distance", "min_commutator_norm", "failures"],
+    "C4": ["sets", "max_half_identity_distance", "max_residual", "failures"],
+    "C5": ["sets", "max_probe_excess", "failures"],
+    "C6": ["cases", "max_oracle_gap", "commuting_detected", "failures"],
+    "C7": ["cases", "min_margin", "failures", "bound_1_2_100", "bound_1_2_100_printed", "limit_gap_at_p_1e6"],
+    "C8": ["sets", "failures"],
+    "C9": ["trials", "disagreements"],
+    "C10": ["eig_trials", "max_relative_reconstruction", "window_effects", "max_partition_defect"],
+}
+
+
 def test_suite_quick(capsys):
     assert main(["suite", "--quick"]) == 0
     rep = json.loads(_out(capsys))
     assert rep["all_passed"] is True
-    assert len(rep["criteria"]) == 10
+    assert [c["id"] for c in rep["criteria"]] == list(SUITE_DETAIL_KEYS)
+    for c in rep["criteria"]:
+        assert list(c) == ["id", "description", "passed", "details"]
+        assert list(c["details"]) == SUITE_DETAIL_KEYS[c["id"]]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Input files by the names the REPORTS argv use."""
+    paths = {name: tmp_path / f"{name}.json" for name in ("noncommuting", "violation", "sigma-x", "diagonal")}
+    dump_effect_set(paths["noncommuting"], generate_noncommuting_resolution(3, 3, seed=2))
+    paths["violation"].write_text('{"d": 1, "n": 1, "effects": [[[[1.5, 0]]]]}')
+    dump_operator(paths["sigma-x"], SIGMA_X)
+    dump_operator(paths["diagonal"], np.diag([3.0, -1.0]))
+    return {"pinching": _pinching_file(tmp_path), **{name: str(p) for name, p in paths.items()}}
+
+
+_CLASSIFICATION = ["d", "n", "commuting", "normalization", "max_pairwise_commutator_norm"]
+_ANALYZE = [*_CLASSIFICATION, "channel_norm", "fixed_dim", "commutant_dim"]
+_NAGY = ["d", "residual", "half_identity_distance", "is_effect"]
+_WITNESS = ["m", "k", "j", "block_norm"]
+
+# Every kind of report: argv (input names resolved by `inputs`), exit code,
+# and the top-level keys of the JSON body in order (None for a text body).
+REPORTS = {
+    "gen": (["gen", "--flavor", "commuting-resolution", "--d", "3", "--n", "2"], 0, None),
+    "bound": (["bound", "--n", "1", "--m", "2", "--p", "100"], 0, None),
+    "validate": (["validate", "pinching"], 0, ["valid", *_CLASSIFICATION, "effect_spectra", "sum_of_squares"]),
+    "validate-violation": (["validate", "violation"], 1, ["valid", "violation", "detail"]),
+    "analyze-commuting": (["analyze", "pinching"], 0, [*_ANALYZE, "joint_block_dims"]),
+    "analyze-noncommuting": (["analyze", "noncommuting"], 0, _ANALYZE),
+    "verify": (["verify", "pinching"], 0, ["theorem", "fixed_dim", "target_dim", "distance", "verdict"]),
+    "nagy": (["nagy", "pinching"], 0, _NAGY),
+    "nagy-full": (["nagy", "pinching", "--full"], 0, [*_NAGY, "solution"]),
+    "witness": (["witness", "pinching", "sigma-x"], 0, _WITNESS),
+    "witness-full": (["witness", "pinching", "sigma-x", "--full"], 0, [*_WITNESS, "left_projector", "right_projector"]),
+    "no-witness": (["witness", "pinching", "diagonal"], 2, ["result", "detail"]),
+    "suite-quick": (["suite", "--quick"], 0, ["scale", "criteria", "all_passed"]),
+}
+
+
+@pytest.mark.parametrize("name", [name for name, (_, _, keys) in REPORTS.items() if keys is not None])
+def test_report_keys_and_their_order(name, inputs, capsys):
+    argv, code, keys = REPORTS[name]
+    assert main([inputs.get(a, a) for a in argv]) == code
+    assert list(json.loads(_out(capsys))) == keys
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_out_receives_exactly_the_printed_bytes(name, inputs, tmp_path, capsys):
+    argv, code, _ = REPORTS[name]
+    argv = [inputs.get(a, a) for a in argv]
+    assert main(argv) == code
+    printed = _out(capsys)
+    out = tmp_path / "report.out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == printed.encode("utf-8")
 
 
 def test_console_entry_point(tmp_path):

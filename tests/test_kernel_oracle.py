@@ -36,6 +36,7 @@ from lueders.effects import (
     generate_commuting_subnormalized,
     generate_noncommuting_resolution,
 )
+from lueders.errors import LuedersError
 from lueders.operation import (
     ChannelNormCertificate,
     LuedersOperation,
@@ -522,6 +523,24 @@ def test_commutant_of_near_commuting_sets_matches_reference(k):
     delta = 10.0 ** (-k / 2)
     es = build_effect_set(_near_commuting(delta, seed=k))
     _assert_same_kernel(commutant(es).vectors, _dense_commutant(es), _near_commuting_distance(delta))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the Fix rank cut gives verdict false on these resolutions")
+def test_verify_near_commuting_resolutions():
+    # The δ-sweep δ = 1e-3 … 1e-9 at the verifier: every set is a valid
+    # resolution, so each δ must give verdict true or a typed error.  Today
+    # δ ≥ 3.2e-5 gives dims 1/1 at distance 1.9e-8 to 8.4e-6, and δ ≤ 1e-5
+    # dims 4/1 at distance 1.73.
+    wrong = []
+    for k in range(6, 19):
+        delta = 10.0 ** (-k / 2)
+        try:
+            rep = verify_resolution_fixed_points(build_effect_set(_near_commuting(delta, seed=k)))
+        except LuedersError:
+            continue
+        if not rep.verdict:
+            wrong.append((delta, rep.fixed_dim, rep.target_dim, rep.distance))
+    assert wrong == []
 
 
 @pytest.mark.parametrize("k", range(3, 9))

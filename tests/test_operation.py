@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ def test_verify_resolution_on_pinching():
     assert rep.theorem == "3.1"
     assert rep.verdict and rep.fixed_dim == rep.target_dim == 2
     assert rep.distance < 1e-9
-    assert rep.to_dict() == {
+    assert asdict(rep) == {
         "theorem": "3.1",
         "fixed_dim": 2,
         "target_dim": 2,

@@ -19,8 +19,8 @@ EMPTY = dataclasses.replace(
 
 def test_empty_pools_give_standard_json():
     report = run_suite(EMPTY)
-    text = json.dumps(report.to_dict(), allow_nan=False)
-    details = {c["id"]: c["details"] for c in json.loads(text)["criteria"]}
+    text = json.dumps([dataclasses.asdict(r) for r in report.results], allow_nan=False)
+    details = {c["id"]: c["details"] for c in json.loads(text)}
     assert details["C3"]["sets"] == 0 and details["C3"]["min_commutator_norm"] is None
     assert details["C5"]["sets"] == 0 and details["C5"]["max_probe_excess"] is None
     assert details["C7"]["cases"] == 0 and details["C7"]["min_margin"] is None
