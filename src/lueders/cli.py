@@ -32,7 +32,6 @@ from .errors import (
     InvalidArgument,
     LuedersError,
     NotHermitian,
-    NotPositive,
     NotSquare,
     NotSubnormalized,
     SpectrumAboveOne,
@@ -57,7 +56,6 @@ _FLAVORS = ("commuting-resolution", "commuting-subnormalized", "noncommuting-res
 _VALIDATION_ERRORS = (
     NotSquare,
     NotHermitian,
-    NotPositive,
     SpectrumBelowZero,
     SpectrumAboveOne,
     NotSubnormalized,
@@ -99,15 +97,19 @@ def _classification(es) -> dict:
 
 
 def _cmd_gen(args):
-    # The generators check sizes, seed and unit fraction; the CLI adds only the file-format cap.
+    # The generators check sizes, seed and unit fraction; the CLI adds the file-format cap
+    # and rejects --unit-fraction for the flavors that take none.
     if max(args.d, args.n) > serialize.DIM_LIMIT:
         raise InvalidArgument(f"d and n must be at most {serialize.DIM_LIMIT}, got {args.d} and {args.n}")
+    if args.unit_fraction is not None and args.flavor != "commuting-subnormalized":
+        raise InvalidArgument(f"--unit-fraction applies to commuting-subnormalized only, not {args.flavor}")
     meta = {"flavor": args.flavor, "seed": args.seed}
     if args.flavor == "commuting-resolution":
         es = generate_commuting_resolution(args.d, args.n, args.seed)
     elif args.flavor == "commuting-subnormalized":
-        es = generate_commuting_subnormalized(args.d, args.n, args.seed, args.unit_fraction)
-        meta["unit_fraction"] = args.unit_fraction
+        unit_fraction = 0.0 if args.unit_fraction is None else args.unit_fraction
+        es = generate_commuting_subnormalized(args.d, args.n, args.seed, unit_fraction)
+        meta["unit_fraction"] = unit_fraction
     else:
         es = generate_noncommuting_resolution(args.d, args.n, args.seed)
     return serialize.effect_set_to_json(es, meta), 0
@@ -214,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="Hilbert space dimension (1..64)")
     p.add_argument("--n", type=int, required=True, help="number of effects (1..64)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unit-fraction", type=float, default=0.0, dest="unit_fraction",
-                   help="fraction of the basis kept at radius 1 (subnormalized flavor only)")
+    p.add_argument("--unit-fraction", type=float, default=None, dest="unit_fraction",
+                   help="fraction of the basis kept at radius 1 (commuting-subnormalized only; default 0)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("validate", parents=with_input, help="validate an effect-set file", description="Check the effect invariants and report the classification.")

@@ -23,6 +23,7 @@ from . import matkernel as mk, tolerances as tol
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
+    NotHermitian,
     NotSubnormalized,
     SpectrumAboveOne,
     SpectrumBelowZero,
@@ -70,6 +71,16 @@ def _check_spectrum(w: np.ndarray) -> None:
         raise SpectrumBelowZero(f"eigenvalue {w[0]:.6e} below 0")
     if w[-1] > 1 + tol.PSD:
         raise SpectrumAboveOne(f"eigenvalue {w[-1]:.6e} above 1")
+
+
+# What `_check_effect` raises for a finite square matrix that is no effect.
+_NOT_AN_EFFECT = (NotHermitian, SpectrumBelowZero, SpectrumAboveOne)
+
+
+def _check_effect(mat: np.ndarray) -> None:
+    """The rule of `validate_effect` for a finite square matrix, from its eigenvalues alone."""
+    mk._require_hermitian(mat)
+    _check_spectrum(np.linalg.eigvalsh(mat))
 
 
 def validate_effect(m) -> Effect:
@@ -271,7 +282,8 @@ def generate_noncommuting_resolution(d: int, n: int, seed: int) -> EffectSet:
     """Non-commuting resolution: n-1 independent random effects, one closing effect.
 
     The first n-1 effects are scaled so their squares sum to at most 0.95·I;
-    the last effect is the PSD square root of the remainder.  Draws whose
+    the last effect is the PSD square root of the remainder, which is ⪰ 0.05·I
+    by construction, so only rounding dust is clipped.  Draws whose
     largest pairwise commutator norm falls below 0.01 are regenerated from the
     next sub-stream, so the result is deterministically non-commuting.
     """
@@ -292,7 +304,8 @@ def generate_noncommuting_resolution(d: int, n: int, seed: int) -> EffectSet:
             continue
         c = math.sqrt(0.95 / mu)
         scaled = [c * b for b in base]
-        closer = mk.sqrt_psd(np.eye(d) - mk.sum_terms([e @ e for e in scaled]))
+        w, u = np.linalg.eigh(np.eye(d) - mk.sum_terms([e @ e for e in scaled]))
+        closer = _hermitize((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T)
         es = build_effect_set(scaled + [closer])
         if es.max_pairwise_commutator_norm >= 0.01:
             return es

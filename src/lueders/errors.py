@@ -21,10 +21,6 @@ class NoConvergence(LuedersError):
     """The eigensolver failed to converge."""
 
 
-class NotPositive(LuedersError):
-    """An eigenvalue sits below the negative-dust tolerance."""
-
-
 class DimensionMismatch(LuedersError):
     """Operands live on Hilbert spaces of different dimension."""
 

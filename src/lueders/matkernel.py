@@ -1,8 +1,8 @@
 """Dense complex-matrix kernel shared by the rest of the package.
 
-Hermitian eigendecomposition, operator norms, numerical nullspaces, PSD square
-roots, and orthonormal operator subspaces under the Hilbert-Schmidt inner
-product tr(A†B), held and compared as d²×k column bases.  Dimensions stay
+Hermitian eigendecomposition, operator norms, numerical nullspaces, and
+orthonormal operator subspaces under the Hilbert-Schmidt inner product
+tr(A†B), held and compared as d²×k column bases.  Dimensions stay
 small (d ≤ 64), so dense LAPACK routines via numpy are used throughout.
 
 ``nullspace`` costs one SVD, of the triangular QR factor when the matrix is
@@ -24,20 +24,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NoConvergence, NotHermitian, NotPositive, NotSquare
+from .errors import DimensionMismatch, InvalidArgument, NoConvergence, NotHermitian, NotSquare
 from . import tolerances as tol
 
 __all__ = [
     "OperatorSubspace",
     "SubspaceComparison",
     "as_complex_matrix",
-    "frobenius_norm",
     "hermitian_defect",
     "hermitian_eigendecompose",
     "nullspace",
     "operator_norm",
     "orthonormalize",
-    "sqrt_psd",
     "subspaces_equal",
     "sum_terms",
     "unvec",
@@ -58,10 +56,6 @@ def as_complex_matrix(m) -> np.ndarray:
 def _require_square(a: np.ndarray) -> None:
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -128,15 +122,6 @@ def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-
-
-def sqrt_psd(m) -> np.ndarray:
-    """Unique PSD square root; eigenvalue dust above -PSD is clipped to 0."""
-    w, u = hermitian_eigendecompose(m)
-    if w[0] < -tol.PSD:
-        raise NotPositive(f"eigenvalue {w[0]:.3e} below -{tol.PSD:g}")
-    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    return (root + root.conj().T) / 2
 
 
 def _kernel_columns(dist: np.ndarray, vectors: np.ndarray, scale: float | None = None) -> np.ndarray:

@@ -26,17 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel as mk, tolerances as tol
-from .effects import EffectSet, Normalization, _check_spectrum
+from .effects import _NOT_AN_EFFECT, EffectSet, Normalization, _check_effect
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
     IsResolution,
     NotCommuting,
     NotDensityMatrix,
-    NotHermitian,
     NotResolution,
-    SpectrumAboveOne,
-    SpectrumBelowZero,
 )
 from .rng import philox_generator
 
@@ -361,16 +358,6 @@ class NagySolution:
     is_effect: bool
 
 
-# What `_check_effect` raises for a finite square matrix that is no effect.
-_NOT_AN_EFFECT = (NotHermitian, SpectrumBelowZero, SpectrumAboveOne)
-
-
-def _check_effect(mat: np.ndarray) -> None:
-    """The rule of `validate_effect` for a finite square matrix, from its eigenvalues alone."""
-    mk._require_hermitian(mat)
-    _check_spectrum(np.linalg.eigvalsh(mat))
-
-
 def nagy_solve(op: LuedersOperation) -> NagySolution:
     """Solve the complete-disturbance equation Φ(X) + X = I by conjugate gradients.
 
@@ -395,8 +382,8 @@ def nagy_solve(op: LuedersOperation) -> NagySolution:
         r = r - alpha * ap
         rr, rr_old = np.vdot(r, r).real, rr
         p = r + (rr / rr_old) * p
-    residual = mk.frobenius_norm(op.apply(x) + x - np.eye(d))
-    half_distance = mk.frobenius_norm(x - np.eye(d) / 2)
+    residual = float(np.linalg.norm(op.apply(x) + x - np.eye(d)))
+    half_distance = float(np.linalg.norm(x - np.eye(d) / 2))
     try:
         _check_effect(x)
         is_effect = True
@@ -423,7 +410,7 @@ def is_undisturbed_state(op: LuedersOperation, rho) -> tuple[bool, bool]:
         raise NotDensityMatrix(f"state fails the effect check: {exc}") from exc
     if abs(float(np.real(np.trace(mat))) - 1.0) > tol.COMMUTATOR:
         raise NotDensityMatrix(f"trace {np.real(np.trace(mat)):.12f} is not 1")
-    is_fixed = mk.frobenius_norm(op.apply(mat) - mat) <= tol.COMMUTATOR
+    is_fixed = float(np.linalg.norm(op.apply(mat) - mat)) <= tol.COMMUTATOR
     commutes = all(
         mk.operator_norm(mat @ e - e @ mat) <= tol.COMMUTATOR for e in op.effect_set.matrices
     )

@@ -105,6 +105,25 @@ def test_arguments_the_library_rejects_exit_three(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flavor", ["commuting-resolution", "noncommuting-resolution"])
+def test_unit_fraction_with_another_flavor_exits_three(flavor, tmp_path, capsys):
+    out = tmp_path / "set.json"
+    argv = ["gen", "--flavor", flavor, "--d", "3", "--n", "3", "--unit-fraction", "0.5", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: InvalidArgument: ")
+    assert "--unit-fraction" in captured.err and not out.exists()
+
+
+def test_subnormalized_unit_fraction_defaults_to_zero(capsys):
+    argv = ["gen", "--flavor", "commuting-subnormalized", "--d", "3", "--n", "2", "--seed", "4"]
+    assert main(argv) == 0
+    default = _out(capsys)
+    assert main(argv + ["--unit-fraction", "0"]) == 0
+    assert _out(capsys) == default
+    assert '"unit_fraction": 0.0' in default
+
+
 def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

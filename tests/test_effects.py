@@ -63,7 +63,9 @@ def test_build_effect_set_effect_and_complement_root():
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     e = (q * rng.uniform(0, 1, 4)) @ q.conj().T
     e = (e + e.conj().T) / 2
-    partner = mk.sqrt_psd(np.eye(4) - e @ e)
+    w, v = np.linalg.eigh(np.eye(4) - e @ e)
+    partner = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    partner = (partner + partner.conj().T) / 2
     es = build_effect_set([e, partner])
     assert es.normalization is Normalization.RESOLUTION
     assert es.commuting

@@ -508,7 +508,9 @@ def _near_commuting(delta, seed, d=4):
     e1 = (a + a.conj().T) / (2 * np.sqrt(2))
     e2 = rot @ e1 @ rot.conj().T
     e2 = (e2 + e2.conj().T) / 2
-    return [e1, e2, mk.sqrt_psd(np.eye(d) - e1 @ e1 - e2 @ e2)]
+    w, v = np.linalg.eigh(np.eye(d) - e1 @ e1 - e2 @ e2)
+    e3 = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return [e1, e2, (e3 + e3.conj().T) / 2]
 
 
 def _near_commuting_distance(delta):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lueders import matkernel as mk
-from lueders.errors import DimensionMismatch, NotHermitian, NotPositive, NotSquare
+from lueders.errors import DimensionMismatch, NotHermitian, NotSquare
 
 
 def _rand_hermitian(d, seed):
@@ -75,27 +75,6 @@ def test_nullspace_of_zero_and_dust_is_everything():
     assert mk.nullspace(np.zeros((4, 4))).shape == (4, 4)
     dust = 1e-15 * _rand_hermitian(4, 9)
     assert mk.nullspace(dust).shape == (4, 4)
-
-
-def test_sqrt_psd_examples():
-    assert np.abs(mk.sqrt_psd(np.eye(2)) - np.eye(2)).max() < 1e-14
-    root = mk.sqrt_psd(np.diag([4.0, 0.25]))
-    assert np.abs(root - np.diag([2.0, 0.5])).max() < 1e-12
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_sqrt_psd_squares_back(seed):
-    rng = np.random.Generator(np.random.Philox(100 + seed))
-    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    m = g @ g.conj().T
-    root = mk.sqrt_psd(m)
-    assert np.linalg.norm(root @ root - m) < 1e-10 * np.linalg.norm(m)
-    assert mk.hermitian_defect(root) < 1e-12
-
-
-def test_sqrt_psd_rejects_negative():
-    with pytest.raises(NotPositive):
-        mk.sqrt_psd(np.diag([1.0, -1.0]))
 
 
 def test_vec_convention_is_column_stacking():

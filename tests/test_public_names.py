@@ -1,8 +1,10 @@
-"""The public names the benchmark's tracer patches must exist.
+"""The public surface: the package's exact names, and the names the benchmark's tracer patches.
 
 ``bench/spans.py`` wraps the functions listed in its ``TRACED`` table by
 ``getattr``; a public name deleted from ``lueders`` would make every traced
 benchmark run fail.  The table is read from the file, nothing is patched.
+The package's own ``__all__`` is pinned name by name, so adding or removing
+a public name is a deliberate edit here.
 """
 
 import importlib
@@ -54,3 +56,30 @@ def _exported_callables():
 def test_no_exported_callable_takes_a_tolerance(obj):
     # The thresholds are the constants of lueders.tolerances; no caller picks its own.
     assert not {"tol", "drop_tol"} & set(inspect.signature(obj).parameters)
+
+
+# The paper's objects, the typed errors and the file format; kernel primitives live in lueders.matkernel.
+PUBLIC = [
+    "ChannelNormCertificate", "CommutesNoWitness", "ContractionReport", "DimensionMismatch",
+    "Effect", "EffectSet", "InvalidArgument", "IsResolution", "JointBlock", "LuedersError",
+    "LuedersOperation", "NagySolution", "NoConvergence", "Normalization", "NotCommuting",
+    "NotDensityMatrix", "NotHermitian", "NotResolution", "NotSquare", "NotSubnormalized",
+    "OperatorSubspace", "ParseError", "RefinementVanished", "ResolutionExhausted",
+    "SpectrumAboveOne", "SpectrumBelowZero", "TheoremReport", "WitnessCertificate",
+    "build_contractive_block", "build_effect_set", "channel_norm", "commutant",
+    "contraction_bound", "contraction_threshold", "dump_effect_set", "dump_operator",
+    "effect_set_to_json", "fixed_point_space", "generate_commuting_resolution",
+    "generate_commuting_subnormalized", "generate_noncommuting_resolution",
+    "is_undisturbed_state", "joint_eigenspaces", "load_effect_set", "load_operator",
+    "nagy_solve", "operator_to_json", "parse_effect_set", "parse_operator", "spectral_window",
+    "validate_effect", "verify_resolution_fixed_points", "verify_subnormalized_fixed_points",
+    "witness_search",
+]
+KERNEL = ["SubspaceComparison", "hermitian_eigendecompose", "nullspace", "operator_norm",
+          "orthonormalize", "subspaces_equal"]
+
+
+def test_package_exports_exactly_the_pinned_names():
+    assert len(PUBLIC) == 54
+    assert sorted(lueders.__all__) == PUBLIC
+    assert set(KERNEL) <= set(importlib.import_module("lueders.matkernel").__all__)
