@@ -281,3 +281,102 @@ def test_sum_of_squares_eigenvalues_are_those_of_the_hermitized_sum():
     ):
         f = es.sum_of_squares
         assert np.array_equal(es.sum_of_squares_eigenvalues, np.linalg.eigvalsh((f + f.conj().T) / 2))
+
+
+# ---------------------------------------------------------------------------
+# the largest pairwise commutator norm
+
+
+def _brute_max_commutator(es):
+    mats = es.matrices
+    return max(
+        (mk.operator_norm(a @ b - b @ a) for i, a in enumerate(mats) for b in mats[i + 1:]),
+        default=0.0,
+    )
+
+
+def _generated(flavor, d, n):
+    if flavor == "commuting-resolution":
+        return generate_commuting_resolution(d, n, seed=5)
+    if flavor == "commuting-subnormalized":
+        return generate_commuting_subnormalized(d, n, seed=5, unit_fraction=0.5)
+    return generate_noncommuting_resolution(d, n, seed=5)
+
+
+_FLAVORS = ("commuting-resolution", "commuting-subnormalized", "noncommuting-resolution")
+
+
+@pytest.mark.parametrize(
+    "flavor,d,n",
+    [
+        (flavor, d, n)
+        for flavor in _FLAVORS
+        for d in (1, 2, 8, 64)
+        for n in (1, 2, 3, 32, 64)
+        # the non-commuting generator needs d >= 2 and n >= 3
+        if flavor != "noncommuting-resolution" or (d >= 2 and n >= 3)
+    ],
+)
+def test_max_commutator_norm_matches_every_pair(flavor, d, n):
+    es = _generated(flavor, d, n)
+    assert es.max_pairwise_commutator_norm == _brute_max_commutator(es)
+
+
+def _six_dim_effects():
+    e1 = np.zeros((6, 6), dtype=complex)
+    e1[:2, :2] = [[0.6, 0.2], [0.2, 0.3]]
+    e1[2, 2] = e1[5, 5] = 0.5
+    e1[3:5, 3:5] = [[0.4, 0.1], [0.1, 0.2]]
+    e1[0, 5], e1[5, 0] = 0.1j, -0.1j
+    e4 = np.diag([0.1, 0.1, 0.2, 0.3, 0.4, 0.5]).astype(complex)
+    e4[0, 5] = e4[5, 0] = 0.05
+    return [e1, np.diag([0.3, 0.6, 0.1, 0.5, 0.5, 0.2]).astype(complex), 0.25 * np.eye(6, dtype=complex), e4]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-155, 1e-158, 1e-160])
+def test_max_commutator_norm_of_tiny_effects(scale):
+    # The commutators reach the subnormal range; C†C of the unscaled C would underflow to 0.
+    es = build_effect_set([e * scale for e in _six_dim_effects()])
+    assert es.max_pairwise_commutator_norm > 0.0
+    assert es.max_pairwise_commutator_norm == _brute_max_commutator(es)
+
+
+def _counting_operator_norm(monkeypatch):
+    calls = []
+    norm = mk.operator_norm
+
+    def counted(m):
+        calls.append(m)
+        return norm(m)
+
+    monkeypatch.setattr(mk, "operator_norm", counted)
+    return calls
+
+
+def test_exactly_commuting_effects_take_no_svd(monkeypatch):
+    calls = _counting_operator_norm(monkeypatch)
+    es = build_effect_set([np.diag([0.5, 0.1, 0.2]), np.diag([0.3, 0.4, 0.5]), np.diag([0.0, 0.2, 0.1])])
+    assert es.max_pairwise_commutator_norm == 0.0 and es.commuting
+    assert calls == []
+
+
+def _pinching_pair(theta: float, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """weight·P and weight·Q for P = |0⟩⟨0| and Q the projector onto (cos θ, sin θ): one singular value pair."""
+    v = np.array([np.cos(theta), np.sin(theta)])
+    return weight * np.diag([1.0, 0.0]), weight * np.outer(v, v)
+
+
+def test_max_commutator_norm_looks_past_the_largest_bound(monkeypatch):
+    # E1, E2 repeat one 2×2 pair over four blocks: eight singular values 0.25, so
+    # their bound 0.25·8^¼ ≈ 0.42 is the largest.  E3, E4 live on a fifth block
+    # with two singular values ≈ 0.29: a smaller bound (≈ 0.35) but the larger norm.
+    p, q = _pinching_pair(np.pi / 4, 0.5)
+    r, s = _pinching_pair(0.9, 0.6)
+    e1, e2 = (np.kron(np.diag([1.0, 1, 1, 1, 0]), m) for m in (p, q))
+    e3, e4 = (np.block([[np.zeros((8, 8)), np.zeros((8, 2))], [np.zeros((2, 8)), m]]) for m in (r, s))
+    calls = _counting_operator_norm(monkeypatch)
+    es = build_effect_set([e1, e2, e3, e4])
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert mk.operator_norm(calls[0]) < mk.operator_norm(calls[1])
+    assert es.max_pairwise_commutator_norm == _brute_max_commutator(es) == mk.operator_norm(calls[1])

@@ -1,4 +1,4 @@
-"""Property tests: serialization round trips, the contraction bound, and the validate exit codes."""
+"""Property tests: serialization round trips, the commutator maximum, the contraction bound, and the validate exit codes."""
 
 import contextlib
 import io
@@ -13,7 +13,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from lueders import matkernel as mk  # noqa: E402
 from lueders.cli import main  # noqa: E402
+from lueders.effects import build_effect_set  # noqa: E402
 from lueders.serialize import (  # noqa: E402
     effect_set_to_json,
     operator_to_json,
@@ -65,6 +67,35 @@ def test_gen_output_reemits_byte_identically(flavor, d, n, seed, unit_fraction):
     code, text = _run(argv)
     assert code == 0
     assert effect_set_to_json(parse_effect_set(text), json.loads(text)) == text
+
+
+@st.composite
+def scaled_effect_lists(draw):
+    """n effects AA†/(tr(AA†)·√n), so Σ Eᵢ² ≤ I, all scaled by one power of two down to the subnormal range."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    scale = 2.0 ** -draw(st.sampled_from([0, 1, 400, 500, 520, 530]) | st.integers(0, 530))
+    unit = st.floats(-1, 1, allow_nan=False)
+    mats = []
+    for _ in range(n):
+        parts = draw(st.lists(unit, min_size=2 * d * d, max_size=2 * d * d))
+        a = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(d, d)
+        big = np.abs(a).max()
+        a = np.eye(d) if big == 0 else a / big
+        g = a @ a.conj().T
+        mats.append((g + g.conj().T) / 2 / (np.trace(g).real * np.sqrt(n)) * scale)
+    return mats
+
+
+@PROPERTY
+@given(scaled_effect_lists())
+def test_max_commutator_norm_is_the_largest_pairwise_norm(mats):
+    es = build_effect_set(mats)
+    brute = max(
+        (mk.operator_norm(a @ b - b @ a) for i, a in enumerate(es.matrices) for b in es.matrices[i + 1:]),
+        default=0.0,
+    )
+    assert es.max_pairwise_commutator_norm == brute
 
 
 sizes = st.integers(1, 10**6)

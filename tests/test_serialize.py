@@ -9,12 +9,12 @@ import pytest
 from lueders.effects import build_effect_set, generate_commuting_resolution
 from lueders.errors import NotHermitian, ParseError, SpectrumAboveOne
 from lueders.serialize import (
+    _matrix_fragment,
     _parse_matrix,
     _parse_matrix_entries,
     dump_effect_set,
     dump_operator,
     effect_set_to_json,
-    format_float,
     load_effect_set,
     load_operator,
     matrix_to_lists,
@@ -29,17 +29,70 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
+def format_float(x: float) -> str:
+    """Reference renderer, one entry at a time: 17 significant digits, negative zero as "-0.0"."""
+    text = f"{float(x):.17g}"
+    return "-0.0" if text == "-0" else text
+
+
+def _reference_fragment(m) -> str:
+    rows = []
+    for row in np.asarray(m, dtype=complex):
+        entries = ", ".join(f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in row)
+        rows.append(f"[{entries}]")
+    return "[" + ", ".join(rows) + "]"
+
+
 @pytest.mark.parametrize(
     "x", [0.0, 1.0, -1.0, 0.1, 1 / 3, np.pi, 1e-300, 1.7976931348623157e308, 5e-324]
 )
 def test_format_float_round_trips_bit_exactly(x):
     assert _bits(float(format_float(x))) == _bits(x)
+    m = np.array([[complex(x, -x)]])
+    text = operator_to_json(m)
+    assert _matrix_fragment(m) in text
+    assert parse_operator(text).view(np.uint64).tolist() == m.view(np.uint64).tolist()
+
+
+def _effects_from(values, scale: float) -> list:
+    """Two 4×4 effects built from 32 of the given values, times an exact power of two."""
+    h = (values[:16] + 1j * values[16:32]).reshape(4, 4)
+    h = h + h.conj().T
+    e = (h @ h) / (np.abs(h @ h).sum() * 2)
+    return [e * scale, (np.eye(4) / 2) * scale]
 
 
 def test_format_float_random_sweep():
     rng = np.random.Generator(np.random.Philox(1))
-    for x in rng.standard_normal(1000) * 10.0 ** rng.integers(-30, 30, size=1000):
+    values = rng.standard_normal(1000) * 10.0 ** rng.integers(-30, 30, size=1000)
+    for x in values:
         assert _bits(float(format_float(x))) == _bits(float(x))
+    # The same values, as effect entries, through effect_set_to_json and parse_effect_set.
+    for start in range(0, 1000 - 32, 32):
+        for scale in (1.0, 2.0**-500, 2.0**-1000, 2.0**-1060):
+            es = build_effect_set(_effects_from(values[start:start + 32] / 10.0**30, scale))
+            back = parse_effect_set(effect_set_to_json(es))
+            for a, b in zip(back.matrices, es.matrices):
+                assert a.tobytes() == b.tobytes()
+
+
+_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 0.1, 1.0, 1e16, 1e22,
+    1.7976931348623157e308, -1.7976931348623157e308, -1.0, 1 / 3,
+]
+
+
+def test_matrix_fragment_matches_the_entry_renderer():
+    values = np.array(_EDGE_VALUES)
+    edge = values[:, None] + 1j * values[None, :]
+    rng = np.random.Generator(np.random.Philox(11))
+    bits = np.frombuffer(rng.bytes(4 * 64 * 64 * 16), dtype=float)
+    bits = np.where(np.isfinite(bits), bits, -0.0).view(complex).reshape(4, 64, 64)
+    for m in [edge, edge.T, np.zeros((0, 0)), *bits]:
+        text = _matrix_fragment(m)
+        assert text == _reference_fragment(m)
+        back = _parse_matrix(json.loads(text), m.shape[0], "m")
+        assert back.view(np.uint64).tolist() == np.ascontiguousarray(m).view(np.uint64).tolist()
 
 
 def test_matrix_to_lists_shape_and_values():
@@ -185,6 +238,16 @@ def _fast_or_error(obj, d):
         [[[0, 0], [0, 0]]],
         [[[0, 0], [0, [0]]], [[0, 0], [0, 0]]],
         [[[0, 0], (0, 0)], [[0, 0], [0, 0]]],
+        [{"a": 1, "b": 2}, [[0, 0], [0, 0]]],
+        ["ab", [[0, 0], [0, 0]]],
+        [[{"re": 0, "im": 0}, [0, 0]], [[0, 0], [0, 0]]],
+        [[[0, 0], "ab"], [[0, 0], [0, 0]]],
+        [[[], [0, 0]], [[0, 0], [0, 0]]],
+        [[[], []], [[], []]],
+        [[[[0], 0], [0, 0]], [[0, 0], [0, 0]]],
+        [[[[0], [0]], [[0], [0]]], [[[0], [0]], [[0], [0]]]],
+        [[[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]],
+        [[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]],
         "rows",
     ],
 )
