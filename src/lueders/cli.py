@@ -6,7 +6,8 @@ and bound) and an exit code, and `main` writes it once: atomically to --out,
 else to stdout.  Errors go to stderr.  This module alone shapes the JSON
 bodies; the library's result types are plain data.  Exit codes: 0 success
 (or verdict true), 1 invariant violation or verdict false, 2 the typed
-commutes-no-witness outcome, 3 usage or input errors, 4 unexpected errors.
+commutes-no-witness outcome, 3 usage or input errors and the typed Undecided
+verdict, 4 unexpected errors.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .errors import (
 )
 from .operation import (
     LuedersOperation,
+    _fixed_dim,
     commutant,
-    fixed_point_space,
     joint_eigenspaces,
     nagy_solve,
     verify_resolution_fixed_points,
@@ -133,11 +134,10 @@ def _cmd_validate(args):
 
 def _cmd_analyze(args):
     es = serialize.load_effect_set(args.input)
-    op = LuedersOperation(es)
     report = {
         **_classification(es),
         "channel_norm": mk.operator_norm(es.sum_of_squares),
-        "fixed_dim": fixed_point_space(op).dim,
+        "fixed_dim": _fixed_dim(es),
         "commutant_dim": commutant(es).dim,
     }
     if es.commuting:

@@ -65,6 +65,15 @@ class RefinementVanished(LuedersError):
     """Internal error: refining a nonzero block lost it entirely."""
 
 
+class Undecided(LuedersError):
+    """An eigenvalue of Φ beyond the target lies too close to 1 to count either way.
+
+    It is within the residual bound or the rounding floor of 1, so the
+    fixed-point count cannot be told from the target's dimension in floating
+    point, and no verdict is given.
+    """
+
+
 class ParseError(LuedersError):
     """A JSON document does not match the expected schema."""
 

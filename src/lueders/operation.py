@@ -13,10 +13,16 @@ random element of the algebra and never stacks the Cᵢ.  Reports carry the
 label "3.1" for resolutions (F = I: the target is the commutant) and "3.2"
 for strictly subnormalized sets.
 
-No route here forms the complex d²×d² matrix S: `fixed_point_space` takes one
-real symmetric ``eigh`` of Φ on Herm(d), which Φ maps into itself because
-Φ(X)† = Φ(X†), and `nagy_solve` applies Φ to d×d matrices.
-`LuedersOperation.superoperator` builds S as the dense reference.
+No route here forms the complex d²×d² matrix S.  Φ maps Herm(d) into itself
+because Φ(X)† = Φ(X†), and in Hermitian coordinates it is a real symmetric
+d²×d² matrix R with the eigenvalues of S.  `verify` decides the theorem from
+one ``eigvalsh`` of R and the residual ‖Φ(Q) - Q‖_F of the target basis Q,
+and `analyze` counts the fixed points from the same eigenvalues; eigenvalues
+are accurate to rounding of ‖Φ‖, where eigenvectors are accurate only to
+rounding over the spectral gap.  `fixed_point_space` takes the full ``eigh``
+of R for the basis itself and serves as the eigenvector oracle.  `nagy_solve`
+applies Φ to d×d matrices, and `LuedersOperation.superoperator` builds S as
+the dense reference.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .errors import (
     NotCommuting,
     NotDensityMatrix,
     NotResolution,
+    Undecided,
 )
 from .rng import philox_generator
 
@@ -90,36 +97,47 @@ def _phi(matrices, b: np.ndarray) -> np.ndarray:
     return mk.sum_terms((e @ b) @ e for e in matrices)
 
 
-def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
-    """Orthonormal basis of {B : Φ(B) = B}: the eigenvalue-1 cluster of Φ in Hermitian coordinates.
+def _hermitian_coordinates(effect_set: EffectSet) -> np.ndarray:
+    """The real symmetric d²×d² matrix R of Φ on Herm(d), which has exactly the eigenvalues of S.
 
     The Eᵢ are Hermitian, so Φ(X)† = Φ(X†) and Fix = (Fix ∩ Herm) ⊕ i·(Fix ∩ Herm).
     A real d×d matrix Y stands for the Hermitian X = sym(Y) + i·antisym(Y).
     That map is an isometry onto Herm(d): it sends the matrix units to E_pp
     and (E_pq + E_qp)/2 ± i(E_pq - E_qp)/2, a rotation of the orthonormal
     basis {E_pp, (E_pq + E_qp)/√2, i(E_pq - E_qp)/√2}.  In these coordinates Φ
-    is the real symmetric d²×d² matrix R = Re S + (Im S)·K, with S = Σ Eᵢᵀ⊗Eᵢ
-    the superoperator and K the swap vec(Y) ↦ vec(Yᵀ), and R has exactly the
-    eigenvalues of S.  The entries of S are a reshuffle of the one product
-    T = Σᵢ vec(Eᵢ)vec(Eᵢ)ᵀ, so R is read off T and no Kronecker product is
-    formed.  One real ``eigh`` of R gives the singular values |w - 1| of
-    R - I with their vectors, the relative cut of `matkernel.nullspace`
-    applies unchanged, and each kept Y maps back to vec(X).
+    is R = Re S + (Im S)·K, with S = Σ Eᵢᵀ⊗Eᵢ the superoperator and K the
+    swap vec(Y) ↦ vec(Yᵀ).  The entries of S are a reshuffle of the product
+    T = Σᵢ vec(Eᵢ)vec(Eᵢ)ᵀ, so R is read off T one row block at a time: no
+    Kronecker product and no complex d²×d² array is formed.
 
     The effects enter through their Hermitian parts (E + E†)/2: the Hermitian
     part of S differs from the superoperator of those only by Σ Nᵢᵀ⊗Nᵢ, Nᵢ the
     non-Hermitian parts, which `validate_effect` bounds by HERMITIAN·‖Eᵢ‖_F.
     """
-    d = op.dim
-    e = np.array(op.effect_set.matrices)
-    e = ((e + e.conj().transpose(0, 2, 1)) / 2).reshape(-1, d * d)
-    # Positions (i, j) in row-major order.  t[i, k, l, j] = Σ E[i, k]·E[l, j] is S at row (i, j),
-    # column (k, l), and R there is Re t[i, k, l, j] + Im t[i, l, k, j].
-    t = (e.T @ e).reshape(d, d, d, d)
+    d = effect_set.dim
+    e = np.array(effect_set.matrices)
+    e = (e + e.conj().transpose(0, 2, 1)) / 2
+    flat = e.reshape(-1, d * d)
+    # Positions (i, j) in row-major order.  t[k, l, j] = Σ E[i, k]·E[l, j] is S at row (i, j),
+    # column (k, l), and R there is Re t[k, l, j] + Im t[l, k, j].
     r = np.empty((d, d, d, d))
-    np.add(t.real.transpose(0, 3, 1, 2), t.imag.transpose(0, 3, 2, 1), out=r)
-    del t
-    w, v = np.linalg.eigh(r.reshape(d * d, d * d))
+    for i in range(d):
+        t = (e[:, i, :].T @ flat).reshape(d, d, d)
+        np.add(t.real.transpose(2, 0, 1), t.imag.transpose(2, 1, 0), out=r[i])
+    return r.reshape(d * d, d * d)
+
+
+def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
+    """Orthonormal basis of {B : Φ(B) = B}: the eigenvalue-1 cluster of Φ in Hermitian coordinates.
+
+    One real ``eigh`` of R (`_hermitian_coordinates`) gives the singular
+    values |w - 1| of R - I with their vectors, the relative cut of
+    `matkernel.nullspace` applies unchanged, and each kept Y maps back to
+    vec(X).  No product route calls it: `verify` and `analyze` read only the
+    eigenvalues of R, and this eigenvector route stays as their oracle.
+    """
+    d = op.dim
+    w, v = np.linalg.eigh(_hermitian_coordinates(op.effect_set))
     y = mk._kernel_columns(np.abs(w - 1.0), v).reshape(d, d, -1)
     # x[j, i] = X[i, j], so x.reshape(d², k) holds the column-stacked vec(X)
     yt = y.transpose(1, 0, 2)
@@ -127,6 +145,13 @@ def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
     x.real = (yt + y) / 2
     x.imag = (yt - y) / 2
     return mk.OperatorSubspace(d, x.reshape(d * d, -1))
+
+
+def _fixed_dim(effect_set: EffectSet) -> int:
+    """dim Fix(Φ) by the cut of `fixed_point_space`, counted from one ``eigvalsh`` of R."""
+    dist = np.abs(np.linalg.eigvalsh(_hermitian_coordinates(effect_set)) - 1.0)
+    keep = mk._kernel_mask(dist)
+    return dist.size if keep is None else int(np.count_nonzero(keep))
 
 
 def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
@@ -147,8 +172,8 @@ def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
     The cut is taken against (Σᵢ (λ_max(Eᵢ) - λ_min(Eᵢ))²)^½, which bounds the
     norm of the unrestricted system [Cᵢ]: cut against the smaller norm of the
     restricted one, eigenvector dust of H would count as structure.  QR and
-    SVD are independent of the ``eigh`` behind `fixed_point_space`, so the
-    verifiers never compare a computation with itself.
+    SVD are independent of the ``eigvalsh`` of Φ behind the verifiers, so they
+    never compare a computation with itself.
     """
     d = effect_set.dim
     mats = effect_set.matrices
@@ -247,7 +272,10 @@ class TheoremReport:
 
     theorem is the wire label of the claim checked: "3.1" for a resolution
     (target {Eᵢ}′), "3.2" for any strictly subnormalized set (target
-    {X ∈ {Eᵢ}′ : (I - F)X = 0}, F = Σ Eᵢ²).
+    {X ∈ {Eᵢ}′ : (I - F)X = 0}, F = Σ Eᵢ²).  target_dim is k, the dimension
+    of the target; distance is the residual ρ = ‖Φ(Q) - Q‖_F of its
+    orthonormal basis Q; fixed_dim counts the eigenvalues of Φ within
+    τ = max(3ρ, floor) of 1.
     """
 
     theorem: str
@@ -257,38 +285,80 @@ class TheoremReport:
     verdict: bool
 
 
-def _verify_fixed_points(effect_set: EffectSet) -> TheoremReport:
-    """Compare the fixed-point space with {X ∈ {Eᵢ}′ : (I - F)X = 0} (the commutant for a resolution).
+# Entries per chunk of the residual's d×d stacks: 8 MB of complex128 per array.
+_RESIDUAL_CHUNK = 2**19
 
-    For X in the commutant Φ(X) = XF, so ‖(I - F)X‖_F = ‖Φ(X) - X‖_F.  With V
-    the commutant basis Bⱼ, the target basis is V·ker[vec((I - F)Bⱼ)]ⱼ: the
-    right singular vectors of that d²×k system whose singular value is at
-    most CLUSTER.  For a commuting set those singular values are the deficits
-    |1 - w| of the eigenvalues w of F, so this is the cut with which
-    `build_effect_set` tells resolutions apart.  The route reads F and the
-    commutant only, never the real matrix of Φ on Herm(d) whose ``eigh`` gives
-    `fixed_point_space`, so the two sides share no computation.
+
+def _residual(matrices, q: np.ndarray, d: int) -> tuple[float, float]:
+    """(‖Φ(Q) - Q‖_F, maxⱼ ‖Φ(Xⱼ) - Xⱼ‖_F) over the columns vec(Xⱼ) of Q, one chunk of columns at a time."""
+    step = max(1, _RESIDUAL_CHUNK // (d * d))
+    total = worst = 0.0
+    for j in range(0, q.shape[1], step):
+        # column j of q is the column-stacked vec(Xⱼ), so its row-major (d, d) block is Xⱼᵀ
+        x = q[:, j : j + step].T.reshape(-1, d, d).transpose(0, 2, 1)
+        norms = np.linalg.norm(_phi(matrices, x) - x, axis=(1, 2))
+        total += float(norms @ norms)
+        worst = max(worst, float(norms.max()))
+    return float(np.sqrt(total)), worst
+
+
+def _verify_fixed_points(effect_set: EffectSet) -> TheoremReport:
+    """Decide Fix(Φ) = {X ∈ {Eᵢ}′ : (I - F)X = 0} (the commutant for a resolution) from eigenvalues.
+
+    The target: for X in the commutant Φ(X) = XF, so ‖(I - F)X‖_F = ‖Φ(X) - X‖_F.
+    With V the commutant basis Bⱼ, the target basis Q is V·ker[vec((I - F)Bⱼ)]ⱼ:
+    the right singular vectors of that d²×k system whose singular value is
+    at most CLUSTER.  For a commuting set those singular values are the
+    deficits |1 - w| of the eigenvalues w of F, so this is the cut with which
+    `build_effect_set` tells resolutions apart.
+
+    The decision: ρ = ‖Φ(Q) - Q‖_F, and by Kahan's residual bound (Parlett,
+    The Symmetric Eigenvalue Problem, 1980, ch. 11) Φ has k eigenvalues within
+    ‖Φ(Q) - Q‖₂ ≤ ρ of 1 for any orthonormal Q; the factor 3 below leaves
+    room for a Q orthonormal only to rounding.  The eigenvalues w of Φ come
+    from one ``eigvalsh`` of R and are accurate to the SPECTRUM_FLOOR, where
+    eigenvectors would be accurate only to ε/gap (Davis & Kahan, SIAM J.
+    Numer. Anal. 7, 1970).  With τ = max(3ρ, floor), fixed_dim counts the
+    w ≥ 1 - τ.  Each target element must itself be fixed to CLUSTER: for a
+    unit X in the commutant ‖Φ(X) - X‖_F = ‖X(F - I)‖_F ≤ ‖I - F‖₂, which is
+    at most CLUSTER for a resolution and at most the kept singular value for
+    the "3.2" target, whatever the basis.  ρ itself can reach √k·CLUSTER on a
+    valid set, so the cut reads the largest column residual ρ_max.  The
+    verdict holds iff ρ_max ≤ CLUSTER and fixed_dim = k; when ρ_max ≤ CLUSTER
+    but more than k eigenvalues pass, the next one cannot be told from 1 and
+    Undecided is raised.  distance reports ρ.  Target and residual read the
+    commutant, F and Φ on d×d matrices, never R, so the two sides share no
+    computation.
     """
-    fixed = fixed_point_space(LuedersOperation(effect_set))
-    target = commutant(effect_set)
+    d = effect_set.dim
+    target = commutant(effect_set).vectors
     resolution = effect_set.normalization is Normalization.RESOLUTION
     if not resolution:
-        d = effect_set.dim
-        v = target.vectors
-        # column j of v is vec(Bⱼ), so the (d, d·k) reshape holds B₁ | B₂ | ... side by side
-        deficit = (np.eye(d) - effect_set.sum_of_squares) @ v.reshape(d, -1, order="F")
+        # column j of target is vec(Bⱼ), so the (d, d·k) reshape holds B₁ | B₂ | ... side by side
+        deficit = (np.eye(d) - effect_set.sum_of_squares) @ target.reshape(d, -1, order="F")
         _, s, vh = np.linalg.svd(deficit.reshape(d * d, -1, order="F"), full_matrices=False)
-        target = mk.OperatorSubspace(d, v @ vh[s <= tol.CLUSTER].conj().T)
-    cmp = mk.subspaces_equal(fixed, target)
-    verdict = cmp.equal and fixed.dim == target.dim
-    return TheoremReport("3.1" if resolution else "3.2", fixed.dim, target.dim, cmp.distance, verdict)
+        target = target @ vh[s <= tol.CLUSTER].conj().T
+    k = target.shape[1]
+    rho, rho_max = _residual(effect_set.matrices, target, d)
+    w = np.linalg.eigvalsh(_hermitian_coordinates(effect_set))
+    floor = tol.SPECTRUM_FLOOR * d * d * np.finfo(float).eps * float(np.abs(w).max())
+    tau = max(3.0 * rho, floor)
+    fixed_dim = int(np.count_nonzero(w >= 1.0 - tau))
+    fixed = rho_max <= tol.CLUSTER
+    if fixed and fixed_dim > k:
+        raise Undecided(
+            f"the target has dimension {k}, but eigenvalue {k + 1} of Φ has 1 - w = {1.0 - w[-k - 1]:.3e}, "
+            f"not above τ = {tau:.3e}"
+        )
+    return TheoremReport("3.1" if resolution else "3.2", fixed_dim, k, rho, fixed and fixed_dim == k)
 
 
 def verify_resolution_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """Check that the fixed-point space of Φ equals the commutant of the effect set.
 
     Requires a resolution (Σ Eᵢ² = I); commutativity is not required at finite
-    dimension.
+    dimension.  Raises Undecided when an eigenvalue of Φ beyond the commutant
+    lies within τ of 1 (see `TheoremReport`).
     """
     if effect_set.normalization is not Normalization.RESOLUTION:
         raise NotResolution("the squares do not sum to the identity")
@@ -300,7 +370,8 @@ def verify_subnormalized_fixed_points(effect_set: EffectSet) -> TheoremReport:
 
     Requires a strictly subnormalized set, commuting or not.  When no
     eigenvalue of F lies within CLUSTER of 1 the target is the zero subspace
-    and the fixed-point space must be trivial.
+    and the fixed-point space must be trivial.  Raises Undecided as the
+    resolution verifier does.
     """
     if effect_set.normalization is Normalization.RESOLUTION:
         raise IsResolution("the squares sum to the identity; use the resolution verifier")

@@ -1,4 +1,4 @@
-"""The eight numerical thresholds, pinned as module constants.
+"""The nine numerical thresholds, pinned as module constants.
 
 Every numerical decision in the package (Hermitian checks, rank cuts, cluster
 gaps, commutation thresholds) reads one of these constants, so the acceptance
@@ -15,6 +15,7 @@ __all__ = [
     "HERMITIAN",
     "NULLSPACE",
     "PSD",
+    "SPECTRUM_FLOOR",
     "SUBSPACE",
     "WITNESS",
 ]
@@ -45,6 +46,20 @@ CLUSTER = 1e-9
 # 3e-9..3e-6·‖H‖ apart stay in separate blocks although their eigenvectors
 # are accurate only to ε‖H‖/gap, and commutant elements are lost.
 ELEMENT_GAP = 1e-3
+# Rounding floor of the eigenvalues of Φ, as the multiple c in
+# floor = c·N·ε·‖Φ‖, where N = d² is the order of the real symmetric matrix R
+# of Φ in Hermitian coordinates and ε the float64 machine epsilon.  A
+# backward-stable symmetric eigensolver (Householder tridiagonalization, then
+# QR or divide and conquer) returns the exact eigenvalues of R + E with
+# ‖E‖₂ ≤ p(N)·ε·‖R‖₂, p(N) a modest function of N that grows like N in the
+# norm-wise bound (Wilkinson; Parlett, The Symmetric Eigenvalue Problem, 1980),
+# and building R from the Eᵢ adds entry errors of a few ε·‖Φ‖.  By Weyl's
+# inequality each computed eigenvalue then lies within c·N·ε·‖Φ‖ of an exact
+# one; c = 64 is the margin over the constant of that bound.  An eigenvalue
+# closer to 1 than this floor cannot be told from 1, so `verify` raises
+# Undecided rather than count it either way.  The floor is 2.3e-13·‖Φ‖ at
+# d = 4 and 5.8e-11·‖Φ‖ at d = 64.
+SPECTRUM_FLOOR = 64
 # Projector Frobenius distance for subspace equality.
 SUBSPACE = 1e-8
 # Block-norm threshold for witnesses, relative to the operator under test.

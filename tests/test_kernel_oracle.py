@@ -20,6 +20,13 @@ they stay independent oracles.  The fixed-point target of a non-commuting
 subnormalized set is checked against one stacked kernel built from the
 projector P onto the unit eigenspace of F = Σ Eᵢ², which the package never
 forms (it cuts (I - F)X = 0 on the commutant).
+
+The verifiers read only eigenvalues: one ``eigvalsh`` of that real matrix
+and the residual ‖Φ(Q) - Q‖_F of the target basis Q.  Their verdicts and
+dimensions are checked against the eigenvector route they replaced
+(`fixed_point_space` compared with the target by `subspaces_equal`) and the
+dense S, and their eigenvalue margin against the exact spectrum of commuting
+resolutions, ⟨λ(a), λ(b)⟩ over pairs of joint eigenvalue tuples.
 """
 
 import json
@@ -36,13 +43,17 @@ from lueders.effects import (
     generate_commuting_subnormalized,
     generate_noncommuting_resolution,
 )
-from lueders.errors import LuedersError
+from lueders.errors import Undecided
 from lueders.operation import (
     ChannelNormCertificate,
     LuedersOperation,
+    _fixed_dim,
+    _hermitian_coordinates,
+    _residual,
     channel_norm,
     commutant,
     fixed_point_space,
+    joint_eigenspaces,
     nagy_solve,
     verify_resolution_fixed_points,
     verify_subnormalized_fixed_points,
@@ -339,22 +350,34 @@ def test_subspaces_equal_matches_projector_oracle(first, second, shared):
     assert cmp.equal is (shared == s1.dim == s2.dim)
 
 
-def test_subspaces_equal_matches_projector_oracle_on_verifier_pairs(monkeypatch):
-    pairs = []
-    compare = mk.subspaces_equal
+def _verifier_target(es):
+    """The verifiers' target: the commutant, cut to its (I - F)X = 0 directions for a subnormalized set."""
+    target = commutant(es)
+    if es.normalization is Normalization.RESOLUTION:
+        return target
+    d = es.dim
+    deficit = np.column_stack([mk.vec((np.eye(d) - es.sum_of_squares) @ mk.unvec(c, d)) for c in target.vectors.T])
+    _, s, vh = np.linalg.svd(deficit, full_matrices=False)
+    return mk.OperatorSubspace(d, target.vectors @ vh[s <= 1e-9].conj().T)
 
-    def record(s1, s2):
-        pairs.append((s1, s2))
-        return compare(s1, s2)
 
-    monkeypatch.setattr(mk, "subspaces_equal", record)
+def _quick_pools():
+    """The sets of the QUICK C1–C3 criteria with the verifier each one goes to."""
     for es in _resolution_pool(QUICK) + _noncommuting_pool(QUICK):
-        assert verify_resolution_fixed_points(es).verdict
+        yield es, verify_resolution_fixed_points
     for _, es in _subnormalized_pool(QUICK):
-        assert verify_subnormalized_fixed_points(es).verdict
+        yield es, verify_subnormalized_fixed_points
+
+
+def test_subspaces_equal_matches_projector_oracle_on_verifier_pairs():
+    # The (Fix, target) pairs of the eigenvector route, built here for the QUICK C1–C3 pools.
+    pairs = []
+    for es, verify in _quick_pools():
+        assert verify(es).verdict
+        pairs.append((fixed_point_space(LuedersOperation(es)), _verifier_target(es)))
     assert len(pairs) == 51
     for s1, s2 in pairs:
-        got = compare(s1, s2).distance
+        got = mk.subspaces_equal(s1, s2).distance
         assert got >= 0.0 and abs(got - _projector_distance(s1.vectors, s2.vectors)) <= 2e-15
 
 
@@ -527,21 +550,27 @@ def test_commutant_of_near_commuting_sets_matches_reference(k):
     _assert_same_kernel(commutant(es).vectors, _dense_commutant(es), _near_commuting_distance(delta))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the Fix rank cut gives verdict false on these resolutions")
-def test_verify_near_commuting_resolutions():
+def test_verify_near_commuting_resolutions(tmp_path, capsys):
     # The δ-sweep δ = 1e-3 … 1e-9 at the verifier: every set is a valid
-    # resolution, so each δ must give verdict true or a typed error.  Today
-    # δ ≥ 3.2e-5 gives dims 1/1 at distance 1.9e-8 to 8.4e-6, and δ ≤ 1e-5
-    # dims 4/1 at distance 1.73.
+    # resolution, so each δ must give verdict true or Undecided, and the
+    # command exit 0 or 3, never 1.  The margin 1 - w of the second eigenvalue
+    # of Φ is of order δ², so it meets the rounding floor near δ = 1e-6.
     wrong = []
     for k in range(6, 19):
         delta = 10.0 ** (-k / 2)
+        es = build_effect_set(_near_commuting(delta, seed=k))
         try:
-            rep = verify_resolution_fixed_points(build_effect_set(_near_commuting(delta, seed=k)))
-        except LuedersError:
-            continue
-        if not rep.verdict:
-            wrong.append((delta, rep.fixed_dim, rep.target_dim, rep.distance))
+            rep = verify_resolution_fixed_points(es)
+            if not rep.verdict:
+                wrong.append((delta, rep.fixed_dim, rep.target_dim, rep.distance))
+        except Undecided:
+            pass
+        path = tmp_path / f"near-{k}.json"
+        dump_effect_set(path, es)
+        code = main(["verify", str(path)])
+        capsys.readouterr()
+        if code not in (0, 3):
+            wrong.append((delta, "exit", code))
     assert wrong == []
 
 
@@ -648,3 +677,108 @@ def test_c5_probe_excess_matches_per_probe_loop():
     certs = [_reference_channel_norm(es, QUICK.norm_probes, 7000 + i) for i, es in enumerate(sets)]
     want = max(c.max_probe_image_norm - c.value for c in certs)
     assert run_criterion("C5", QUICK).details["max_probe_excess"] == want
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue route of the verifiers against the eigenvector route
+
+
+def _floor(d):
+    """SPECTRUM_FLOOR·d²·ε for ‖Φ‖ = 1: how far a computed eigenvalue of Φ may sit from the exact one."""
+    return 64 * d * d * np.finfo(float).eps
+
+
+def _assert_matches_the_eigenvector_route(es, verify):
+    """Verdict, target_dim and both fixed_dim against `fixed_point_space`, `subspaces_equal` and the dense S."""
+    d = es.dim
+    rep = verify(es)
+    fixed, target = fixed_point_space(LuedersOperation(es)), _verifier_target(es)
+    old = mk.subspaces_equal(fixed, target).equal and fixed.dim == target.dim
+    assert (rep.verdict, rep.target_dim) == (old, target.dim)
+    s = LuedersOperation(es).superoperator
+    assert rep.fixed_dim == _reference_nullspace(s - np.eye(d * d)).shape[1]
+    assert _fixed_dim(es) == fixed.dim
+    spectrum = np.linalg.eigvalsh((s + s.conj().T) / 2)
+    assert np.abs(np.linalg.eigvalsh(_hermitian_coordinates(es)) - spectrum).max() <= 1e-13
+
+
+@pytest.mark.parametrize("index", range(51))
+def test_verifier_matches_the_eigenvector_route_on_quick_pools(index):
+    _assert_matches_the_eigenvector_route(*list(_quick_pools())[index])
+
+
+CROSS_CHECK_SETS = {
+    **EFFECT_SETS,
+    **{f"{flavor}-d{d}-n3": _flavor(flavor, d) for flavor in ("cr", "cs", "nc") for d in (12, 16)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_SETS))
+def test_verifier_matches_the_eigenvector_route_on_generated_sets(name):
+    es = CROSS_CHECK_SETS[name]
+    resolution = es.normalization is Normalization.RESOLUTION
+    _assert_matches_the_eigenvector_route(
+        es, verify_resolution_fixed_points if resolution else verify_subnormalized_fixed_points
+    )
+
+
+def test_residual_matches_the_superoperator_across_chunks():
+    # d = 32: 512 columns per chunk, so 600 columns take two.
+    es = generate_noncommuting_resolution(32, 3, 12)
+    q = _rand(32 * 32, 600, 13)
+    columns = np.linalg.norm(LuedersOperation(es).superoperator @ q - q, axis=0)
+    rho, rho_max = _residual(es.matrices, q, 32)
+    assert abs(rho - np.linalg.norm(columns)) <= 1e-12 * rho
+    assert abs(rho_max - columns.max()) <= 1e-12 * rho_max
+
+
+@pytest.mark.parametrize("d", [8, 16, 24, 32])
+def test_commuting_resolution_margin_is_half_the_closest_tuple_distance_squared(d):
+    # Φ has eigenvalue ⟨λ(a), λ(b)⟩ with multiplicity dₐ·d_b over pairs of joint
+    # blocks, and ‖λ(a)‖ = 1 for a resolution, so the k = Σ dⱼ² eigenvalues at 1
+    # are followed by 1 - ½·min over a ≠ b of ‖λ(a) - λ(b)‖².
+    es = generate_commuting_resolution(d, 3, 70 + d)
+    blocks = joint_eigenspaces(es)
+    k = sum(b.dim**2 for b in blocks)
+    lam = np.array([b.values for b in blocks])
+    apart = ~np.eye(len(blocks), dtype=bool)
+    margin = 0.5 * np.linalg.norm(lam[:, None] - lam[None], axis=-1)[apart].min() ** 2
+    w = np.linalg.eigvalsh(_hermitian_coordinates(es))
+    assert np.abs(w[-k:] - 1.0).max() <= _floor(d)
+    assert abs((1.0 - w[-k - 1]) - margin) <= _floor(d)
+    rep = verify_resolution_fixed_points(es)
+    assert (rep.fixed_dim, rep.target_dim, rep.verdict) == (k, k, True)
+
+
+def _chord_set(delta, q):
+    """Commuting resolution q·diag(cos θ)·q†, q·diag(sin θ)·q† on C⁴ whose first two tuples are exactly δ apart.
+
+    The tuples (cos θ, sin θ) lie on the unit circle, and the chord between
+    angles θ and θ + 2·arcsin(δ/2) is δ, so 1 - w₍₅₎ = ½δ².  The other
+    pairs are at least 0.4 apart.
+    """
+    theta = np.array([0.3, 0.3 + 2 * np.arcsin(delta / 2), 0.9, 1.3])
+    return _in_basis(q, np.column_stack([np.cos(theta), np.sin(theta)]))
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize("k", range(8, 17))
+def test_chord_family_places_the_floor(k, rotated, tmp_path, capsys):
+    # δ = 1e-4 … 1e-8, margin ½δ² = 5e-9 … 5e-17, computed to a few ε: the
+    # verdict is true while the margin exceeds the floor 2.3e-13 at d = 4
+    # (δ ≥ 1e-6) and Undecided (exit 3) from δ = 3.2e-7 down.
+    delta = 10.0 ** (-k / 2)
+    es = _chord_set(delta, _unitary(4, 9) if rotated else np.eye(4))
+    margin = 0.5 * delta**2
+    w = np.linalg.eigvalsh(_hermitian_coordinates(es))
+    assert abs((1.0 - w[-5]) - margin) <= 16 * np.finfo(float).eps
+    if margin > _floor(4):
+        rep = verify_resolution_fixed_points(es)
+        assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.1", 4, 4, True)
+    else:
+        with pytest.raises(Undecided, match="dimension 4"):
+            verify_resolution_fixed_points(es)
+        path = tmp_path / "chord.json"
+        dump_effect_set(path, es)
+        assert main(["verify", str(path)]) == 3
+        assert "Undecided" in capsys.readouterr().err

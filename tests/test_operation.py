@@ -257,6 +257,9 @@ def _seeded_unitary():
         (2e-9, Normalization.SUBNORMALIZED, ("3.2", 2, 2, True)),
         (5e-9, Normalization.SUBNORMALIZED, ("3.2", 2, 2, True)),
         (9e-9, Normalization.SUBNORMALIZED, ("3.2", 2, 2, True)),
+        # Residuals ε ≤ CLUSTER: the third eigenvalue 1 - ε of Φ lies within 3ε of 1.
+        (1e-10, Normalization.RESOLUTION, ("3.1", 3, 3, True)),
+        (5e-10, Normalization.RESOLUTION, ("3.1", 3, 3, True)),
     ],
 )
 def test_unit_deficit_decides_the_theorem_by_the_unit_eigenspace_cut(eps, normalization, report):
@@ -271,18 +274,37 @@ def test_unit_deficit_decides_the_theorem_by_the_unit_eigenspace_cut(eps, normal
     assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == report
 
 
+@pytest.mark.parametrize(
+    "mats,dim",
+    [
+        ([np.eye(2)], 4),
+        ([np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])], 8),
+        ([np.diag(np.cos([0.1, 0.5, 0.9, 1.3])), np.diag(np.sin([0.1, 0.5, 0.9, 1.3]))], 4),
+    ],
+    ids=["scalar-d2", "pinching-d4", "tuples-d4"],
+)
+def test_resolution_with_every_unit_deficit_just_inside_cluster(mats, dim):
+    # Every eigenvalue of F is 1 - 0.9e-9, so the set is a resolution, and each
+    # unit commutant element X has ‖Φ(X) - X‖_F = 0.9e-9.  The residual of the
+    # whole basis is √k times that, beyond CLUSTER; the verdict cuts per element.
+    es = build_effect_set([np.sqrt(1.0 - 0.9e-9) * m for m in mats])
+    assert es.normalization is Normalization.RESOLUTION
+    rep = verify_resolution_fixed_points(es)
+    assert (rep.fixed_dim, rep.target_dim, rep.verdict) == (dim, dim, True)
+    assert abs(rep.distance - np.sqrt(dim) * 0.9e-9) <= 1e-3 * rep.distance
+
+
 @pytest.mark.parametrize("eps", [2e-9, 1e-8, 1e-7, 1e-6])
 def test_rotated_unit_deficit_keeps_the_two_dimensional_target(eps):
     # An eigh of F resolves its unit eigenvectors only to about ε_mach/ε, so a
     # target cut with a projector built from them loses both dimensions up to
     # ε = 1e-6.  The singular values of X ↦ (I - F)X on the commutant are 0, 0 and ε.
+    # The eigenvectors of Φ are off by up to 1.7e-7 here, its eigenvalues are not.
     es = _unit_deficit_pair(eps, _seeded_unitary())
     assert es.commuting and es.normalization is Normalization.SUBNORMALIZED
     rep = verify_subnormalized_fixed_points(es)
     assert (rep.theorem, rep.fixed_dim, rep.target_dim) == ("3.2", 2, 2)
-    if eps >= 1e-7:
-        # Below, the Fix side is off by 5e-8 to 1.7e-7, which is a conditioning question of its own.
-        assert rep.verdict and rep.distance <= 1e-8
+    assert rep.verdict and rep.distance <= 1e-8
 
 
 def test_verify_subnormalized_scalar_effect_has_trivial_fixed_space():

@@ -65,7 +65,7 @@ PUBLIC = [
     "LuedersOperation", "NagySolution", "NoConvergence", "Normalization", "NotCommuting",
     "NotDensityMatrix", "NotHermitian", "NotResolution", "NotSquare", "NotSubnormalized",
     "OperatorSubspace", "ParseError", "RefinementVanished", "ResolutionExhausted",
-    "SpectrumAboveOne", "SpectrumBelowZero", "TheoremReport", "WitnessCertificate",
+    "SpectrumAboveOne", "SpectrumBelowZero", "TheoremReport", "Undecided", "WitnessCertificate",
     "build_contractive_block", "build_effect_set", "channel_norm", "commutant",
     "contraction_bound", "contraction_threshold", "dump_effect_set", "dump_operator",
     "effect_set_to_json", "fixed_point_space", "generate_commuting_resolution",
@@ -80,6 +80,6 @@ KERNEL = ["SubspaceComparison", "hermitian_eigendecompose", "nullspace", "operat
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(PUBLIC) == 54
+    assert len(PUBLIC) == 55
     assert sorted(lueders.__all__) == PUBLIC
     assert set(KERNEL) <= set(importlib.import_module("lueders.matkernel").__all__)
