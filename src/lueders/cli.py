@@ -4,10 +4,12 @@ Subcommands: gen, validate, analyze, verify, witness, bound, nagy, suite.
 Each command returns a report (a dict written as indented JSON; text for gen
 and bound) and an exit code, and `main` writes it once: atomically to --out,
 else to stdout.  Errors go to stderr.  This module alone shapes the JSON
-bodies; the library's result types are plain data.  Exit codes: 0 success
-(or verdict true), 1 invariant violation or verdict false, 2 the typed
-commutes-no-witness outcome, 3 usage or input errors and the typed Undecided
-verdict, 4 unexpected errors.
+bodies; the library's result types are plain data.  `analyze` reports the
+fixed-point count of the `verify` decision.  Exit codes: 0 success (or
+verdict true), 1 invariant violation or verdict false, 2 the typed
+commutes-no-witness outcome, 3 usage or input errors, the typed Undecided
+outcome of `verify` and `analyze`, and a LAPACK failure (LinAlgError)
+anywhere, 4 unexpected errors.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
 )
 from .operation import (
     LuedersOperation,
-    _fixed_dim,
+    _verify_fixed_points,
     commutant,
     joint_eigenspaces,
     nagy_solve,
@@ -134,11 +136,12 @@ def _cmd_validate(args):
 
 def _cmd_analyze(args):
     es = serialize.load_effect_set(args.input)
+    basis = commutant(es)
     report = {
         **_classification(es),
         "channel_norm": mk.operator_norm(es.sum_of_squares),
-        "fixed_dim": _fixed_dim(es),
-        "commutant_dim": commutant(es).dim,
+        "fixed_dim": _verify_fixed_points(es, basis).fixed_dim,
+        "commutant_dim": basis.dim,
     }
     if es.commuting:
         report["joint_block_dims"] = [b.dim for b in joint_eigenspaces(es)]
@@ -261,7 +264,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except LuedersError as exc:
+    except (LuedersError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 3
     except Exception:

@@ -8,10 +8,10 @@ small (d ≤ 64), so dense LAPACK routines via numpy are used throughout.
 ``nullspace`` costs one SVD, of the triangular QR factor when the matrix is
 tall, and the fixed-point space of a Lüders operation (in ``operation``) one
 real symmetric ``eigh`` of Φ in an orthonormal basis of the Hermitian
-matrices, which has the eigenvalues of the complex superoperator.  Both cut
-their spectrum by the same relative rule, ``_kernel_mask``, at
-``tolerances.NULLSPACE``, which also counts the fixed points from the
-eigenvalues alone.
+matrices, which has the eigenvalues of the complex superoperator.  Both keep
+their kernel vectors by the same relative rule, ``_kernel_columns``, at
+``tolerances.NULLSPACE``.  The verifiers do not use it: they count the fixed
+points from eigenvalues against an absolute margin.
 
 Vectorization is column-stacking: vec(AXB) = (Bᵀ ⊗ A) vec(X).
 """
@@ -125,28 +125,20 @@ def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence(str(exc)) from exc
 
 
-def _kernel_mask(dist: np.ndarray, scale: float | None = None) -> np.ndarray | None:
-    """Which singular values dist count as kernel: those at most NULLSPACE·scale.
+def _kernel_columns(dist: np.ndarray, vectors: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Columns of `vectors` whose singular value dist is at most NULLSPACE·scale.
 
-    scale defaults to max(dist).  None means scale ≤ NULLSPACE: the matrix
-    counts as zero and every direction is kernel, since rounding dust must
-    not masquerade as structure, and every x then still satisfies
+    scale defaults to max(dist).  For scale ≤ NULLSPACE the matrix counts as
+    zero and the identity basis is returned, since rounding dust must not
+    masquerade as structure, and every x then still satisfies
     ‖Mx‖ ≤ NULLSPACE·‖x‖.
     """
     if scale is None:
         scale = float(dist.max())
     if scale <= tol.NULLSPACE:
-        return None
-    return dist <= tol.NULLSPACE * scale
-
-
-def _kernel_columns(dist: np.ndarray, vectors: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Columns of `vectors` whose singular value dist passes `_kernel_mask`, or the identity basis for M = 0."""
-    keep = _kernel_mask(dist, scale)
-    if keep is None:
         return np.eye(vectors.shape[0], dtype=vectors.dtype)
     # C order: a BLAS product can round differently by the memory layout of its operands.
-    return np.ascontiguousarray(vectors[:, keep])
+    return np.ascontiguousarray(vectors[:, dist <= tol.NULLSPACE * scale])
 
 
 def nullspace(m, *, scale: float | None = None) -> np.ndarray:
@@ -156,7 +148,7 @@ def nullspace(m, *, scale: float | None = None) -> np.ndarray:
     which has the same right singular vectors, so no left singular vectors of
     M are ever formed.  Right singular vectors whose singular value falls at
     or below NULLSPACE·scale are kept, together with every direction beyond
-    the rank of a wide M; see `_kernel_mask` for the zero-matrix rule.
+    the rank of a wide M; see `_kernel_columns` for the zero-matrix rule.
 
     scale defaults to σ_max(M).  A caller that passes only some columns of a
     larger system passes that system's norm (or a bound on it): dropping

@@ -17,12 +17,12 @@ No route here forms the complex d²×d² matrix S.  Φ maps Herm(d) into itself
 because Φ(X)† = Φ(X†), and in Hermitian coordinates it is a real symmetric
 d²×d² matrix R with the eigenvalues of S.  `verify` decides the theorem from
 one ``eigvalsh`` of R and the residual ‖Φ(Q) - Q‖_F of the target basis Q,
-and `analyze` counts the fixed points from the same eigenvalues; eigenvalues
-are accurate to rounding of ‖Φ‖, where eigenvectors are accurate only to
-rounding over the spectral gap.  `fixed_point_space` takes the full ``eigh``
-of R for the basis itself and serves as the eigenvector oracle.  `nagy_solve`
-applies Φ to d×d matrices, and `LuedersOperation.superoperator` builds S as
-the dense reference.
+and `analyze` reports the fixed-point count of that same decision;
+eigenvalues are accurate to rounding of ‖Φ‖, where eigenvectors are accurate
+only to rounding over the spectral gap.  `fixed_point_space` takes the full
+``eigh`` of R for the basis itself and serves as the eigenvector oracle.
+`nagy_solve` applies Φ to d×d matrices, and `LuedersOperation.superoperator`
+builds S as the dense reference.
 """
 
 from __future__ import annotations
@@ -145,13 +145,6 @@ def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
     x.real = (yt + y) / 2
     x.imag = (yt - y) / 2
     return mk.OperatorSubspace(d, x.reshape(d * d, -1))
-
-
-def _fixed_dim(effect_set: EffectSet) -> int:
-    """dim Fix(Φ) by the cut of `fixed_point_space`, counted from one ``eigvalsh`` of R."""
-    dist = np.abs(np.linalg.eigvalsh(_hermitian_coordinates(effect_set)) - 1.0)
-    keep = mk._kernel_mask(dist)
-    return dist.size if keep is None else int(np.count_nonzero(keep))
 
 
 def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
@@ -302,7 +295,7 @@ def _residual(matrices, q: np.ndarray, d: int) -> tuple[float, float]:
     return float(np.sqrt(total)), worst
 
 
-def _verify_fixed_points(effect_set: EffectSet) -> TheoremReport:
+def _verify_fixed_points(effect_set: EffectSet, basis: mk.OperatorSubspace) -> TheoremReport:
     """Decide Fix(Φ) = {X ∈ {Eᵢ}′ : (I - F)X = 0} (the commutant for a resolution) from eigenvalues.
 
     The target: for X in the commutant Φ(X) = XF, so ‖(I - F)X‖_F = ‖Φ(X) - X‖_F.
@@ -328,10 +321,11 @@ def _verify_fixed_points(effect_set: EffectSet) -> TheoremReport:
     but more than k eigenvalues pass, the next one cannot be told from 1 and
     Undecided is raised.  distance reports ρ.  Target and residual read the
     commutant, F and Φ on d×d matrices, never R, so the two sides share no
-    computation.
+    computation.  basis is `commutant(effect_set)`, passed in so that
+    `analyze`, which also reports its dimension, computes it once.
     """
     d = effect_set.dim
-    target = commutant(effect_set).vectors
+    target = basis.vectors
     resolution = effect_set.normalization is Normalization.RESOLUTION
     if not resolution:
         # column j of target is vec(Bⱼ), so the (d, d·k) reshape holds B₁ | B₂ | ... side by side
@@ -362,7 +356,7 @@ def verify_resolution_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """
     if effect_set.normalization is not Normalization.RESOLUTION:
         raise NotResolution("the squares do not sum to the identity")
-    return _verify_fixed_points(effect_set)
+    return _verify_fixed_points(effect_set, commutant(effect_set))
 
 
 def verify_subnormalized_fixed_points(effect_set: EffectSet) -> TheoremReport:
@@ -375,7 +369,7 @@ def verify_subnormalized_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """
     if effect_set.normalization is Normalization.RESOLUTION:
         raise IsResolution("the squares sum to the identity; use the resolution verifier")
-    return _verify_fixed_points(effect_set)
+    return _verify_fixed_points(effect_set, commutant(effect_set))
 
 
 # ---------------------------------------------------------------------------

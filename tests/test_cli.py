@@ -156,6 +156,23 @@ def test_analyze_pinching(tmp_path, capsys):
     assert report["joint_block_dims"] == [1, 1]
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_lapack_failure_exits_three(command, tmp_path, monkeypatch, capsys):
+    # A LinAlgError from the eigvalsh of the 4×4 matrix of Φ (d = 2) is a typed exit 3, not exit 4.
+    path = _pinching_file(tmp_path)
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing(a, *args, **kwargs):
+        if np.shape(a)[-1] == 4:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    assert main([command, path]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: LinAlgError: Eigenvalues did not converge\n"
+
+
 def test_verify_resolution_and_subnormalized(tmp_path, capsys):
     assert main(["verify", _pinching_file(tmp_path)]) == 0
     rep = json.loads(_out(capsys))

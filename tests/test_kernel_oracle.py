@@ -26,7 +26,9 @@ and the residual ‖Φ(Q) - Q‖_F of the target basis Q.  Their verdicts and
 dimensions are checked against the eigenvector route they replaced
 (`fixed_point_space` compared with the target by `subspaces_equal`) and the
 dense S, and their eigenvalue margin against the exact spectrum of commuting
-resolutions, ⟨λ(a), λ(b)⟩ over pairs of joint eigenvalue tuples.
+resolutions, ⟨λ(a), λ(b)⟩ over pairs of joint eigenvalue tuples.  `lueders
+analyze` must report the verifier's fixed_dim, or exit 3 with Undecided
+wherever `lueders verify` does.
 """
 
 import json
@@ -47,7 +49,6 @@ from lueders.errors import Undecided
 from lueders.operation import (
     ChannelNormCertificate,
     LuedersOperation,
-    _fixed_dim,
     _hermitian_coordinates,
     _residual,
     channel_norm,
@@ -688,8 +689,16 @@ def _floor(d):
     return 64 * d * d * np.finfo(float).eps
 
 
-def _assert_matches_the_eigenvector_route(es, verify):
-    """Verdict, target_dim and both fixed_dim against `fixed_point_space`, `subspaces_equal` and the dense S."""
+def _run(command, es, path, capsys):
+    """(exit code, stdout, stderr) of `lueders command` on es written to path."""
+    dump_effect_set(path, es)
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _assert_matches_the_eigenvector_route(es, verify, path, capsys):
+    """Verdict, target_dim and fixed_dim against `fixed_point_space`, `subspaces_equal` and the dense S."""
     d = es.dim
     rep = verify(es)
     fixed, target = fixed_point_space(LuedersOperation(es)), _verifier_target(es)
@@ -697,14 +706,15 @@ def _assert_matches_the_eigenvector_route(es, verify):
     assert (rep.verdict, rep.target_dim) == (old, target.dim)
     s = LuedersOperation(es).superoperator
     assert rep.fixed_dim == _reference_nullspace(s - np.eye(d * d)).shape[1]
-    assert _fixed_dim(es) == fixed.dim
+    code, out, _ = _run("analyze", es, path, capsys)
+    assert (code, json.loads(out)["fixed_dim"]) == (0, rep.fixed_dim)
     spectrum = np.linalg.eigvalsh((s + s.conj().T) / 2)
     assert np.abs(np.linalg.eigvalsh(_hermitian_coordinates(es)) - spectrum).max() <= 1e-13
 
 
 @pytest.mark.parametrize("index", range(51))
-def test_verifier_matches_the_eigenvector_route_on_quick_pools(index):
-    _assert_matches_the_eigenvector_route(*list(_quick_pools())[index])
+def test_verifier_matches_the_eigenvector_route_on_quick_pools(index, tmp_path, capsys):
+    _assert_matches_the_eigenvector_route(*list(_quick_pools())[index], tmp_path / "set.json", capsys)
 
 
 CROSS_CHECK_SETS = {
@@ -714,11 +724,12 @@ CROSS_CHECK_SETS = {
 
 
 @pytest.mark.parametrize("name", sorted(CROSS_CHECK_SETS))
-def test_verifier_matches_the_eigenvector_route_on_generated_sets(name):
+def test_verifier_matches_the_eigenvector_route_on_generated_sets(name, tmp_path, capsys):
     es = CROSS_CHECK_SETS[name]
     resolution = es.normalization is Normalization.RESOLUTION
     _assert_matches_the_eigenvector_route(
-        es, verify_resolution_fixed_points if resolution else verify_subnormalized_fixed_points
+        es, verify_resolution_fixed_points if resolution else verify_subnormalized_fixed_points,
+        tmp_path / "set.json", capsys,
     )
 
 
@@ -782,3 +793,59 @@ def test_chord_family_places_the_floor(k, rotated, tmp_path, capsys):
         dump_effect_set(path, es)
         assert main(["verify", str(path)]) == 3
         assert "Undecided" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# analyze reports the verifier's count
+
+
+def _agreement_sets():
+    """The near-commuting δ-sweep, the chord family and both unit-deficit families, each across its Undecided edge."""
+    for k in range(6, 19):
+        yield f"near-commuting-{k}", build_effect_set(_near_commuting(10.0 ** (-k / 2), seed=k))
+    for basis, q, chord_q in (("diagonal", np.eye(3), np.eye(4)), ("rotated", _rotation(), _unitary(4, 9))):
+        for k in range(8, 17):
+            yield f"chord-{basis}-{k}", _chord_set(10.0 ** (-k / 2), chord_q)
+        for eps in UNIT_DEFICIT_EPS + (1e-10, 5e-10):
+            yield f"unit-deficit-{basis}-{eps:g}", _unit_deficit_set(eps, q)
+
+
+AGREEMENT_SETS = dict(_agreement_sets())
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_SETS))
+def test_analyze_reports_the_verifier_count(name, tmp_path, capsys):
+    # Either both commands report the same fixed_dim, or both exit 3 with Undecided.
+    es = AGREEMENT_SETS[name]
+    path = tmp_path / "set.json"
+    verify_code, verify_out, verify_err = _run("verify", es, path, capsys)
+    code, out, err = _run("analyze", es, path, capsys)
+    if verify_code == 3:
+        assert (code, out) == (3, "")
+        assert "Undecided" in verify_err and "Undecided" in err
+    else:
+        assert verify_code in (0, 1) and code == 0
+        assert json.loads(out)["fixed_dim"] == json.loads(verify_out)["fixed_dim"]
+
+
+@pytest.mark.parametrize(
+    "name,fixed_dim",
+    [
+        ("near-commuting-10", 1),
+        ("near-commuting-11", 1),
+        ("near-commuting-12", None),
+        ("chord-diagonal-11", 4),
+        ("chord-rotated-12", 4),
+        ("unit-deficit-diagonal-1e-10", 3),
+        ("unit-deficit-diagonal-5e-10", 3),
+        ("unit-deficit-rotated-1e-10", 3),
+        ("unit-deficit-rotated-5e-10", 3),
+    ],
+)
+def test_analyze_where_the_relative_cut_miscounted(name, fixed_dim, tmp_path, capsys):
+    # The relative NULLSPACE cut on |1 - w| counted 4, 6 and 2 here, and 4 with exit 0 at δ = 1e-6.
+    code, out, err = _run("analyze", AGREEMENT_SETS[name], tmp_path / "set.json", capsys)
+    if fixed_dim is None:
+        assert code == 3 and "Undecided" in err
+    else:
+        assert (code, json.loads(out)["fixed_dim"]) == (0, fixed_dim)
