@@ -41,7 +41,6 @@ from .errors import (
     SpectrumBelowZero,
 )
 from .operation import (
-    LuedersOperation,
     _verify_fixed_points,
     commutant,
     joint_eigenspaces,
@@ -186,7 +185,7 @@ def _cmd_bound(args):
 
 def _cmd_nagy(args):
     es = serialize.load_effect_set(args.input)
-    sol = nagy_solve(LuedersOperation(es))
+    sol = nagy_solve(es)
     report = {"d": es.dim, "residual": sol.residual,
               "half_identity_distance": sol.half_identity_distance, "is_effect": sol.is_effect}
     if args.full:

@@ -17,10 +17,6 @@ class NotHermitian(LuedersError):
     """Asymmetry ``‖M - M†‖`` exceeds the Hermitian tolerance."""
 
 
-class NoConvergence(LuedersError):
-    """The eigensolver failed to converge."""
-
-
 class DimensionMismatch(LuedersError):
     """Operands live on Hilbert spaces of different dimension."""
 

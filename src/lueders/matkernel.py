@@ -2,8 +2,9 @@
 
 Hermitian eigendecomposition, operator norms, numerical nullspaces, and
 orthonormal operator subspaces under the Hilbert-Schmidt inner product
-tr(A†B), held and compared as d²×k column bases.  Dimensions stay
-small (d ≤ 64), so dense LAPACK routines via numpy are used throughout.
+tr(A†B), held and compared as d²×k column bases.  Dimensions stay small
+(d ≤ 64), so dense LAPACK routines via numpy are used throughout; a failure
+of one surfaces unwrapped as ``np.linalg.LinAlgError``.
 
 ``nullspace`` costs one SVD, of the triangular QR factor when the matrix is
 tall, and the fixed-point space of a Lüders operation (in ``operation``) one
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NoConvergence, NotHermitian, NotSquare
+from .errors import DimensionMismatch, InvalidArgument, NotHermitian, NotSquare
 from . import tolerances as tol
 
 __all__ = [
@@ -114,15 +115,12 @@ def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
 
     w holds the eigenvalues in ascending order and the columns of the unitary
     u the matching eigenvectors.  Raises NotSquare / NotHermitian on malformed
-    input and NoConvergence if the underlying solver gives up.
+    input, and LinAlgError from ``eigh`` itself.
     """
     a = as_complex_matrix(m)
     _require_square(a)
     _require_hermitian(a)
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    return np.linalg.eigh(a)
 
 
 def _kernel_columns(dist: np.ndarray, vectors: np.ndarray, scale: float | None = None) -> np.ndarray:

@@ -21,8 +21,9 @@ and `analyze` reports the fixed-point count of that same decision;
 eigenvalues are accurate to rounding of ‖Φ‖, where eigenvectors are accurate
 only to rounding over the spectral gap.  `fixed_point_space` takes the full
 ``eigh`` of R for the basis itself and serves as the eigenvector oracle.
-`nagy_solve` applies Φ to d×d matrices, and `LuedersOperation.superoperator`
-builds S as the dense reference.
+Every function takes the `EffectSet` and applies Φ to d×d matrices through
+`_phi`; `LuedersOperation` keeps `apply` for library users and builds S as
+the dense `superoperator` reference.
 """
 
 from __future__ import annotations
@@ -67,14 +68,11 @@ class LuedersOperation:
     def __init__(self, effect_set: EffectSet):
         self.effect_set = effect_set
 
-    @property
-    def dim(self) -> int:
-        return self.effect_set.dim
-
     def apply(self, b) -> np.ndarray:
+        d = self.effect_set.dim
         mat = mk.as_complex_matrix(b)
-        if mat.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"operator shape {mat.shape} does not match dimension {self.dim}")
+        if mat.shape != (d, d):
+            raise DimensionMismatch(f"operator shape {mat.shape} does not match dimension {d}")
         return _phi(self.effect_set.matrices, mat)
 
     @property
@@ -127,7 +125,7 @@ def _hermitian_coordinates(effect_set: EffectSet) -> np.ndarray:
     return r.reshape(d * d, d * d)
 
 
-def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
+def fixed_point_space(effect_set: EffectSet) -> mk.OperatorSubspace:
     """Orthonormal basis of {B : Φ(B) = B}: the eigenvalue-1 cluster of Φ in Hermitian coordinates.
 
     One real ``eigh`` of R (`_hermitian_coordinates`) gives the singular
@@ -136,8 +134,8 @@ def fixed_point_space(op: LuedersOperation) -> mk.OperatorSubspace:
     vec(X).  No product route calls it: `verify` and `analyze` read only the
     eigenvalues of R, and this eigenvector route stays as their oracle.
     """
-    d = op.dim
-    w, v = np.linalg.eigh(_hermitian_coordinates(op.effect_set))
+    d = effect_set.dim
+    w, v = np.linalg.eigh(_hermitian_coordinates(effect_set))
     y = mk._kernel_columns(np.abs(w - 1.0), v).reshape(d, d, -1)
     # x[j, i] = X[i, j], so x.reshape(d², k) holds the column-stacked vec(X)
     yt = y.transpose(1, 0, 2)
@@ -164,9 +162,10 @@ def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
 
     The cut is taken against (Σᵢ (λ_max(Eᵢ) - λ_min(Eᵢ))²)^½, which bounds the
     norm of the unrestricted system [Cᵢ]: cut against the smaller norm of the
-    restricted one, eigenvector dust of H would count as structure.  QR and
-    SVD are independent of the ``eigvalsh`` of Φ behind the verifiers, so they
-    never compare a computation with itself.
+    restricted one, eigenvector dust of H would count as structure.  A norm at
+    most NULLSPACE (every effect scalar) keeps every unknown, so no block is
+    formed.  QR and SVD are independent of the ``eigvalsh`` of Φ behind the
+    verifiers, so they never compare a computation with itself.
     """
     d = effect_set.dim
     mats = effect_set.matrices
@@ -178,16 +177,17 @@ def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
     rows = np.concatenate([np.repeat(b, b.size) for b in blocks])
     cols = np.concatenate([np.tile(b, b.size) for b in blocks])
     k = np.arange(rows.size)
+    spreads = [e.eigenvalues[-1] - e.eigenvalues[0] for e in effect_set.effects]
+    scale = float(np.linalg.norm(spreads))
     factor = np.zeros((0, k.size), dtype=complex)
-    for e in mats:
+    for e in (mats if scale > tol.NULLSPACE else ()):
         et = u.conj().T @ e @ u
         # t[s, r, k] is entry (r, s) of Ẽe_pe_qᵀ - e_pe_qᵀẼ, so t.reshape(d², K) has columns vec(·)
         t = np.zeros((d, d, k.size), dtype=complex)
         t[cols, :, k] = et[:, rows].T
         t[:, rows, k] -= et[cols, :].T
         factor = np.linalg.qr(np.vstack([factor, t.reshape(d * d, k.size)]), mode="r")
-    spreads = [e.eigenvalues[-1] - e.eigenvalues[0] for e in effect_set.effects]
-    y = mk.nullspace(factor, scale=float(np.linalg.norm(spreads)))
+    y = mk.nullspace(factor, scale=scale)
     ys = np.zeros((y.shape[1], d, d), dtype=complex)
     ys[:, rows, cols] = y.T
     x = u @ ys @ u.conj().T
@@ -391,7 +391,7 @@ class ChannelNormCertificate:
     probes: int
 
 
-def channel_norm(op: LuedersOperation, probes: int = 200, seed: int = 0) -> ChannelNormCertificate:
+def channel_norm(effect_set: EffectSet, probes: int = 200, seed: int = 0) -> ChannelNormCertificate:
     """Operator norm of Φ on B(H), which the identity attains: ‖Φ‖ = ‖Φ(I)‖ = ‖F‖.
 
     The probes are one batched draw of shape (probes, 2, d, d) from the Philox
@@ -402,13 +402,13 @@ def channel_norm(op: LuedersOperation, probes: int = 200, seed: int = 0) -> Chan
     """
     if probes < 0:
         raise InvalidArgument(f"probes must be >= 0, got {probes}")
-    d = op.dim
-    value = mk.operator_norm(op.effect_set.sum_of_squares)
-    identity_norm = mk.operator_norm(op.apply(np.eye(d)))
+    d = effect_set.dim
+    value = mk.operator_norm(effect_set.sum_of_squares)
+    identity_norm = mk.operator_norm(_phi(effect_set.matrices, np.eye(d, dtype=complex)))
     g = philox_generator(seed).standard_normal((probes, 2, d, d))
     b = g[:, 0] + 1j * g[:, 1]
     b = b / np.linalg.svd(b, compute_uv=False)[:, :1, None]
-    images = _phi(op.effect_set.matrices, b)
+    images = _phi(effect_set.matrices, b)
     max_probe = float(np.linalg.svd(images, compute_uv=False).max(initial=0.0))
     return ChannelNormCertificate(value, identity_norm, max_probe, probes)
 
@@ -423,7 +423,7 @@ class NagySolution:
     is_effect: bool
 
 
-def nagy_solve(op: LuedersOperation) -> NagySolution:
+def nagy_solve(effect_set: EffectSet) -> NagySolution:
     """Solve the complete-disturbance equation Φ(X) + X = I by conjugate gradients.
 
     Under tr(A†B), Φ is Hermitian, and for a validated set its matrix S has
@@ -434,20 +434,20 @@ def nagy_solve(op: LuedersOperation) -> NagySolution:
     ‖r‖_F ≤ ε·‖I‖_F, ε the float64 machine epsilon, or after d² steps.  For
     resolutions the solution is I/2.
     """
-    d = op.dim
+    d = effect_set.dim
     x = np.zeros((d, d), dtype=complex)
     r = p = np.eye(d, dtype=complex)
     rr = float(d)
     for _ in range(d * d):
         if np.sqrt(rr) <= np.finfo(float).eps * np.sqrt(d):
             break
-        ap = p + _phi(op.effect_set.matrices, p)
+        ap = p + _phi(effect_set.matrices, p)
         alpha = rr / np.vdot(p, ap).real
         x = x + alpha * p
         r = r - alpha * ap
         rr, rr_old = np.vdot(r, r).real, rr
         p = r + (rr / rr_old) * p
-    residual = float(np.linalg.norm(op.apply(x) + x - np.eye(d)))
+    residual = float(np.linalg.norm(_phi(effect_set.matrices, x) + x - np.eye(d)))
     half_distance = float(np.linalg.norm(x - np.eye(d) / 2))
     try:
         _check_effect(x)
@@ -457,7 +457,7 @@ def nagy_solve(op: LuedersOperation) -> NagySolution:
     return NagySolution(x, residual, half_distance, is_effect)
 
 
-def is_undisturbed_state(op: LuedersOperation, rho) -> tuple[bool, bool]:
+def is_undisturbed_state(effect_set: EffectSet, rho) -> tuple[bool, bool]:
     """Return (is_fixed, commutes_with_all) for a density matrix.
 
     is_fixed holds when ‖Φ(ρ) - ρ‖_F ≤ COMMUTATOR; commutes_with_all when
@@ -466,17 +466,16 @@ def is_undisturbed_state(op: LuedersOperation, rho) -> tuple[bool, bool]:
     satisfy |tr ρ - 1| ≤ COMMUTATOR; each failure raises NotDensityMatrix.
     For Lüders operations of resolutions the two verdicts agree.
     """
+    d = effect_set.dim
     mat = mk.as_complex_matrix(rho)
-    if mat.shape != (op.dim, op.dim):
-        raise DimensionMismatch(f"state shape {mat.shape} does not match dimension {op.dim}")
+    if mat.shape != (d, d):
+        raise DimensionMismatch(f"state shape {mat.shape} does not match dimension {d}")
     try:
         _check_effect(mat)
     except _NOT_AN_EFFECT as exc:
         raise NotDensityMatrix(f"state fails the effect check: {exc}") from exc
     if abs(float(np.real(np.trace(mat))) - 1.0) > tol.COMMUTATOR:
         raise NotDensityMatrix(f"trace {np.real(np.trace(mat)):.12f} is not 1")
-    is_fixed = float(np.linalg.norm(op.apply(mat) - mat)) <= tol.COMMUTATOR
-    commutes = all(
-        mk.operator_norm(mat @ e - e @ mat) <= tol.COMMUTATOR for e in op.effect_set.matrices
-    )
+    is_fixed = float(np.linalg.norm(_phi(effect_set.matrices, mat) - mat)) <= tol.COMMUTATOR
+    commutes = all(mk.operator_norm(mat @ e - e @ mat) <= tol.COMMUTATOR for e in effect_set.matrices)
     return is_fixed, commutes

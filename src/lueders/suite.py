@@ -37,7 +37,6 @@ from .effects import (
 )
 from .errors import CommutesNoWitness
 from .operation import (
-    LuedersOperation,
     channel_norm,
     commutant,
     is_undisturbed_state,
@@ -246,7 +245,7 @@ def _c4(scale: Scale) -> CriterionResult:
     worst_half = 0.0
     worst_res = 0.0
     for es in pool:
-        sol = nagy_solve(LuedersOperation(es))
+        sol = nagy_solve(es)
         worst_half = max(worst_half, sol.half_identity_distance)
         worst_res = max(worst_res, sol.residual)
         if not (sol.half_identity_distance <= 1e-9 and sol.residual <= 1e-10):
@@ -273,7 +272,7 @@ def _c5(scale: Scale) -> CriterionResult:
     failures = 0
     excesses = []
     for i, es in enumerate(sets):
-        cert = channel_norm(LuedersOperation(es), probes=scale.norm_probes, seed=7000 + i)
+        cert = channel_norm(es, probes=scale.norm_probes, seed=7000 + i)
         excess = cert.max_probe_image_norm - cert.value
         excesses.append(excess)
         if not (cert.identity_image_norm == cert.value and excess <= 1e-10):
@@ -426,7 +425,6 @@ def _c9(scale: Scale) -> CriterionResult:
     disagreements = 0
     for t in range(trials):
         es = commuting_pool[t % len(commuting_pool)]
-        op = LuedersOperation(es)
         d = es.dim
         rng = philox_generator(11000 + t)
         if t % 2 == 0:
@@ -440,7 +438,7 @@ def _c9(scale: Scale) -> CriterionResult:
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             rho = g @ g.conj().T
             rho = rho / np.real(np.trace(rho))
-        fixed, commutes = is_undisturbed_state(op, rho)
+        fixed, commutes = is_undisturbed_state(es, rho)
         if fixed != commutes:
             disagreements += 1
     return CriterionResult(

@@ -29,7 +29,7 @@ from .errors import (
     RefinementVanished,
     ResolutionExhausted,
 )
-from .operation import JointBlock, LuedersOperation, joint_eigenspaces
+from .operation import JointBlock, _phi, joint_eigenspaces
 
 __all__ = [
     "ContractionReport",
@@ -232,7 +232,7 @@ def build_contractive_block(effect_set: EffectSet, x, p: int) -> ContractionRepo
     right = coarse_right[ks2] @ fine_right[s2]
     y = left @ mat @ right
     y_norm = mk.operator_norm(y)
-    image_norm = mk.operator_norm(LuedersOperation(effect_set).apply(y))
+    image_norm = mk.operator_norm(_phi(effect_set.matrices, y))
     achieved_ratio = (y_norm - image_norm) / y_norm
     try:
         with np.errstate(over="raise"):

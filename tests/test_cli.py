@@ -15,7 +15,7 @@ from lueders.effects import (
     generate_commuting_subnormalized,
     generate_noncommuting_resolution,
 )
-from lueders.operation import LuedersOperation, channel_norm
+from lueders.operation import channel_norm
 from lueders.rng import philox_generator
 from lueders.serialize import (
     DIM_LIMIT,
@@ -156,18 +156,26 @@ def test_analyze_pinching(tmp_path, capsys):
     assert report["joint_block_dims"] == [1, 1]
 
 
-@pytest.mark.parametrize("command", ["verify", "analyze"])
-def test_lapack_failure_exits_three(command, tmp_path, monkeypatch, capsys):
-    # A LinAlgError from the eigvalsh of the 4×4 matrix of Φ (d = 2) is a typed exit 3, not exit 4.
+@pytest.mark.parametrize(
+    "command,solver,size",
+    [
+        pytest.param("verify", "eigvalsh", 4, id="verify"),
+        pytest.param("analyze", "eigvalsh", 4, id="analyze"),
+        pytest.param("validate", "eigh", 2, id="validate"),
+    ],
+)
+def test_lapack_failure_exits_three(command, solver, size, tmp_path, monkeypatch, capsys):
+    # A LinAlgError from the eigvalsh of the 4×4 matrix of Φ (d = 2), or from the eigh of a
+    # 2×2 effect in validate_effect, is a typed exit 3 under its own name, not exit 4.
     path = _pinching_file(tmp_path)
-    eigvalsh = np.linalg.eigvalsh
+    solve = getattr(np.linalg, solver)
 
     def failing(a, *args, **kwargs):
-        if np.shape(a)[-1] == 4:
+        if np.shape(a)[-1] == size:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(a, *args, **kwargs)
+        return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    monkeypatch.setattr(np.linalg, solver, failing)
     assert main([command, path]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == "error: LinAlgError: Eigenvalues did not converge\n"
@@ -410,7 +418,7 @@ def test_analyze_channel_norm_matches_certificate(tmp_path, capsys):
     dump_effect_set(path, es)
     assert main(["analyze", str(path)]) == 0
     report = json.loads(_out(capsys))
-    assert report["channel_norm"] == channel_norm(LuedersOperation(es)).value
+    assert report["channel_norm"] == channel_norm(es).value
 
 
 def test_nagy_resolution(tmp_path, capsys):

@@ -171,10 +171,10 @@ def test_nullspace_zero_and_dust_match_reference(rows, cols):
 
 @pytest.mark.parametrize("name", sorted(EFFECT_SETS))
 def test_fixed_point_space_matches_reference(name):
-    op = LuedersOperation(EFFECT_SETS[name])
-    d = op.dim
-    want = _reference_nullspace(op.superoperator - np.eye(d * d))
-    _assert_same_kernel(fixed_point_space(op).vectors, want)
+    es = EFFECT_SETS[name]
+    d = es.dim
+    want = _reference_nullspace(LuedersOperation(es).superoperator - np.eye(d * d))
+    _assert_same_kernel(fixed_point_space(es).vectors, want)
 
 
 def _assert_fixed_points_match_superoperator(es):
@@ -191,7 +191,7 @@ def _assert_fixed_points_match_superoperator(es):
     s = LuedersOperation(es).superoperator
     h = (s + s.conj().T) / 2 - np.eye(d * d)
     want = _reference_nullspace(h)
-    got = fixed_point_space(LuedersOperation(es)).vectors
+    got = fixed_point_space(es).vectors
     assert got.shape == want.shape
     assert np.abs(got.conj().T @ got - np.eye(got.shape[1])).max(initial=0.0) <= 1e-12
     for c in got.T:
@@ -263,7 +263,7 @@ def test_fixed_points_of_nearly_hermitian_effects_match_superoperator(name):
 def test_fixed_points_of_edge_cases_match_superoperator(mats, dim):
     # E = I fixes all of B(H); the zero effect fixes nothing.
     es = build_effect_set(mats)
-    assert fixed_point_space(LuedersOperation(es)).dim == dim
+    assert fixed_point_space(es).dim == dim
     _assert_fixed_points_match_superoperator(es)
 
 
@@ -281,10 +281,11 @@ NAGY_SETS = {**EFFECT_SETS, **SUBNORMALIZED_SETS}
 
 @pytest.mark.parametrize("name", sorted(NAGY_SETS))
 def test_nagy_solve_matches_reference(name):
-    op = LuedersOperation(NAGY_SETS[name])
-    d = op.dim
-    x_vec, *_ = np.linalg.lstsq(op.superoperator + np.eye(d * d), mk.vec(np.eye(d)), rcond=None)
-    sol = nagy_solve(op)
+    es = NAGY_SETS[name]
+    d = es.dim
+    s = LuedersOperation(es).superoperator
+    x_vec, *_ = np.linalg.lstsq(s + np.eye(d * d), mk.vec(np.eye(d)), rcond=None)
+    sol = nagy_solve(es)
     assert np.linalg.norm(sol.solution - mk.unvec(x_vec, d)) <= 1e-12
     assert sol.residual <= 1e-12
 
@@ -293,7 +294,7 @@ def test_nagy_solve_at_the_generator_cap():
     # d = 64, n = 64: the superoperator alone would be 268 MB.  X commutes with
     # the commuting effects, so Φ(X) = XF and X = (I + F)⁻¹.
     es = generate_commuting_subnormalized(64, 64, 11, 0.5)
-    sol = nagy_solve(LuedersOperation(es))
+    sol = nagy_solve(es)
     assert np.linalg.norm(sol.solution - np.linalg.inv(np.eye(64) + es.sum_of_squares)) <= 1e-12
     assert sol.residual <= 1e-12
     assert sol.is_effect
@@ -301,7 +302,7 @@ def test_nagy_solve_at_the_generator_cap():
 
 def test_nagy_solve_of_the_zero_effect():
     # Φ = 0: the first step lands on X = I with a residual of exactly 0.
-    sol = nagy_solve(LuedersOperation(build_effect_set([np.zeros((3, 3))])))
+    sol = nagy_solve(build_effect_set([np.zeros((3, 3))]))
     assert np.array_equal(sol.solution, np.eye(3))
     assert sol.residual == 0.0
 
@@ -375,7 +376,7 @@ def test_subspaces_equal_matches_projector_oracle_on_verifier_pairs():
     pairs = []
     for es, verify in _quick_pools():
         assert verify(es).verdict
-        pairs.append((fixed_point_space(LuedersOperation(es)), _verifier_target(es)))
+        pairs.append((fixed_point_space(es), _verifier_target(es)))
     assert len(pairs) == 51
     for s1, s2 in pairs:
         got = mk.subspaces_equal(s1, s2).distance
@@ -432,7 +433,7 @@ def test_noncommuting_subnormalized_fixed_points_match_stacked_kernel(name, tmp_
     q = eye - unit_projector(es)
     want = _reference_nullspace(np.vstack(_commutator_blocks(es) + [np.kron(eye, q), np.kron(q.T, eye)]))
     assert want.shape[1] == dim
-    _assert_same_kernel(fixed_point_space(LuedersOperation(es)).vectors, want)
+    _assert_same_kernel(fixed_point_space(es).vectors, want)
     rep = verify_subnormalized_fixed_points(es)
     assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.2", dim, dim, True)
     path = tmp_path / "set.json"
@@ -482,6 +483,21 @@ def test_commutant_matches_reference(name):
     if name in DEGENERATE_ELEMENT_SETS:
         assert want.shape[1] == DEGENERATE_ELEMENT_SETS[name][1]
     _assert_same_kernel(commutant(es).vectors, want)
+
+
+@pytest.mark.parametrize("scalars", [[0.6, 0.8], [0.5], [0.0]], ids=["resolution", "half", "zero"])
+def test_commutant_of_scalar_sets_factors_nothing(scalars, monkeypatch):
+    # Every effect is scalar, so every unknown is kept: no commutator block is stacked or factored.
+    es = build_effect_set([s * np.eye(8) for s in scalars])
+    want = _dense_commutant(es)
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("commutant factored a commutator block of a scalar set")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    got = commutant(es)
+    assert got.dim == 64
+    _assert_same_kernel(got.vectors, want)
 
 
 def _element_eigenvalues(es):
@@ -602,7 +618,7 @@ def test_unit_projector_need_not_commute_with_the_effects():
     assert np.abs(es.sum_of_squares - np.diag([1.0, 0.619121])).max() < 1e-6
     assert abs(mk.operator_norm(p @ es.matrices[0] - es.matrices[0] @ p) - 0.3) < 1e-12
     assert len(mk.orthonormalize([p @ mk.unvec(c, 2) for c in commutant(es).vectors.T])) == 1
-    assert fixed_point_space(LuedersOperation(es)).dim == 0
+    assert fixed_point_space(es).dim == 0
 
 
 @pytest.mark.parametrize("eps", [2e-9, 5e-9, 9e-9])
@@ -666,7 +682,7 @@ def _flavor(flavor, d):
 def test_channel_norm_matches_per_probe_loop(flavor, d, probes):
     es = _flavor(flavor, d)
     want = _reference_channel_norm(es, probes, d + probes)
-    assert channel_norm(LuedersOperation(es), probes, seed=d + probes) == want
+    assert channel_norm(es, probes, seed=d + probes) == want
 
 
 def test_c5_probe_excess_matches_per_probe_loop():
@@ -701,7 +717,7 @@ def _assert_matches_the_eigenvector_route(es, verify, path, capsys):
     """Verdict, target_dim and fixed_dim against `fixed_point_space`, `subspaces_equal` and the dense S."""
     d = es.dim
     rep = verify(es)
-    fixed, target = fixed_point_space(LuedersOperation(es)), _verifier_target(es)
+    fixed, target = fixed_point_space(es), _verifier_target(es)
     old = mk.subspaces_equal(fixed, target).equal and fixed.dim == target.dim
     assert (rep.verdict, rep.target_dim) == (old, target.dim)
     s = LuedersOperation(es).superoperator

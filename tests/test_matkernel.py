@@ -42,6 +42,15 @@ def test_eigendecompose_rejects_nonhermitian():
         mk.hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigendecompose_lets_lapack_errors_through(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        mk.hermitian_eigendecompose(np.eye(3))
+
+
 def test_operator_norm_examples():
     assert mk.operator_norm(np.zeros((3, 3))) == 0.0
     assert abs(mk.operator_norm(np.diag([0.3, 0.8])) - 0.8) < 1e-14

@@ -93,11 +93,11 @@ def test_resolution_superoperator_spectrum_and_unitality():
 
 
 def test_fixed_space_of_identity_set_is_everything():
-    assert fixed_point_space(LuedersOperation(build_effect_set([np.eye(3)]))).dim == 9
+    assert fixed_point_space(build_effect_set([np.eye(3)])).dim == 9
 
 
 def test_fixed_space_of_pinching_is_diagonal():
-    sub = fixed_point_space(LuedersOperation(_pinching()))
+    sub = fixed_point_space(_pinching())
     # vec(E₁₁) and vec(E₂₂) are the first and last unit vectors of C⁴
     diag = mk.OperatorSubspace(2, np.eye(4, dtype=complex)[:, [0, 3]])
     cmp = mk.subspaces_equal(sub, diag)
@@ -106,7 +106,7 @@ def test_fixed_space_of_pinching_is_diagonal():
 
 def test_fixed_space_of_single_subnormalized_effect():
     es = build_effect_set([np.diag([1.0, 0.5])])
-    sub = fixed_point_space(LuedersOperation(es))
+    sub = fixed_point_space(es)
     only = mk.OperatorSubspace(2, np.eye(4, dtype=complex)[:, [0]])
     assert sub.dim == 1
     assert mk.subspaces_equal(sub, only).equal
@@ -115,7 +115,7 @@ def test_fixed_space_of_single_subnormalized_effect():
 def test_fixed_space_members_are_fixed():
     es = generate_commuting_resolution(6, 3, seed=31)
     op = LuedersOperation(es)
-    for c in fixed_point_space(op).vectors.T:
+    for c in fixed_point_space(es).vectors.T:
         b = mk.unvec(c, 6)
         assert np.linalg.norm(op.apply(b) - b) < 1e-9
 
@@ -132,12 +132,12 @@ def test_fixed_space_members_are_fixed():
 def test_fixed_space_peak_memory_at_d16(generate):
     # At most three complex d²×d² arrays (3·16·d⁴ bytes) are alive at once;
     # the Kronecker sum of the complex superoperator route held five.
-    op = LuedersOperation(generate())
-    d = op.dim
+    es = generate()
+    d = es.dim
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fixed_point_space(op)
+        fixed_point_space(es)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -338,33 +338,33 @@ def test_verify_subnormalized_rejects_wrong_inputs():
 
 def test_channel_norm_certificate():
     es = generate_commuting_resolution(4, 3, seed=70)
-    cert = channel_norm(LuedersOperation(es), probes=100, seed=1)
+    cert = channel_norm(es, probes=100, seed=1)
     assert abs(cert.value - 1.0) < 1e-10
     assert cert.identity_image_norm == cert.value
     assert cert.max_probe_image_norm <= cert.value + 1e-10
 
-    scalar = channel_norm(LuedersOperation(build_effect_set([0.8 * np.eye(3)])), probes=20, seed=2)
+    scalar = channel_norm(build_effect_set([0.8 * np.eye(3)]), probes=20, seed=2)
     assert abs(scalar.value - 0.64) < 1e-12
 
-    assert channel_norm(LuedersOperation(es), probes=0, seed=1).max_probe_image_norm == 0.0
+    assert channel_norm(es, probes=0, seed=1).max_probe_image_norm == 0.0
 
 
 @pytest.mark.parametrize("kwargs", [{"probes": -1}, {"seed": -1}], ids=["probes", "seed"])
 def test_channel_norm_rejects_negative_arguments(kwargs):
     with pytest.raises(InvalidArgument):
-        channel_norm(LuedersOperation(generate_commuting_resolution(3, 2, seed=71)), **kwargs)
+        channel_norm(generate_commuting_resolution(3, 2, seed=71), **kwargs)
 
 
 def test_channel_norm_at_d64_n64():
     # Φ sums its (200, 64, 64) terms one at a time; a list of all 64 peaks near 0.9 GB.
-    cert = channel_norm(LuedersOperation(generate_commuting_resolution(64, 64, seed=72)))
+    cert = channel_norm(generate_commuting_resolution(64, 64, seed=72))
     assert cert.identity_image_norm == cert.value
     assert cert.max_probe_image_norm <= cert.value + 1e-10
 
 
 def test_nagy_resolution_gives_half_identity():
     es = generate_commuting_resolution(5, 4, seed=80)
-    sol = nagy_solve(LuedersOperation(es))
+    sol = nagy_solve(es)
     assert sol.half_identity_distance <= 1e-10
     assert sol.residual <= 1e-10
     assert sol.is_effect
@@ -373,42 +373,39 @@ def test_nagy_resolution_gives_half_identity():
 def test_nagy_dim_one_circle_pair():
     theta = 0.7
     es = build_effect_set([np.array([[np.cos(theta)]]), np.array([[np.sin(theta)]])])
-    sol = nagy_solve(LuedersOperation(es))
+    sol = nagy_solve(es)
     assert abs(sol.solution[0, 0] - 0.5) < 1e-12
 
 
 def test_nagy_subnormalized_still_solves():
     es = generate_commuting_subnormalized(4, 2, seed=81, unit_fraction=0.25)
-    op = LuedersOperation(es)
-    sol = nagy_solve(op)
-    assert np.linalg.norm(op.apply(sol.solution) + sol.solution - np.eye(4)) <= 1e-10
+    sol = nagy_solve(es)
+    assert np.linalg.norm(LuedersOperation(es).apply(sol.solution) + sol.solution - np.eye(4)) <= 1e-10
 
 
 def test_undisturbed_state_examples():
     es = generate_commuting_resolution(4, 3, seed=90)
-    op = LuedersOperation(es)
-    assert is_undisturbed_state(op, np.eye(4) / 4) == (True, True)
+    assert is_undisturbed_state(es, np.eye(4) / 4) == (True, True)
 
-    pin = LuedersOperation(_pinching())
+    pin = _pinching()
     assert is_undisturbed_state(pin, np.diag([0.5, 0.5])) == (True, True)
     coherent = np.full((2, 2), 0.5, dtype=complex)
     assert is_undisturbed_state(pin, coherent) == (False, False)
 
 
 def test_undisturbed_state_rejects_bad_states():
-    op = LuedersOperation(_pinching())
+    pin = _pinching()
     with pytest.raises(NotDensityMatrix):
-        is_undisturbed_state(op, np.eye(2))  # trace 2
+        is_undisturbed_state(pin, np.eye(2))  # trace 2
     with pytest.raises(NotDensityMatrix):
-        is_undisturbed_state(op, np.diag([1.5, -0.5]))
+        is_undisturbed_state(pin, np.diag([1.5, -0.5]))
     with pytest.raises(NotDensityMatrix):
-        is_undisturbed_state(op, np.array([[1.0, 1.0], [0.0, 0.0]]))
+        is_undisturbed_state(pin, np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
 def test_undisturbed_state_reads_its_tolerances():
-    op = LuedersOperation(_pinching())
     rho = np.diag([0.5 + 5e-10, 0.5])
-    assert is_undisturbed_state(op, rho) == (True, True)
+    assert is_undisturbed_state(_pinching(), rho) == (True, True)
 
 
 def test_undisturbed_state_hermitian_check_is_relative():
@@ -418,13 +415,12 @@ def test_undisturbed_state_hermitian_check_is_relative():
     rho[0, 1] = 6e-11
     assert 1e-10 * np.linalg.norm(rho) < np.linalg.norm(rho - rho.conj().T) < 1e-10
     with pytest.raises(NotDensityMatrix, match="asymmetry"):
-        is_undisturbed_state(LuedersOperation(_pinching()), rho)
+        is_undisturbed_state(_pinching(), rho)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_undisturbed_iff_commuting_sweep(seed):
     es = generate_commuting_resolution(4, 2 + seed % 3, seed=95)
-    op = LuedersOperation(es)
     rng = np.random.Generator(np.random.Philox(400 + seed))
     if seed % 2 == 0:
         u = np.hstack([b.basis for b in joint_eigenspaces(es)])
@@ -435,5 +431,5 @@ def test_undisturbed_iff_commuting_sweep(seed):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = g @ g.conj().T
         rho = rho / np.real(np.trace(rho))
-    fixed, commutes = is_undisturbed_state(op, rho)
+    fixed, commutes = is_undisturbed_state(es, rho)
     assert fixed == commutes

@@ -62,7 +62,7 @@ def test_no_exported_callable_takes_a_tolerance(obj):
 PUBLIC = [
     "ChannelNormCertificate", "CommutesNoWitness", "ContractionReport", "DimensionMismatch",
     "Effect", "EffectSet", "InvalidArgument", "IsResolution", "JointBlock", "LuedersError",
-    "LuedersOperation", "NagySolution", "NoConvergence", "Normalization", "NotCommuting",
+    "LuedersOperation", "NagySolution", "Normalization", "NotCommuting",
     "NotDensityMatrix", "NotHermitian", "NotResolution", "NotSquare", "NotSubnormalized",
     "OperatorSubspace", "ParseError", "RefinementVanished", "ResolutionExhausted",
     "SpectrumAboveOne", "SpectrumBelowZero", "TheoremReport", "Undecided", "WitnessCertificate",
@@ -80,6 +80,6 @@ KERNEL = ["SubspaceComparison", "hermitian_eigendecompose", "nullspace", "operat
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(PUBLIC) == 55
+    assert len(PUBLIC) == 54
     assert sorted(lueders.__all__) == PUBLIC
     assert set(KERNEL) <= set(importlib.import_module("lueders.matkernel").__all__)
