@@ -448,6 +448,36 @@ def _in_basis(u, diagonals):
     return build_effect_set([(m + m.conj().T) / 2 for m in mats])
 
 
+def _block_scalar(d, b, seed):
+    """E₁ = q·diag(0.6·I_b, distinct values)·q†, E₂ = √(I - E₁²): both effects are scalar on a b-dimensional block."""
+    t = np.concatenate([np.full(b, 0.6), np.linspace(0.05, 0.5, d - b)])
+    return _in_basis(_unitary(d, seed), np.column_stack([t, np.sqrt(1.0 - t**2)]))
+
+
+def _coupled_scalar(k, seed):
+    """Eᵢ = q(Aᵢ ⊗ I_k)q† for a non-commuting 2×2 resolution Aᵢ.
+
+    Each Ẽᵢ is scalar on both k-dimensional eigenspaces of H, but couples
+    them, so neither block is free and the commutant is I₂ ⊗ M_k (dim k²).
+    """
+    q = _unitary(2 * k, seed)
+    mats = [q @ np.kron(a, np.eye(k)) @ q.conj().T for a in generate_noncommuting_resolution(2, 3, seed).matrices]
+    return build_effect_set([(m + m.conj().T) / 2 for m in mats])
+
+
+def _direct_sum(d_commuting, d_noncommuting, seed):
+    """q·(Cᵢ ⊕ Nᵢ)·q† for a commuting resolution Cᵢ and a non-commuting one Nᵢ, three effects each."""
+    d = d_commuting + d_noncommuting
+    pairs = zip(
+        generate_commuting_resolution(d_commuting, 3, seed).matrices,
+        generate_noncommuting_resolution(d_noncommuting, 3, seed).matrices,
+    )
+    zero = np.zeros((d_commuting, d_noncommuting))
+    mats = [np.block([[c, zero], [zero.T, m]]) for c, m in pairs]
+    q = _unitary(d, seed)
+    return build_effect_set([(m + m.conj().T) / 2 for m in (q @ m @ q.conj().T for m in mats)])
+
+
 def _degenerate_element_sets():
     """(name, set, commutant dimension) where H = Σ cᵢEᵢ has repeated eigenvalues."""
     yield "identity-d3", build_effect_set([np.eye(3)]), 9
@@ -464,6 +494,10 @@ def _degenerate_element_sets():
     yield "block-resolution-plus-0.8", es, 2
     es, _ = NONCOMMUTING_SUBNORMALIZED["d2-unit-projector-not-commuting"]
     yield "d2-unit-projector-not-commuting", es, 1
+    for d, b in ((4, 2), (8, 5), (16, 12)):
+        yield f"block-scalar-d{d}-b{b}", _block_scalar(d, b, seed=d + b), b * b + d - b
+    for k in (2, 4, 8):
+        yield f"coupled-scalar-k{k}", _coupled_scalar(k, seed=k), k * k
 
 
 DEGENERATE_ELEMENT_SETS = {name: (es, dim) for name, es, dim in _degenerate_element_sets()}
@@ -473,6 +507,8 @@ COMMUTANT_SETS = {
     "cs-d16-n3": generate_commuting_subnormalized(16, 3, 56, 0.5),
     "nc-d16-n3": generate_noncommuting_resolution(16, 3, 56),
     **{name: es for name, (es, _) in DEGENERATE_ELEMENT_SETS.items()},
+    "direct-sum-d4-d3": _direct_sum(4, 3, seed=21),
+    "direct-sum-d8-d6": _direct_sum(8, 6, seed=22),
 }
 
 
@@ -485,10 +521,17 @@ def test_commutant_matches_reference(name):
     _assert_same_kernel(commutant(es).vectors, want)
 
 
-@pytest.mark.parametrize("scalars", [[0.6, 0.8], [0.5], [0.0]], ids=["resolution", "half", "zero"])
-def test_commutant_of_scalar_sets_factors_nothing(scalars, monkeypatch):
-    # Every effect is scalar, so every unknown is kept: no commutator block is stacked or factored.
-    es = build_effect_set([s * np.eye(8) for s in scalars])
+@pytest.mark.parametrize(
+    "es,dim",
+    [
+        *((build_effect_set([s * np.eye(8) for s in scalars]), 64) for scalars in ([0.6, 0.8], [0.5], [0.0])),
+        (_block_scalar(8, 5, seed=13), 28),
+        (generate_commuting_resolution(8, 3, 81), 8),
+    ],
+    ids=["resolution", "half", "zero", "block-scalar", "commuting-resolution"],
+)
+def test_commutant_of_scalar_sets_factors_nothing(es, dim, monkeypatch):
+    # Every block of H is free, so every unknown is kept: no commutator block is stacked or factored.
     want = _dense_commutant(es)
 
     def no_qr(*args, **kwargs):
@@ -496,7 +539,7 @@ def test_commutant_of_scalar_sets_factors_nothing(scalars, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", no_qr)
     got = commutant(es)
-    assert got.dim == 64
+    assert got.dim == dim
     _assert_same_kernel(got.vectors, want)
 
 

@@ -171,6 +171,22 @@ def test_commutant_at_d64_n64(generate, dim):
     assert max(mk.operator_norm(b @ e - e @ b) for e in es.matrices) < 1e-9
 
 
+def test_commutant_of_a_scalar_set_holds_one_basis_array():
+    # Every one of the d² unknowns is free, and the basis is written once into
+    # its d²×d² output (16·d⁴ bytes), with no d²×d² work array beside it.
+    d = 32
+    es = build_effect_set([0.6 * np.eye(d), 0.8 * np.eye(d)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sub = commutant(es)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sub.dim == d * d
+    assert peak <= 1.5 * 16 * d**4
+
+
 def test_commutant_is_contained_in_fixed_space_for_resolutions():
     es = generate_noncommuting_resolution(5, 4, seed=12)
     op = LuedersOperation(es)
@@ -311,6 +327,18 @@ def test_verify_subnormalized_scalar_effect_has_trivial_fixed_space():
     rep = verify_subnormalized_fixed_points(build_effect_set([0.8 * np.eye(2)]))
     assert rep.theorem == "3.2"
     assert rep.verdict and rep.fixed_dim == rep.target_dim == 0
+
+
+def test_verify_subnormalized_without_unit_eigenvalue_takes_no_svd(monkeypatch):
+    # F = 0.61·I: ‖(I - F)X‖_F ≥ 0.39 > CLUSTER for every unit X, so the target is {0} without an SVD.
+    es = build_effect_set([0.5 * np.eye(8), 0.6 * np.eye(8)])
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the empty target took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rep = verify_subnormalized_fixed_points(es)
+    assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.2", 0, 0, True)
 
 
 def test_verify_subnormalized_partial_unit_spectrum():
