@@ -54,7 +54,7 @@ _DRAW_RETRIES = 200
 
 @dataclass(frozen=True)
 class Effect:
-    """A validated effect with its eigensystem: eigenvalues ascending and clipped to [0, 1]."""
+    """A validated effect: an exactly Hermitian matrix and its ``eigh``, eigenvalues ascending, clipped to [0, 1]."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
@@ -77,18 +77,24 @@ def _check_spectrum(w: np.ndarray) -> None:
 _NOT_AN_EFFECT = (NotHermitian, SpectrumBelowZero, SpectrumAboveOne)
 
 
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian (M + M†)/2, from halves, of a square M that passes the check; a Hermitian M keeps its bits."""
+    mk._require_square(mat)
+    mk._require_hermitian(mat)
+    return np.where(mat == mat.conj().T, mat, mat / 2 + mat.conj().T / 2)
+
+
 def _check_effect(mat: np.ndarray) -> None:
     """The rule of `validate_effect` for a finite square matrix, from its eigenvalues alone."""
-    mk._require_hermitian(mat)
-    _check_spectrum(np.linalg.eigvalsh(mat))
+    _check_spectrum(np.linalg.eigvalsh(_hermitian_part(mat)))
 
 
 def validate_effect(m) -> Effect:
-    """Check Hermiticity and spectrum ⊂ [-PSD, 1 + PSD]; clip the dust."""
-    mat = mk.as_complex_matrix(m)
-    w, u = mk.hermitian_eigendecompose(mat)
+    """Check Hermiticity and spectrum ⊂ [-PSD, 1 + PSD]; store `_hermitian_part` with its own ``eigh``, clipped."""
+    mat = _hermitian_part(mk.as_complex_matrix(m))
+    w, u = np.linalg.eigh(mat)
     _check_spectrum(w)
-    return Effect(mat.copy(), np.clip(w, 0.0, 1.0), u)
+    return Effect(mat, np.clip(w, 0.0, 1.0), u)
 
 
 class Normalization(enum.Enum):
@@ -238,10 +244,6 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (ph / np.abs(ph))
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
-
-
 def _separated(candidate: np.ndarray, existing: list[np.ndarray]) -> bool:
     for t in existing:
         dist = float(np.linalg.norm(candidate - t))
@@ -272,7 +274,7 @@ def _draw_joint_spectra(d: int, n: int, rng: np.random.Generator, radii: np.ndar
 
 
 def _assemble(u: np.ndarray, tuples: np.ndarray) -> EffectSet:
-    effects = [_hermitize((u * tuples[:, i]) @ u.conj().T) for i in range(tuples.shape[1])]
+    effects = [(u * tuples[:, i]) @ u.conj().T for i in range(tuples.shape[1])]
     return build_effect_set(effects)
 
 
@@ -327,7 +329,7 @@ def generate_noncommuting_resolution(d: int, n: int, seed: int) -> EffectSet:
         for _ in range(n - 1):
             v = _haar_unitary(d, rng)
             spectrum = rng.uniform(0.0, 1.0, size=d)
-            base.append(_hermitize((v * spectrum) @ v.conj().T))
+            base.append(_hermitian_part((v * spectrum) @ v.conj().T))
         s = mk.sum_terms([b @ b for b in base])
         mu = mk.operator_norm(s)
         if mu == 0.0:
@@ -335,7 +337,7 @@ def generate_noncommuting_resolution(d: int, n: int, seed: int) -> EffectSet:
         c = math.sqrt(0.95 / mu)
         scaled = [c * b for b in base]
         w, u = np.linalg.eigh(np.eye(d) - mk.sum_terms([e @ e for e in scaled]))
-        closer = _hermitize((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T)
+        closer = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
         es = build_effect_set(scaled + [closer])
         if es.max_pairwise_commutator_norm >= 0.01:
             return es

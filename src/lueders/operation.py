@@ -23,9 +23,10 @@ and `analyze` reports the fixed-point count of that same decision;
 eigenvalues are accurate to rounding of ‖Φ‖, where eigenvectors are accurate
 only to rounding over the spectral gap.  `fixed_point_space` takes the full
 ``eigh`` of R for the basis itself and serves as the eigenvector oracle.
-Every function takes the `EffectSet` and applies Φ to d×d matrices through
-`_phi`; `LuedersOperation` keeps `apply` for library users and builds S as
-the dense `superoperator` reference.
+Every function takes the `EffectSet`, whose exactly Hermitian matrices Φ, R,
+S and the commutant all read, and applies Φ to d×d matrices through `_phi`;
+`LuedersOperation` keeps `apply` for library users and builds S as the dense
+`superoperator` reference.
 """
 
 from __future__ import annotations
@@ -109,14 +110,9 @@ def _hermitian_coordinates(effect_set: EffectSet) -> np.ndarray:
     swap vec(Y) ↦ vec(Yᵀ).  The entries of S are a reshuffle of the product
     T = Σᵢ vec(Eᵢ)vec(Eᵢ)ᵀ, so R is read off T one row block at a time: no
     Kronecker product and no complex d²×d² array is formed.
-
-    The effects enter through their Hermitian parts (E + E†)/2: the Hermitian
-    part of S differs from the superoperator of those only by Σ Nᵢᵀ⊗Nᵢ, Nᵢ the
-    non-Hermitian parts, which `validate_effect` bounds by HERMITIAN·‖Eᵢ‖_F.
     """
     d = effect_set.dim
     e = np.array(effect_set.matrices)
-    e = (e + e.conj().transpose(0, 2, 1)) / 2
     flat = e.reshape(-1, d * d)
     # Positions (i, j) in row-major order.  t[k, l, j] = Σ E[i, k]·E[l, j] is S at row (i, j),
     # column (k, l), and R there is Re t[k, l, j] + Im t[l, k, j].
@@ -160,13 +156,13 @@ def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
     unrestricted system [Cᵢ]: against the smaller norm of the restricted one,
     eigenvector dust of H would count as structure.  Block b is free if
     scale ≤ NULLSPACE (the zero rule of `matkernel.nullspace`), or if
-    (2·Σᵢ (‖Dᵢ[:, b]‖²_F + ‖Dᵢ[b, :]‖²_F))^½ is at most the cut, where
-    Dᵢ = Ẽᵢ - λᵢ,b·I, Ẽᵢ = u†Eᵢu and λᵢ,b is its mean diagonal entry on b.
-    That bounds (Σᵢ ‖[Ẽᵢ, Y]‖²_F)^½ by the cut for every unit Y on b, so its
-    k_b² matrix units u·E_pq·u† join the basis unsolved.  The entries Y_pq of
-    the other blocks are K = Σ k_b² unknowns: each effect contributes the
-    d²×K block vec(ẼᵢY - YẼᵢ), folded at once into a running K×K QR factor,
-    so memory stays O(d²·K) whatever n is.  That factor goes to
+    2·(Σᵢ ‖Dᵢ[:, b]‖²_F)^½ is at most the cut, where Dᵢ = Ẽᵢ - λᵢ,b·I,
+    Ẽᵢ = u†Eᵢu and λᵢ,b is its mean diagonal entry on b.  Ẽᵢ is Hermitian to
+    rounding, so ‖[Ẽᵢ, Y]‖_F = ‖DᵢY - YDᵢ‖_F ≤ 2‖Dᵢ[:, b]‖_F for every unit Y
+    on b, and its k_b² matrix units u·E_pq·u† join the basis unsolved.  The
+    entries Y_pq of the other blocks are K = Σ k_b² unknowns: each effect
+    contributes the d²×K block vec(ẼᵢY - YẼᵢ), folded at once into a running
+    K×K QR factor, so memory stays O(d²·K) whatever n is.  That factor goes to
     `matkernel.nullspace` (one SVD; no Gram matrix), and each kernel vector
     maps back through B = uYu†.  The basis is written once, free columns
     first, into one complex d²×dim array: 268 MB at dim = d² = 4,096.  QR and
@@ -177,15 +173,15 @@ def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
     mats = effect_set.matrices
     c = philox_generator(0).standard_normal(len(mats))
     h = mk.sum_terms(ci * e for ci, e in zip(c, mats))
-    w, u = np.linalg.eigh((h + h.conj().T) / 2)
+    w, u = np.linalg.eigh(h)
     ets = np.array([u.conj().T @ e @ u for e in mats])
     first = np.diff(w, prepend=-np.inf) > tol.ELEMENT_GAP * np.abs(w).max()  # column of u that opens a block
     starts, label = np.flatnonzero(first), np.cumsum(first) - 1
     scale = float(np.linalg.norm([e.eigenvalues[-1] - e.eigenvalues[0] for e in effect_set.effects]))
     lam = np.add.reduceat(ets.diagonal(0, 1, 2), starts, axis=1) / np.bincount(label)
     sq = np.abs(ets - lam[:, label, None] * np.eye(d)) ** 2
-    coupling = np.add.reduceat(sq.sum(axis=(0, 1)) + sq.sum(axis=(0, 2)), starts)
-    free = (np.sqrt(2.0 * coupling) <= tol.NULLSPACE * scale) | (scale <= tol.NULLSPACE)
+    coupling = np.add.reduceat(sq.sum(axis=(0, 1)), starts)
+    free = (2.0 * np.sqrt(coupling) <= tol.NULLSPACE * scale) | (scale <= tol.NULLSPACE)
     # unknown k is Y_pq, p = rows[k] and q = cols[k], q running fastest within a block
     free_rows, free_cols = np.nonzero((label[:, None] == label) & free[label, None])
     rows, cols = np.nonzero((label[:, None] == label) & ~free[label, None])
@@ -298,7 +294,7 @@ def _residual(matrices, q: np.ndarray, d: int) -> tuple[float, float]:
     return float(np.sqrt(total)), worst
 
 
-def _verify_fixed_points(effect_set: EffectSet, basis: mk.OperatorSubspace) -> TheoremReport:
+def _verify_fixed_points(effect_set: EffectSet, basis: mk.OperatorSubspace | None = None) -> TheoremReport:
     """Decide Fix(Φ) = {X ∈ {Eᵢ}′ : (I - F)X = 0} (the commutant for a resolution) from eigenvalues.
 
     The target: for X in the commutant Φ(X) = XF, so ‖(I - F)X‖_F = ‖Φ(X) - X‖_F.
@@ -324,15 +320,15 @@ def _verify_fixed_points(effect_set: EffectSet, basis: mk.OperatorSubspace) -> T
     but more than k eigenvalues pass, the next one cannot be told from 1 and
     Undecided is raised.  distance reports ρ.  Target and residual read the
     commutant, F and Φ on d×d matrices, never R, so the two sides share no
-    computation.  basis is `commutant(effect_set)`, passed in so that
-    `analyze`, which also reports its dimension, computes it once.
+    computation.  `analyze` passes in basis, which it also reports; else the
+    commutant is built only when the target can be non-empty.
     """
     d = effect_set.dim
-    target = basis.vectors
     resolution = effect_set.normalization is Normalization.RESOLUTION
-    if not resolution and np.abs(1.0 - effect_set.sum_of_squares_eigenvalues).min() > tol.CLUSTER:
-        target = target[:, :0]  # ‖(I - F)X‖_F ≥ min |1 - w| > CLUSTER for every unit X
-    elif not resolution:
+    # with no w within CLUSTER of 1, ‖(I - F)X‖_F ≥ min |1 - w| > CLUSTER for every unit X
+    empty = not resolution and np.abs(1.0 - effect_set.sum_of_squares_eigenvalues).min() > tol.CLUSTER
+    target = np.zeros((d * d, 0), dtype=complex) if empty else (basis or commutant(effect_set)).vectors
+    if not (resolution or empty):
         # column j of target is vec(Bⱼ), so the (d, d·k) reshape holds B₁ | B₂ | ... side by side
         deficit = (np.eye(d) - effect_set.sum_of_squares) @ target.reshape(d, -1, order="F")
         _, s, vh = np.linalg.svd(deficit.reshape(d * d, -1, order="F"), full_matrices=False)
@@ -361,20 +357,20 @@ def verify_resolution_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """
     if effect_set.normalization is not Normalization.RESOLUTION:
         raise NotResolution("the squares do not sum to the identity")
-    return _verify_fixed_points(effect_set, commutant(effect_set))
+    return _verify_fixed_points(effect_set)
 
 
 def verify_subnormalized_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """Check that the fixed-point space equals {X ∈ {Eᵢ}′ : (I - F)X = 0}, F = Σ Eᵢ².
 
     Requires a strictly subnormalized set, commuting or not.  When no
-    eigenvalue of F lies within CLUSTER of 1 the target is the zero subspace
-    and the fixed-point space must be trivial.  Raises Undecided as the
-    resolution verifier does.
+    eigenvalue of F lies within CLUSTER of 1 the target is the zero subspace,
+    no commutant is built, and the fixed-point space must be trivial.  Raises
+    Undecided as the resolution verifier does.
     """
     if effect_set.normalization is Normalization.RESOLUTION:
         raise IsResolution("the squares sum to the identity; use the resolution verifier")
-    return _verify_fixed_points(effect_set, commutant(effect_set))
+    return _verify_fixed_points(effect_set)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +427,7 @@ class NagySolution:
 def nagy_solve(effect_set: EffectSet) -> NagySolution:
     """Solve the complete-disturbance equation Φ(X) + X = I by conjugate gradients.
 
-    Under tr(A†B), Φ is Hermitian, and for a validated set its matrix S has
+    Under tr(A†B), Φ is exactly self-adjoint, and for a validated set its matrix S has
     S ⪰ 0 and ‖S‖ ≤ ‖F‖ ≤ 1, so A = I + Φ has spectrum in [1, 2]: the
     solution is unique and CG (Hestenes & Stiefel, J. Res. NBS 49, 1952)
     shrinks the A-norm error by at least (√2 - 1)/(√2 + 1) ≈ 0.17 per step.

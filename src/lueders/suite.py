@@ -183,8 +183,7 @@ def _random_effect(d: int, rng: np.random.Generator):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, _ = np.linalg.qr(g)
     w = rng.uniform(0.0, 1.0, size=d)
-    mat = (q * w) @ q.conj().T
-    return validate_effect((mat + mat.conj().T) / 2)
+    return validate_effect((q * w) @ q.conj().T)
 
 
 # ---------------------------------------------------------------------------

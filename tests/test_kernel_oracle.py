@@ -44,6 +44,7 @@ from lueders.effects import (
     generate_commuting_resolution,
     generate_commuting_subnormalized,
     generate_noncommuting_resolution,
+    validate_effect,
 )
 from lueders.errors import Undecided
 from lueders.operation import (
@@ -178,18 +179,18 @@ def test_fixed_point_space_matches_reference(name):
 
 
 def _assert_fixed_points_match_superoperator(es):
-    """`fixed_point_space` against the kernel of the Hermitian part of S - I, by one full SVD.
+    """`fixed_point_space` against the kernel of S - I, by one full SVD.
 
-    The Hermitian part ½(S + S†) is the superoperator of the Hermitian parts
-    (Eᵢ + Eᵢ†)/2 up to Σ Nᵢᵀ⊗Nᵢ, Nᵢ the non-Hermitian parts, and S itself for
-    Hermitian effects.  Rounding of size ε moves a kept eigenspace by about
-    ε/gap (Davis & Kahan), gap the smallest singular value beyond the cut, so
-    no two routes can agree closer than that; with a clear gap they agree to
-    1e-12.  The returned basis matrices must be Hermitian.
+    The validated effects are exactly Hermitian, so S must be too, bit for
+    bit.  Rounding of size ε moves a kept eigenspace by about ε/gap (Davis &
+    Kahan), gap the smallest singular value beyond the cut, so no two routes
+    can agree closer than that; with a clear gap they agree to 1e-12.  The
+    returned basis matrices must be Hermitian.
     """
     d = es.dim
     s = LuedersOperation(es).superoperator
-    h = (s + s.conj().T) / 2 - np.eye(d * d)
+    assert np.array_equal(s, s.conj().T)
+    h = s - np.eye(d * d)
     want = _reference_nullspace(h)
     got = fixed_point_space(es).vectors
     assert got.shape == want.shape
@@ -216,15 +217,14 @@ def _rotation():
 
 
 def _with_non_hermitian_part(es, seed, share=0.99):
-    """The effects plus anti-Hermitian Nᵢ with ‖Eᵢ' - Eᵢ'†‖_F = share·HERMITIAN·‖Eᵢ‖_F, just under the check."""
+    """The matrices plus anti-Hermitian Nᵢ with ‖Eᵢ' - Eᵢ'†‖_F = share·HERMITIAN·‖Eᵢ‖_F, just under the check."""
     mats = []
     for i, e in enumerate(es.matrices):
         g = _rand(es.dim, es.dim, seed + i)
         n = (g - g.conj().T) / 2
         mats.append(e + n * (share * 1e-10 * np.linalg.norm(e) / (2 * np.linalg.norm(n))))
-    out = build_effect_set(mats)
-    assert all(mk.hermitian_defect(e) > 0.9e-10 * np.linalg.norm(e) for e in out.matrices)
-    return out
+    assert all(mk.hermitian_defect(m) > 0.9e-10 * np.linalg.norm(m) for m in mats)
+    return mats
 
 
 UNIT_DEFICIT_EPS = (0.0, 1e-12, 5e-11, 2e-9, 5e-9, 9e-9, 1e-8, 1e-7, 1e-6)
@@ -245,7 +245,28 @@ def test_fixed_points_of_unit_deficit_families_match_superoperator(eps, rotated)
 
 @pytest.mark.parametrize("name", NON_HERMITIAN_SETS)
 def test_fixed_points_of_nearly_hermitian_effects_match_superoperator(name):
-    _assert_fixed_points_match_superoperator(_with_non_hermitian_part(EFFECT_SETS[name], seed=len(name)))
+    # Validation stores every matrix exactly Hermitian with its own eigensystem, bit for bit,
+    # and the fixed points are those of S built from the stored matrices.
+    mats = _with_non_hermitian_part(EFFECT_SETS[name], seed=len(name))
+    for e in map(validate_effect, mats):
+        assert np.array_equal(e.matrix, e.matrix.conj().T)
+        w, u = np.linalg.eigh(e.matrix)
+        assert np.array_equal(np.clip(w, 0.0, 1.0), e.eigenvalues) and np.array_equal(u, e.eigenvectors)
+    _assert_fixed_points_match_superoperator(build_effect_set(mats))
+
+
+@pytest.mark.parametrize("name", NON_HERMITIAN_SETS + ("cr-d8-n3", "cs-d8-n5", "nc-d6-n5"))
+def test_dust_keeps_the_commutant_and_verdict_of_the_clean_set(name):
+    # The stored Hermitian part cancels anti-Hermitian dust.  A mirrored lower triangle would
+    # turn it into a Hermitian change of its own size, at the commutant's cut.
+    clean = EFFECT_SETS[name]
+    es = build_effect_set(_with_non_hermitian_part(clean, seed=len(name)))
+    resolution = es.normalization is Normalization.RESOLUTION
+    verify = verify_resolution_fixed_points if resolution else verify_subnormalized_fixed_points
+    assert es.normalization is clean.normalization and es.commuting == clean.commuting
+    assert commutant(es).dim == commutant(clean).dim == _dense_commutant(es).shape[1]
+    got, want = verify(es), verify(clean)
+    assert (got.verdict, got.fixed_dim, got.target_dim) == (want.verdict, want.fixed_dim, want.target_dim)
 
 
 @pytest.mark.parametrize(
@@ -478,6 +499,20 @@ def _direct_sum(d_commuting, d_noncommuting, seed):
     return build_effect_set([(m + m.conj().T) / 2 for m in (q @ m @ q.conj().T for m in mats)])
 
 
+def _dusty_scalar_block(t):
+    """E₁ = diag(v) + t·e₁e₁₆ᵀ + (t/2)·e₁₆e₁ᵀ, v = (0.6·I₁₂, 0.62, 0.64, 0.66, 0.68), E₂ = diag(√(1 - v²)).
+
+    E₁ carries non-Hermitian dust in both triangles.  Validation keeps its
+    Hermitian part, 3t/4 in both corners, which couples the scalar block to
+    the last eigenvector: below the cut at t = 1e-11, above it at 3e-11.
+    """
+    v = np.concatenate([np.full(12, 0.6), [0.62, 0.64, 0.66, 0.68]])
+    e1 = np.diag(v).astype(complex)
+    e1[0, 15] += t
+    e1[15, 0] += t / 2
+    return build_effect_set([e1, np.diag(np.sqrt(1.0 - v**2))])
+
+
 def _degenerate_element_sets():
     """(name, set, commutant dimension) where H = Σ cᵢEᵢ has repeated eigenvalues."""
     yield "identity-d3", build_effect_set([np.eye(3)]), 9
@@ -498,6 +533,8 @@ def _degenerate_element_sets():
         yield f"block-scalar-d{d}-b{b}", _block_scalar(d, b, seed=d + b), b * b + d - b
     for k in (2, 4, 8):
         yield f"coupled-scalar-k{k}", _coupled_scalar(k, seed=k), k * k
+    for t, dim in ((1e-11, 148), (3e-11, 125)):
+        yield f"dusty-scalar-block-t{t:g}", _dusty_scalar_block(t), dim
 
 
 DEGENERATE_ELEMENT_SETS = {name: (es, dim) for name, es, dim in _degenerate_element_sets()}
@@ -516,9 +553,25 @@ COMMUTANT_SETS = {
 def test_commutant_matches_reference(name):
     es = COMMUTANT_SETS[name]
     want = _dense_commutant(es)
+    distance = PROJECTOR_TOL
     if name in DEGENERATE_ELEMENT_SETS:
         assert want.shape[1] == DEGENERATE_ELEMENT_SETS[name][1]
-    _assert_same_kernel(commutant(es).vectors, want)
+    if name.startswith("dusty"):
+        # The dust puts singular values within a decade of the cut, so either route fixes
+        # the kernel only to about ε·σ₁/σ, σ the smallest one dropped (Davis & Kahan).
+        s = np.linalg.svd(np.vstack(_commutator_blocks(es)), compute_uv=False)
+        distance = max(PROJECTOR_TOL, 16 * np.finfo(float).eps * s[0] / s[-want.shape[1] - 1])
+    _assert_same_kernel(commutant(es).vectors, want, distance)
+
+
+def test_verify_and_analyze_read_one_matrix_on_the_dusty_scalar_block(tmp_path, capsys):
+    # Commutant, target and Φ read the one Hermitian E₁ that validation stored.
+    es, dim = DEGENERATE_ELEMENT_SETS["dusty-scalar-block-t1e-11"]
+    rep = verify_resolution_fixed_points(es)
+    assert (rep.verdict, rep.fixed_dim, rep.target_dim) == (True, dim, dim)
+    code, out, _ = _run("analyze", es, tmp_path / "set.json", capsys)
+    body = json.loads(out)
+    assert code == 0 and body["commutant_dim"] == sum(k * k for k in body["joint_block_dims"]) == dim
 
 
 @pytest.mark.parametrize(
@@ -767,7 +820,7 @@ def _assert_matches_the_eigenvector_route(es, verify, path, capsys):
     assert rep.fixed_dim == _reference_nullspace(s - np.eye(d * d)).shape[1]
     code, out, _ = _run("analyze", es, path, capsys)
     assert (code, json.loads(out)["fixed_dim"]) == (0, rep.fixed_dim)
-    spectrum = np.linalg.eigvalsh((s + s.conj().T) / 2)
+    spectrum = np.linalg.eigvalsh(s)
     assert np.abs(np.linalg.eigvalsh(_hermitian_coordinates(es)) - spectrum).max() <= 1e-13
 
 

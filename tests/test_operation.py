@@ -341,6 +341,18 @@ def test_verify_subnormalized_without_unit_eigenvalue_takes_no_svd(monkeypatch):
     assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.2", 0, 0, True)
 
 
+def test_verify_subnormalized_without_unit_eigenvalue_builds_no_commutant(monkeypatch):
+    # The target is {0} whatever the commutant, so verify must not build its d²×dim basis.
+    es = build_effect_set([0.5 * np.eye(8), 0.6 * np.eye(8)])
+
+    def no_commutant(*args, **kwargs):
+        raise AssertionError("the empty target built the commutant")
+
+    monkeypatch.setattr("lueders.operation.commutant", no_commutant)
+    rep = verify_subnormalized_fixed_points(es)
+    assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.2", 0, 0, True)
+
+
 def test_verify_subnormalized_partial_unit_spectrum():
     rep = verify_subnormalized_fixed_points(build_effect_set([np.diag([1.0, 0.5])]))
     assert rep.verdict and rep.fixed_dim == rep.target_dim == 1
