@@ -10,12 +10,8 @@ from .errors import (
     CommutesNoWitness,
     DimensionMismatch,
     InvalidArgument,
-    IsResolution,
     LuedersError,
-    NotCommuting,
-    NotDensityMatrix,
     NotHermitian,
-    NotResolution,
     NotSquare,
     NotSubnormalized,
     ParseError,
@@ -81,10 +77,6 @@ __all__ = [
     "SpectrumBelowZero",
     "SpectrumAboveOne",
     "NotSubnormalized",
-    "NotCommuting",
-    "NotResolution",
-    "IsResolution",
-    "NotDensityMatrix",
     "CommutesNoWitness",
     "ResolutionExhausted",
     "RefinementVanished",

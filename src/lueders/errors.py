@@ -2,6 +2,14 @@
 
 Every predictable failure mode raises one of these, so callers (and the CLI
 exit-code mapping) can dispatch on the class name instead of parsing messages.
+Each class is one of four kinds:
+
+- a violation that `validate` names in its JSON: NotSquare, NotHermitian,
+  SpectrumBelowZero, SpectrumAboveOne, NotSubnormalized, DimensionMismatch;
+- a malformed file: ParseError;
+- an argument outside its function's domain: InvalidArgument;
+- a typed outcome: CommutesNoWitness, ResolutionExhausted,
+  RefinementVanished, Undecided.
 """
 
 
@@ -33,22 +41,6 @@ class NotSubnormalized(LuedersError):
     """The sum of squared effects has an eigenvalue above 1."""
 
 
-class NotCommuting(LuedersError):
-    """The operation needs a pairwise-commuting effect set."""
-
-
-class NotResolution(LuedersError):
-    """The operation needs the squares to sum to the identity."""
-
-
-class IsResolution(LuedersError):
-    """The operation needs a strictly subnormalized effect set."""
-
-
-class NotDensityMatrix(LuedersError):
-    """The state is not Hermitian, positive, and trace one."""
-
-
 class CommutesNoWitness(LuedersError):
     """The operator commutes with the effect; no witness exists."""
 
@@ -58,7 +50,7 @@ class ResolutionExhausted(LuedersError):
 
 
 class RefinementVanished(LuedersError):
-    """Internal error: refining a nonzero block lost it entirely."""
+    """A typed outcome of `build_contractive_block`: expanding or refining the witness block lost it."""
 
 
 class Undecided(LuedersError):
@@ -75,9 +67,14 @@ class ParseError(LuedersError):
 
 
 class InvalidArgument(LuedersError):
-    """An argument is outside its allowed range.
+    """An argument is outside its allowed range or its function's domain.
 
     Each argument is checked once, by the library function that first needs
     it (generator sizes, seeds, window resolutions, probe counts, ...); the
     CLI adds only its size caps.  Block norms past the double range raise it too.
+    So do an effect set outside a function's domain (a non-resolution for
+    `verify_resolution_fixed_points`, a resolution for
+    `verify_subnormalized_fixed_points`, a non-commuting set for
+    `joint_eigenspaces` and `build_contractive_block`) and a state that is
+    not a density matrix for `is_undisturbed_state`.
     """

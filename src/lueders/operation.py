@@ -37,15 +37,7 @@ import numpy as np
 
 from . import matkernel as mk, tolerances as tol
 from .effects import _NOT_AN_EFFECT, EffectSet, Normalization, _check_effect
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    IsResolution,
-    NotCommuting,
-    NotDensityMatrix,
-    NotResolution,
-    Undecided,
-)
+from .errors import DimensionMismatch, InvalidArgument, Undecided
 from .rng import philox_generator
 
 __all__ = [
@@ -229,10 +221,11 @@ def joint_eigenspaces(effect_set: EffectSet) -> tuple[JointBlock, ...]:
     Blocks are ordered lexicographically by their eigenvalue tuples (ascending
     per effect), which makes the decomposition deterministic.  The commutant
     is the direct sum of the full matrix algebras on the blocks, so
-    Σ dⱼ² over the block dimensions dⱼ equals dim {Eᵢ}′.
+    Σ dⱼ² over the block dimensions dⱼ equals dim {Eᵢ}′.  A non-commuting
+    set raises InvalidArgument.
     """
     if not effect_set.commuting:
-        raise NotCommuting(
+        raise InvalidArgument(
             f"largest pairwise commutator norm {effect_set.max_pairwise_commutator_norm:.3e}"
         )
     d = effect_set.dim
@@ -351,25 +344,26 @@ def _verify_fixed_points(effect_set: EffectSet, basis: mk.OperatorSubspace | Non
 def verify_resolution_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """Check that the fixed-point space of Φ equals the commutant of the effect set.
 
-    Requires a resolution (Σ Eᵢ² = I); commutativity is not required at finite
-    dimension.  Raises Undecided when an eigenvalue of Φ beyond the commutant
-    lies within τ of 1 (see `TheoremReport`).
+    Requires a resolution (Σ Eᵢ² = I), else raises InvalidArgument;
+    commutativity is not required at finite dimension.  Raises Undecided when
+    an eigenvalue of Φ beyond the commutant lies within τ of 1 (see
+    `TheoremReport`).
     """
     if effect_set.normalization is not Normalization.RESOLUTION:
-        raise NotResolution("the squares do not sum to the identity")
+        raise InvalidArgument("the squares do not sum to the identity")
     return _verify_fixed_points(effect_set)
 
 
 def verify_subnormalized_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """Check that the fixed-point space equals {X ∈ {Eᵢ}′ : (I - F)X = 0}, F = Σ Eᵢ².
 
-    Requires a strictly subnormalized set, commuting or not.  When no
-    eigenvalue of F lies within CLUSTER of 1 the target is the zero subspace,
-    no commutant is built, and the fixed-point space must be trivial.  Raises
-    Undecided as the resolution verifier does.
+    Requires a strictly subnormalized set, commuting or not, else raises
+    InvalidArgument.  When no eigenvalue of F lies within CLUSTER of 1 the
+    target is the zero subspace, no commutant is built, and the fixed-point
+    space must be trivial.  Raises Undecided as the resolution verifier does.
     """
     if effect_set.normalization is Normalization.RESOLUTION:
-        raise IsResolution("the squares sum to the identity; use the resolution verifier")
+        raise InvalidArgument("the squares sum to the identity; use the resolution verifier")
     return _verify_fixed_points(effect_set)
 
 
@@ -464,7 +458,7 @@ def is_undisturbed_state(effect_set: EffectSet, rho) -> tuple[bool, bool]:
     is_fixed holds when ‖Φ(ρ) - ρ‖_F ≤ COMMUTATOR; commutes_with_all when
     every ‖[ρ, Eᵢ]‖ ≤ COMMUTATOR.  The state must pass the rule of `validate_effect`
     (Hermitian within HERMITIAN·‖ρ‖_F, spectrum within [-PSD, 1 + PSD]) and
-    satisfy |tr ρ - 1| ≤ COMMUTATOR; each failure raises NotDensityMatrix.
+    satisfy |tr ρ - 1| ≤ COMMUTATOR; each failure raises InvalidArgument.
     For Lüders operations of resolutions the two verdicts agree.
     """
     d = effect_set.dim
@@ -474,9 +468,9 @@ def is_undisturbed_state(effect_set: EffectSet, rho) -> tuple[bool, bool]:
     try:
         _check_effect(mat)
     except _NOT_AN_EFFECT as exc:
-        raise NotDensityMatrix(f"state fails the effect check: {exc}") from exc
+        raise InvalidArgument(f"state fails the effect check: {exc}") from exc
     if abs(float(np.real(np.trace(mat))) - 1.0) > tol.COMMUTATOR:
-        raise NotDensityMatrix(f"trace {np.real(np.trace(mat)):.12f} is not 1")
+        raise InvalidArgument(f"trace {np.real(np.trace(mat)):.12f} is not 1")
     is_fixed = float(np.linalg.norm(_phi(effect_set.matrices, mat) - mat)) <= tol.COMMUTATOR
     commutes = all(mk.operator_norm(mat @ e - e @ mat) <= tol.COMMUTATOR for e in effect_set.matrices)
     return is_fixed, commutes

@@ -912,7 +912,11 @@ def test_chord_family_places_the_floor(k, rotated, tmp_path, capsys):
 
 
 def _agreement_sets():
-    """The near-commuting δ-sweep, the chord family and both unit-deficit families, each across its Undecided edge."""
+    """The near-commuting δ-sweep, the chord family and both unit-deficit families, each across its Undecided edge.
+
+    The dusty scalar block crosses the commutant cut between t = 1e-11 and
+    3e-11, and the block-scalar sets hold free blocks beside solved ones.
+    """
     for k in range(6, 19):
         yield f"near-commuting-{k}", build_effect_set(_near_commuting(10.0 ** (-k / 2), seed=k))
     for basis, q, chord_q in (("diagonal", np.eye(3), np.eye(4)), ("rotated", _rotation(), _unitary(4, 9))):
@@ -920,6 +924,10 @@ def _agreement_sets():
             yield f"chord-{basis}-{k}", _chord_set(10.0 ** (-k / 2), chord_q)
         for eps in UNIT_DEFICIT_EPS + (1e-10, 5e-10):
             yield f"unit-deficit-{basis}-{eps:g}", _unit_deficit_set(eps, q)
+    for t in (1e-11, 3e-11, 5e-11):
+        yield f"dusty-scalar-block-t{t:g}", _dusty_scalar_block(t)
+    for d, b in ((4, 2), (8, 5), (16, 12)):
+        yield f"block-scalar-d{d}-b{b}", _block_scalar(d, b, seed=d + b)
 
 
 AGREEMENT_SETS = dict(_agreement_sets())
@@ -928,6 +936,7 @@ AGREEMENT_SETS = dict(_agreement_sets())
 @pytest.mark.parametrize("name", sorted(AGREEMENT_SETS))
 def test_analyze_reports_the_verifier_count(name, tmp_path, capsys):
     # Either both commands report the same fixed_dim, or both exit 3 with Undecided.
+    # A body with joint blocks never reports a commutant_dim other than Σ dⱼ².
     es = AGREEMENT_SETS[name]
     path = tmp_path / "set.json"
     verify_code, verify_out, verify_err = _run("verify", es, path, capsys)
@@ -937,7 +946,9 @@ def test_analyze_reports_the_verifier_count(name, tmp_path, capsys):
         assert "Undecided" in verify_err and "Undecided" in err
     else:
         assert verify_code in (0, 1) and code == 0
-        assert json.loads(out)["fixed_dim"] == json.loads(verify_out)["fixed_dim"]
+        body = json.loads(out)
+        assert body["fixed_dim"] == json.loads(verify_out)["fixed_dim"]
+        assert "joint_block_dims" not in body or body["commutant_dim"] == sum(k * k for k in body["joint_block_dims"])
 
 
 @pytest.mark.parametrize(

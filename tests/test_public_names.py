@@ -4,9 +4,11 @@
 ``getattr``; a public name deleted from ``lueders`` would make every traced
 benchmark run fail.  The table is read from the file, nothing is patched.
 The package's own ``__all__`` is pinned name by name, so adding or removing
-a public name is a deliberate edit here.
+a public name is a deliberate edit here.  Every error class must have a
+``raise`` in the package source, so a class nothing raises cannot linger.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import lueders
+from lueders import errors
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 MODULES = tuple(sorted(info.name for info in pkgutil.iter_modules(lueders.__path__)))
@@ -61,9 +64,8 @@ def test_no_exported_callable_takes_a_tolerance(obj):
 # The paper's objects, the typed errors and the file format; kernel primitives live in lueders.matkernel.
 PUBLIC = [
     "ChannelNormCertificate", "CommutesNoWitness", "ContractionReport", "DimensionMismatch",
-    "Effect", "EffectSet", "InvalidArgument", "IsResolution", "JointBlock", "LuedersError",
-    "LuedersOperation", "NagySolution", "Normalization", "NotCommuting",
-    "NotDensityMatrix", "NotHermitian", "NotResolution", "NotSquare", "NotSubnormalized",
+    "Effect", "EffectSet", "InvalidArgument", "JointBlock", "LuedersError",
+    "LuedersOperation", "NagySolution", "Normalization", "NotHermitian", "NotSquare", "NotSubnormalized",
     "OperatorSubspace", "ParseError", "RefinementVanished", "ResolutionExhausted",
     "SpectrumAboveOne", "SpectrumBelowZero", "TheoremReport", "Undecided", "WitnessCertificate",
     "build_contractive_block", "build_effect_set", "channel_norm", "commutant",
@@ -80,6 +82,25 @@ KERNEL = ["SubspaceComparison", "hermitian_eigendecompose", "nullspace", "operat
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(PUBLIC) == 54
+    assert len(PUBLIC) == 50
     assert sorted(lueders.__all__) == PUBLIC
     assert set(KERNEL) <= set(importlib.import_module("lueders.matkernel").__all__)
+
+
+def _raised_names():
+    for path in Path(lueders.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised():
+    classes = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.LuedersError) and obj is not errors.LuedersError
+    }
+    assert classes - set(_raised_names()) == set()
+    assert len(classes) == 12

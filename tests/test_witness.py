@@ -11,7 +11,6 @@ from lueders.errors import (
     CommutesNoWitness,
     DimensionMismatch,
     InvalidArgument,
-    NotCommuting,
     ResolutionExhausted,
 )
 from lueders.operation import LuedersOperation, joint_eigenspaces
@@ -323,5 +322,5 @@ def test_build_contractive_block_guards():
         build_contractive_block(es, np.eye(3), 2)
     from lueders.effects import generate_noncommuting_resolution
 
-    with pytest.raises(NotCommuting):
+    with pytest.raises(InvalidArgument):
         build_contractive_block(generate_noncommuting_resolution(3, 3, seed=3), np.eye(3), 2)
