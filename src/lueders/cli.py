@@ -41,8 +41,8 @@ from .errors import (
     SpectrumBelowZero,
 )
 from .operation import (
+    _commutant_frame,
     _verify_fixed_points,
-    commutant,
     joint_eigenspaces,
     nagy_solve,
     verify_resolution_fixed_points,
@@ -135,12 +135,12 @@ def _cmd_validate(args):
 
 def _cmd_analyze(args):
     es = serialize.load_effect_set(args.input)
-    basis = commutant(es)
+    frame = _commutant_frame(es)
     report = {
         **_classification(es),
         "channel_norm": mk.operator_norm(es.sum_of_squares),
-        "fixed_dim": _verify_fixed_points(es, basis).fixed_dim,
-        "commutant_dim": basis.dim,
+        "fixed_dim": _verify_fixed_points(es, frame).fixed_dim,
+        "commutant_dim": frame.dim,
     }
     if es.commuting:
         report["joint_block_dims"] = [b.dim for b in joint_eigenspaces(es)]

@@ -11,8 +11,9 @@ tall, and the fixed-point space of a Lüders operation (in ``operation``) one
 real symmetric ``eigh`` of Φ in an orthonormal basis of the Hermitian
 matrices, which has the eigenvalues of the complex superoperator.  Both keep
 their kernel vectors by the same relative rule, ``_kernel_columns``, at
-``tolerances.NULLSPACE``.  The verifiers do not use it: they count the fixed
-points from eigenvalues against an absolute margin.
+``tolerances.NULLSPACE``.  The verifiers do not use it: they prove the
+fixed-point count with a Cholesky, or count eigenvalues, against an absolute
+margin.
 
 Vectorization is column-stacking: vec(AXB) = (Bᵀ ⊗ A) vec(X).
 """

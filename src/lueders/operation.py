@@ -18,11 +18,15 @@ subnormalized sets.
 No route here forms the complex d²×d² matrix S.  Φ maps Herm(d) into itself
 because Φ(X)† = Φ(X†), and in Hermitian coordinates it is a real symmetric
 d²×d² matrix R with the eigenvalues of S.  `verify` decides the theorem from
-one ``eigvalsh`` of R and the residual ‖Φ(Q) - Q‖_F of the target basis Q,
-and `analyze` reports the fixed-point count of that same decision;
+the residual ‖Φ(Q) - Q‖_F of the target basis Q and one Cholesky, factored in
+place, in the eigenframe of the commutant, where its free blocks are
+coordinate axes: its success proves that no eigenvalue of Φ beyond the k of
+the target reaches 1 - τ.  A set it refuses takes one ``eigvalsh`` of R, whose
 eigenvalues are accurate to rounding of ‖Φ‖, where eigenvectors are accurate
-only to rounding over the spectral gap.  `fixed_point_space` takes the full
-``eigh`` of R for the basis itself and serves as the eigenvector oracle.
+only to rounding over the spectral gap.  `analyze` reports the fixed-point
+count of that same decision, and the commutant's dimension from its frame
+without writing its basis.  `fixed_point_space` takes the full ``eigh`` of R
+for the basis itself and serves as the eigenvector oracle.
 Every function takes the `EffectSet`, whose exactly Hermitian matrices Φ, R,
 S and the commutant all read, and applies Φ to d×d matrices through `_phi`;
 `LuedersOperation` keeps `apply` for library users and builds S as the dense
@@ -90,7 +94,7 @@ def _phi(matrices, b: np.ndarray) -> np.ndarray:
     return mk.sum_terms((e @ b) @ e for e in matrices)
 
 
-def _hermitian_coordinates(effect_set: EffectSet) -> np.ndarray:
+def _hermitian_coordinates(matrices, off: np.ndarray | None = None) -> np.ndarray:
     """The real symmetric d²×d² matrix R of Φ on Herm(d), which has exactly the eigenvalues of S.
 
     The Eᵢ are Hermitian, so Φ(X)† = Φ(X†) and Fix = (Fix ∩ Herm) ⊕ i·(Fix ∩ Herm).
@@ -101,18 +105,27 @@ def _hermitian_coordinates(effect_set: EffectSet) -> np.ndarray:
     is R = Re S + (Im S)·K, with S = Σ Eᵢᵀ⊗Eᵢ the superoperator and K the
     swap vec(Y) ↦ vec(Yᵀ).  The entries of S are a reshuffle of the product
     T = Σᵢ vec(Eᵢ)vec(Eᵢ)ᵀ, so R is read off T one row block at a time: no
-    Kronecker product and no complex d²×d² array is formed.
+    Kronecker product and no complex d²×d² array is formed.  With a d×d mask
+    off, only the rows and columns of the coordinates (p, q) where it holds
+    are written: a principal submatrix, without the rest of R.
     """
-    d = effect_set.dim
-    e = np.array(effect_set.matrices)
+    e = np.asarray(matrices)
+    d = e.shape[-1]
     flat = e.reshape(-1, d * d)
-    # Positions (i, j) in row-major order.  t[k, l, j] = Σ E[i, k]·E[l, j] is S at row (i, j),
-    # column (k, l), and R there is Re t[k, l, j] + Im t[l, k, j].
-    r = np.empty((d, d, d, d))
+    off = np.ones((d, d), dtype=bool) if off is None else off
+    cols = np.flatnonzero(off)
+    r = np.empty((cols.size, cols.size))
+    block = np.empty((d, d, d))
+    start = 0
     for i in range(d):
+        # Positions (i, j) in row-major order.  t[k, l, j] = Σ E[i, k]·E[l, j] is S at row (i, j),
+        # column (k, l), and R there is Re t[k, l, j] + Im t[l, k, j].
         t = (e[:, i, :].T @ flat).reshape(d, d, d)
-        np.add(t.real.transpose(2, 0, 1), t.imag.transpose(2, 1, 0), out=r[i])
-    return r.reshape(d * d, d * d)
+        np.add(t.real.transpose(2, 0, 1), t.imag.transpose(2, 1, 0), out=block)
+        stop = start + np.count_nonzero(off[i])
+        block.reshape(d, d * d)[off[i]].take(cols, axis=1, out=r[start:stop], mode="clip")
+        start = stop
+    return r
 
 
 def fixed_point_space(effect_set: EffectSet) -> mk.OperatorSubspace:
@@ -121,11 +134,11 @@ def fixed_point_space(effect_set: EffectSet) -> mk.OperatorSubspace:
     One real ``eigh`` of R (`_hermitian_coordinates`) gives the singular
     values |w - 1| of R - I with their vectors, the relative cut of
     `matkernel.nullspace` applies unchanged, and each kept Y maps back to
-    vec(X).  No product route calls it: `verify` and `analyze` read only the
-    eigenvalues of R, and this eigenvector route stays as their oracle.
+    vec(X).  No product route calls it: `verify` and `analyze` read no
+    eigenvector of R, and this eigenvector route stays as their oracle.
     """
     d = effect_set.dim
-    w, v = np.linalg.eigh(_hermitian_coordinates(effect_set))
+    w, v = np.linalg.eigh(_hermitian_coordinates(effect_set.matrices))
     y = mk._kernel_columns(np.abs(w - 1.0), v).reshape(d, d, -1)
     # x[j, i] = X[i, j], so x.reshape(d², k) holds the column-stacked vec(X)
     yt = y.transpose(1, 0, 2)
@@ -133,6 +146,75 @@ def fixed_point_space(effect_set: EffectSet) -> mk.OperatorSubspace:
     x.real = (yt + y) / 2
     x.imag = (yt - y) / 2
     return mk.OperatorSubspace(d, x.reshape(d * d, -1))
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """The commutant in the eigenbasis u of H (see `commutant`), before any basis is written.
+
+    ets stacks Ẽᵢ = u†Eᵢu, label is the H-block of each column of u, free the
+    blocks whose matrix units join unsolved, lam the mean diagonal λᵢ,b of Ẽᵢ
+    on each block, and y spans the kernel in the unknowns Y_pq of the others.
+    """
+
+    u: np.ndarray
+    ets: np.ndarray
+    label: np.ndarray
+    free: np.ndarray
+    lam: np.ndarray
+    y: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return int((np.bincount(self.label)[self.free] ** 2).sum()) + self.y.shape[1]
+
+    def on(self, keep: np.ndarray) -> np.ndarray:
+        """The d×d mask of the coordinates (p, q) that lie in one block where keep holds."""
+        return (self.label[:, None] == self.label) & keep[self.label, None]
+
+    def unknowns(self, c: np.ndarray) -> np.ndarray:
+        """The m×d×d stack of the Y for the m columns of c; unknown k is Y_pq, (p, q) the k-th of on(~free)."""
+        ys = np.zeros((c.shape[1],) + self.u.shape, dtype=complex)
+        ys[(slice(None),) + np.nonzero(self.on(~self.free))] = c.T
+        return ys
+
+    def basis(self, keep: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """vec(u·E_pq·u†) on the blocks where keep holds, then vec(u·Y·u†) for c: one C-contiguous d²×dim array."""
+        d, u = self.u.shape[0], self.u
+        rows, cols = np.nonzero(self.on(keep))
+        # x[j, i, m] is entry (i, j) of basis matrix m, so x.reshape(d², dim) has columns vec(·)
+        x = np.empty((d, d, rows.size + c.shape[1]), dtype=complex)
+        np.multiply(u.conj()[:, cols][:, None], u[:, rows], out=x[:, :, : rows.size])
+        x[:, :, rows.size :] = (u @ self.unknowns(c) @ u.conj().T).transpose(2, 1, 0)
+        return x.reshape(d * d, x.shape[2])
+
+
+def _commutant_frame(effect_set: EffectSet) -> _Frame:
+    """The blocks, free blocks and solved kernel of `commutant`, with no basis written."""
+    d = effect_set.dim
+    mats = effect_set.matrices
+    c = philox_generator(0).standard_normal(len(mats))
+    h = mk.sum_terms(ci * e for ci, e in zip(c, mats))
+    w, u = np.linalg.eigh(h)
+    ets = np.array([u.conj().T @ e @ u for e in mats])
+    first = np.diff(w, prepend=-np.inf) > tol.ELEMENT_GAP * np.abs(w).max()  # column of u that opens a block
+    starts, label = np.flatnonzero(first), np.cumsum(first) - 1
+    scale = float(np.linalg.norm([e.eigenvalues[-1] - e.eigenvalues[0] for e in effect_set.effects]))
+    lam = np.add.reduceat(ets.diagonal(0, 1, 2), starts, axis=1) / np.bincount(label)
+    sq = np.abs(ets - lam[:, label, None] * np.eye(d)) ** 2
+    coupling = np.add.reduceat(sq.sum(axis=(0, 1)), starts)
+    free = (2.0 * np.sqrt(coupling) <= tol.NULLSPACE * scale) | (scale <= tol.NULLSPACE)
+    # unknown k is Y_pq, p = rows[k] and q = cols[k], q running fastest within a block
+    rows, cols = np.nonzero((label[:, None] == label) & ~free[label, None])
+    k = np.arange(rows.size)
+    factor = np.zeros((0, k.size), dtype=complex)
+    for et in ets if k.size else ():
+        # t[s, r, k] is entry (r, s) of Ẽe_pe_qᵀ - e_pe_qᵀẼ, so t.reshape(d², K) has columns vec(·)
+        t = np.zeros((d, d, k.size), dtype=complex)
+        t[cols, :, k] = et[:, rows].T
+        t[:, rows, k] -= et[cols, :].T
+        factor = np.linalg.qr(np.vstack([factor, t.reshape(d * d, k.size)]), mode="r")
+    return _Frame(u, ets, label, free, lam.real, mk.nullspace(factor, scale=scale))
 
 
 def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
@@ -157,42 +239,11 @@ def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
     K×K QR factor, so memory stays O(d²·K) whatever n is.  That factor goes to
     `matkernel.nullspace` (one SVD; no Gram matrix), and each kernel vector
     maps back through B = uYu†.  The basis is written once, free columns
-    first, into one complex d²×dim array: 268 MB at dim = d² = 4,096.  QR and
-    SVD are independent of the ``eigvalsh`` of Φ behind the verifiers, so they
-    never compare a computation with itself.
+    first.  QR and SVD are independent of the Cholesky and ``eigvalsh`` of Φ
+    behind the verifiers, so they never compare a computation with itself.
     """
-    d = effect_set.dim
-    mats = effect_set.matrices
-    c = philox_generator(0).standard_normal(len(mats))
-    h = mk.sum_terms(ci * e for ci, e in zip(c, mats))
-    w, u = np.linalg.eigh(h)
-    ets = np.array([u.conj().T @ e @ u for e in mats])
-    first = np.diff(w, prepend=-np.inf) > tol.ELEMENT_GAP * np.abs(w).max()  # column of u that opens a block
-    starts, label = np.flatnonzero(first), np.cumsum(first) - 1
-    scale = float(np.linalg.norm([e.eigenvalues[-1] - e.eigenvalues[0] for e in effect_set.effects]))
-    lam = np.add.reduceat(ets.diagonal(0, 1, 2), starts, axis=1) / np.bincount(label)
-    sq = np.abs(ets - lam[:, label, None] * np.eye(d)) ** 2
-    coupling = np.add.reduceat(sq.sum(axis=(0, 1)), starts)
-    free = (2.0 * np.sqrt(coupling) <= tol.NULLSPACE * scale) | (scale <= tol.NULLSPACE)
-    # unknown k is Y_pq, p = rows[k] and q = cols[k], q running fastest within a block
-    free_rows, free_cols = np.nonzero((label[:, None] == label) & free[label, None])
-    rows, cols = np.nonzero((label[:, None] == label) & ~free[label, None])
-    k = np.arange(rows.size)
-    factor = np.zeros((0, k.size), dtype=complex)
-    for et in ets if k.size else ():
-        # t[s, r, k] is entry (r, s) of Ẽe_pe_qᵀ - e_pe_qᵀẼ, so t.reshape(d², K) has columns vec(·)
-        t = np.zeros((d, d, k.size), dtype=complex)
-        t[cols, :, k] = et[:, rows].T
-        t[:, rows, k] -= et[cols, :].T
-        factor = np.linalg.qr(np.vstack([factor, t.reshape(d * d, k.size)]), mode="r")
-    y = mk.nullspace(factor, scale=scale)
-    # x[j, i, m] is entry (i, j) of basis matrix m, so x.reshape(d², dim) has columns vec(·)
-    x = np.empty((d, d, free_rows.size + y.shape[1]), dtype=complex)
-    np.multiply(u.conj()[:, free_cols][:, None], u[:, free_rows], out=x[:, :, : free_rows.size])
-    ys = np.zeros((y.shape[1], d, d), dtype=complex)
-    ys[:, rows, cols] = y.T
-    x[:, :, free_rows.size :] = (u @ ys @ u.conj().T).transpose(2, 1, 0)
-    return mk.OperatorSubspace(d, x.reshape(d * d, x.shape[2]))
+    frame = _commutant_frame(effect_set)
+    return mk.OperatorSubspace(effect_set.dim, frame.basis(frame.free, frame.y))
 
 
 # ---------------------------------------------------------------------------
@@ -287,58 +338,140 @@ def _residual(matrices, q: np.ndarray, d: int) -> tuple[float, float]:
     return float(np.sqrt(total)), worst
 
 
-def _verify_fixed_points(effect_set: EffectSet, basis: mk.OperatorSubspace | None = None) -> TheoremReport:
-    """Decide Fix(Φ) = {X ∈ {Eᵢ}′ : (I - F)X = 0} (the commutant for a resolution) from eigenvalues.
+# `_cholesky_in_place`: order of the diagonal blocks (and rows per update), rows per substitution step.
+_BLOCK, _PANEL = 128, 16
 
-    The target: for X in the commutant Φ(X) = XF, so ‖(I - F)X‖_F = ‖Φ(X) - X‖_F.
-    With V the commutant basis Bⱼ, the target basis Q is V·ker[vec((I - F)Bⱼ)]ⱼ:
-    the right singular vectors of that d²×k system whose singular value is
-    at most CLUSTER.  For a commuting set those singular values are the
-    deficits |1 - w| of the eigenvalues w of F, so this is the cut with which
-    `build_effect_set` tells resolutions apart.
 
-    The decision: ρ = ‖Φ(Q) - Q‖_F, and by Kahan's residual bound (Parlett,
-    The Symmetric Eigenvalue Problem, 1980, ch. 11) Φ has k eigenvalues within
-    ‖Φ(Q) - Q‖₂ ≤ ρ of 1 for any orthonormal Q; the factor 3 below leaves
-    room for a Q orthonormal only to rounding.  The eigenvalues w of Φ come
-    from one ``eigvalsh`` of R and are accurate to the SPECTRUM_FLOOR, where
-    eigenvectors would be accurate only to ε/gap (Davis & Kahan, SIAM J.
-    Numer. Anal. 7, 1970).  With τ = max(3ρ, floor), fixed_dim counts the
-    w ≥ 1 - τ.  Each target element must itself be fixed to CLUSTER: for a
-    unit X in the commutant ‖Φ(X) - X‖_F = ‖X(F - I)‖_F ≤ ‖I - F‖₂, which is
-    at most CLUSTER for a resolution and at most the kept singular value for
-    the "3.2" target, whatever the basis.  ρ itself can reach √k·CLUSTER on a
-    valid set, so the cut reads the largest column residual ρ_max.  The
-    verdict holds iff ρ_max ≤ CLUSTER and fixed_dim = k; when ρ_max ≤ CLUSTER
-    but more than k eigenvalues pass, the next one cannot be told from 1 and
-    Undecided is raised.  distance reports ρ.  Target and residual read the
-    commutant, F and Φ on d×d matrices, never R, so the two sides share no
-    computation.  `analyze` passes in basis, which it also reports; else the
-    commutant is built only when the target can be non-empty.
+def _cholesky_in_place(a: np.ndarray) -> None:
+    """Overwrite the upper triangle of the symmetric a with U, UᵀU = a; LinAlgError unless a ≻ 0.
+
+    Right-looking and blocked, so no second N×N array exists: ``np.linalg.cholesky`` on each diagonal
+    block, forward substitution on the panel beside it, matrix products on the trailing upper triangle.
+    Each entry is still aᵢⱼ less a sum of products over a diagonal entry, the form Demmel's bound covers.
+    """
+    n = a.shape[0]
+    for j in range(0, n, _BLOCK):
+        e = min(j + _BLOCK, n)
+        u = np.linalg.cholesky(a[j:e, j:e].T).T  # reads the upper triangle
+        a[j:e, j:e] = u
+        if e == n:
+            return
+        p = a[j:e, e:]  # solves Uᵀ·P = A[j:e, e:] in place
+        for r in range(0, e - j, _PANEL):
+            t = min(r + _PANEL, e - j)
+            p[r:t] -= u[:r, r:t].T @ p[:r]
+            for c in range(r, t):
+                p[c] -= u[r:c, c] @ p[r:c]
+                p[c] /= u[c, c]
+        for i in range(e, n, _BLOCK):
+            a[i : i + _BLOCK, i:] -= p[:, i - e : i - e + _BLOCK].T @ p[:, i - e :]
+
+
+def _certify(ets, on: np.ndarray, v: np.ndarray, tau: float) -> bool:
+    """Whether one Cholesky proves that at most count(on) + k eigenvalues of Φ reach 1 - τ.
+
+    In the frame of ets (Ẽᵢ = u†Eᵢu, u unitary), M = (1 - τ)I - R̃ + 2VVᵀ on the N coordinates off the
+    mask on, v N×k.  If M ≻ 0, every x that vanishes on the mask with Vᵀx = 0 has xᵀR̃x < (1 - τ)‖x‖²,
+    and those x have codimension at most count(on) + k, so Courant–Fischer gives the bound.  That holds
+    for any frame, mask and v; a poor choice only makes the Cholesky fail.  It runs on M - σI,
+    σ = 4·(N + 1)·ε·(N + 2k), whose success proves M ≻ 0 (see `tolerances.SPECTRUM_FLOOR`).
+    """
+    m = _hermitian_coordinates(ets, ~on)
+    n, k = v.shape
+    np.negative(m, out=m)
+    m.flat[:: n + 1] += 1.0 - tau - 4 * (n + 1) * np.finfo(float).eps * (n + 2 * k)
+    for j in range(0, n if k else 0, _BLOCK):
+        m[j : j + _BLOCK] += 2.0 * v[j : j + _BLOCK] @ v.T
+    try:
+        _cholesky_in_place(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _target(effect_set: EffectSet, frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, c): the free blocks and solved combinations spanning the target; all of them for a resolution.
+
+    A free block is scalar for F too and is kept when Σᵢ λᵢ,b² is within CLUSTER of 1; the kept solved
+    combinations have singular value at most CLUSTER in [vec((I - F̃)Yⱼ)]ⱼ, F̃ = u†Fu.
+    """
+    if effect_set.normalization is Normalization.RESOLUTION:
+        return frame.free, frame.y
+    keep = frame.free & (np.abs(1.0 - (frame.lam**2).sum(axis=0)) <= tol.CLUSTER)
+    if not frame.y.shape[1]:
+        return keep, frame.y
+    f = frame.u.conj().T @ effect_set.sum_of_squares @ frame.u
+    deficit = (np.eye(effect_set.dim) - f) @ frame.unknowns(frame.y)
+    _, s, vh = np.linalg.svd(deficit.reshape(frame.y.shape[1], -1).T, full_matrices=False)
+    return keep, frame.y @ vh[s <= tol.CLUSTER].conj().T
+
+
+def _real_span(frame: _Frame, c: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Orthonormal coordinates, off the mask on, of the Hermitian matrices in the span of the Y for c.
+
+    Those of (Y + Y†)/2 and (Y - Y†)/2i are (A - Bᵀ)/2 and (B + Aᵀ)/2, A = Re Y + Im Y, B = Im Y - Re Y;
+    the target is closed under †, so they span m real dimensions, read by one thin SVD of K rows.
+    """
+    m, unknowns = c.shape[1], frame.on(~frame.free)
+    v = np.zeros((np.count_nonzero(~on), m))
+    if m:
+        ys = frame.unknowns(c)
+        a, b = ys.real + ys.imag, ys.imag - ys.real
+        z = np.concatenate([a - b.transpose(0, 2, 1), b + a.transpose(0, 2, 1)])[:, unknowns]
+        basis = np.linalg.svd(z.T, full_matrices=False)[0][:, :m]
+        v[(np.cumsum(~on) - 1).reshape(on.shape)[unknowns]] = basis
+    return v
+
+
+def _verify_fixed_points(effect_set: EffectSet, frame: _Frame | None = None) -> TheoremReport:
+    """Decide Fix(Φ) = {X ∈ {Eᵢ}′ : (I - F)X = 0} (the commutant for a resolution) without an eigenvector.
+
+    For X in the commutant Φ(X) = XF, so ‖(I - F)X‖_F = ‖Φ(X) - X‖_F; `_target` picks the basis Q.
+    By Kahan's residual bound (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 11) Φ has k
+    eigenvalues within ‖Φ(Q) - Q‖₂ ≤ ρ = ‖Φ(Q) - Q‖_F of 1 (3ρ below leaves room for a Q orthonormal
+    only to rounding), and fixed_dim counts the w ≥ 1 - τ, τ = max(3ρ, floor).  `_certify` proves
+    that at most k pass, reading ‖F‖ ≥ ‖Φ‖ and adding the frame's rotation error to τ; a set it refuses
+    (false, Undecided, or a margin within rounding of τ) takes one ``eigvalsh`` of R, accurate to the
+    SPECTRUM_FLOOR, where eigenvectors would be accurate only to ε/gap (Davis & Kahan, SIAM J. Numer.
+    Anal. 7, 1970).  A unit X in the commutant has ‖Φ(X) - X‖_F = ‖X(F - I)‖_F ≤ ‖I - F‖₂, at most
+    CLUSTER for a resolution and at most the kept singular value for "3.2", but ρ can reach
+    √k·CLUSTER, so the cut reads the largest column residual ρ_max.  The verdict holds iff
+    ρ_max ≤ CLUSTER and fixed_dim = k; if more than k pass, the next one cannot be told from 1:
+    Undecided.  Target and residual read the commutant, F and Φ under the given Eᵢ, never R, so
+    the two sides share no computation.  `analyze` passes the frame whose dimension it reports;
+    else it is built only for a target that can be non-empty, and an empty one is certified in the
+    identity frame.
     """
     d = effect_set.dim
     resolution = effect_set.normalization is Normalization.RESOLUTION
     # with no w within CLUSTER of 1, ‖(I - F)X‖_F ≥ min |1 - w| > CLUSTER for every unit X
-    empty = not resolution and np.abs(1.0 - effect_set.sum_of_squares_eigenvalues).min() > tol.CLUSTER
-    target = np.zeros((d * d, 0), dtype=complex) if empty else (basis or commutant(effect_set)).vectors
-    if not (resolution or empty):
-        # column j of target is vec(Bⱼ), so the (d, d·k) reshape holds B₁ | B₂ | ... side by side
-        deficit = (np.eye(d) - effect_set.sum_of_squares) @ target.reshape(d, -1, order="F")
-        _, s, vh = np.linalg.svd(deficit.reshape(d * d, -1, order="F"), full_matrices=False)
-        target = target @ vh[s <= tol.CLUSTER].conj().T
-    k = target.shape[1]
-    rho, rho_max = _residual(effect_set.matrices, target, d)
-    w = np.linalg.eigvalsh(_hermitian_coordinates(effect_set))
-    floor = tol.SPECTRUM_FLOOR * d * d * np.finfo(float).eps * float(np.abs(w).max())
-    tau = max(3.0 * rho, floor)
-    fixed_dim = int(np.count_nonzero(w >= 1.0 - tau))
+    if not resolution and np.abs(1.0 - effect_set.sum_of_squares_eigenvalues).min() > tol.CLUSTER:
+        q = v = np.zeros((d * d, 0))
+        ets, on = effect_set.matrices, np.zeros((d, d), dtype=bool)
+    else:
+        frame = frame or _commutant_frame(effect_set)
+        keep, c = _target(effect_set, frame)
+        ets, on = frame.ets, frame.on(keep)
+        q, v = frame.basis(keep, c), _real_span(frame, c, on)
+    k = q.shape[1]
+    rho, rho_max = _residual(effect_set.matrices, q, d)
+    del q  # up to d⁴ complex entries, not needed beside R
     fixed = rho_max <= tol.CLUSTER
+    theorem = "3.1" if resolution else "3.2"
+    eps = np.finfo(float).eps
+    floor = tol.SPECTRUM_FLOOR * d * d * eps * float(effect_set.sum_of_squares_eigenvalues[-1])
+    rotation = 4 * d * eps * sum(float(e.eigenvalues[-1]) ** 2 for e in effect_set.effects)
+    if _certify(ets, on, v, max(3.0 * rho, floor) + rotation):
+        return TheoremReport(theorem, k, k, rho, fixed)
+    w = np.linalg.eigvalsh(_hermitian_coordinates(effect_set.matrices))
+    tau = max(3.0 * rho, tol.SPECTRUM_FLOOR * d * d * eps * float(np.abs(w).max()))
+    fixed_dim = int(np.count_nonzero(w >= 1.0 - tau))
     if fixed and fixed_dim > k:
         raise Undecided(
             f"the target has dimension {k}, but eigenvalue {k + 1} of Φ has 1 - w = {1.0 - w[-k - 1]:.3e}, "
             f"not above τ = {tau:.3e}"
         )
-    return TheoremReport("3.1" if resolution else "3.2", fixed_dim, k, rho, fixed and fixed_dim == k)
+    return TheoremReport(theorem, fixed_dim, k, rho, fixed and fixed_dim == k)
 
 
 def verify_resolution_fixed_points(effect_set: EffectSet) -> TheoremReport:

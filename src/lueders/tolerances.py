@@ -59,6 +59,19 @@ ELEMENT_GAP = 1e-3
 # closer to 1 than this floor cannot be told from 1, so `verify` raises
 # Undecided rather than count it either way.  The floor is 2.3e-13·‖Φ‖ at
 # d = 4 and 5.8e-11·‖Φ‖ at d = 64.
+# Most sets skip that eigensolver: one Cholesky of M = (1 - τ)I - R̃ + 2VVᵀ
+# (`operation._certify`; order N ≤ d², V with k orthonormal columns, ‖F‖ for
+# ‖Φ‖) certifies the count.  A Cholesky that completes in floating point gives
+# UᵀU = A + ΔA, |ΔA| ≤ γ_{N+1}·|Uᵀ||U|, in any summation order (J. Demmel, LAPACK
+# Working Note 14, 1989; N. J. Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., ch. 10), so ‖ΔA‖₂ ≤ γ_{N+1}/(1 - γ_{N+1})·tr A, with
+# tr A ≤ N + 2k as 0 ⪯ R̃; forming M rounds by at most 2γ_k·k + 6ε·√N.  A
+# Cholesky of M - σI, σ = 4·(N + 1)·ε·(N + 2k), covers both, so its success
+# proves M ≻ 0 (S. M. Rump, "Verification of positive definiteness", BIT 46,
+# 2006): σ = 1.5e-8 at d = 64, k = 1.  R̃ is built in the commutant's eigenframe
+# u from Ẽᵢ = u†Eᵢu, within 4·d·ε·Σᵢ‖Eᵢ‖² ≤ 4·d²·ε·‖F‖ of the exact rotation
+# of R (3.6e-12 at d = n = 64), a sixteenth of the floor (5.8e-11) or less; the
+# certificate adds it to τ, so the count it proves is one of R itself.
 SPECTRUM_FLOOR = 64
 # Projector Frobenius distance for subspace equality.
 SUBSPACE = 1e-8

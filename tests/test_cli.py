@@ -167,8 +167,10 @@ def test_analyze_pinching(tmp_path, capsys):
 def test_lapack_failure_exits_three(command, solver, size, tmp_path, monkeypatch, capsys):
     # A LinAlgError from the eigvalsh of the 4×4 matrix of Φ (d = 2), or from the eigh of a
     # 2×2 effect in validate_effect, is a typed exit 3 under its own name, not exit 4.
+    # verify and analyze reach that eigvalsh only where the Cholesky certificate refuses.
     path = _pinching_file(tmp_path)
     solve = getattr(np.linalg, solver)
+    monkeypatch.setattr("lueders.operation._certify", lambda *args: False)
 
     def failing(a, *args, **kwargs):
         if np.shape(a)[-1] == size:
@@ -179,6 +181,22 @@ def test_lapack_failure_exits_three(command, solver, size, tmp_path, monkeypatch
     assert main([command, path]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == "error: LinAlgError: Eigenvalues did not converge\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_refused_certificate_is_no_error(command, tmp_path, monkeypatch, capsys):
+    # A Cholesky that meets a non-positive pivot only sends the set to the eigvalsh
+    # route: the same body, and never exit 3 by itself.
+    path = _pinching_file(tmp_path)
+    assert main([command, path]) == 0
+    want = capsys.readouterr()
+
+    def not_positive_definite(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    assert main([command, path]) == 0
+    assert capsys.readouterr() == want
 
 
 def test_verify_resolution_and_subnormalized(tmp_path, capsys):

@@ -36,7 +36,7 @@ import json
 import numpy as np
 import pytest
 
-from lueders import matkernel as mk
+from lueders import matkernel as mk, operation
 from lueders.cli import main
 from lueders.effects import (
     Normalization,
@@ -821,7 +821,7 @@ def _assert_matches_the_eigenvector_route(es, verify, path, capsys):
     code, out, _ = _run("analyze", es, path, capsys)
     assert (code, json.loads(out)["fixed_dim"]) == (0, rep.fixed_dim)
     spectrum = np.linalg.eigvalsh(s)
-    assert np.abs(np.linalg.eigvalsh(_hermitian_coordinates(es)) - spectrum).max() <= 1e-13
+    assert np.abs(np.linalg.eigvalsh(_hermitian_coordinates(es.matrices)) - spectrum).max() <= 1e-13
 
 
 @pytest.mark.parametrize("index", range(51))
@@ -866,7 +866,7 @@ def test_commuting_resolution_margin_is_half_the_closest_tuple_distance_squared(
     lam = np.array([b.values for b in blocks])
     apart = ~np.eye(len(blocks), dtype=bool)
     margin = 0.5 * np.linalg.norm(lam[:, None] - lam[None], axis=-1)[apart].min() ** 2
-    w = np.linalg.eigvalsh(_hermitian_coordinates(es))
+    w = np.linalg.eigvalsh(_hermitian_coordinates(es.matrices))
     assert np.abs(w[-k:] - 1.0).max() <= _floor(d)
     assert abs((1.0 - w[-k - 1]) - margin) <= _floor(d)
     rep = verify_resolution_fixed_points(es)
@@ -893,7 +893,7 @@ def test_chord_family_places_the_floor(k, rotated, tmp_path, capsys):
     delta = 10.0 ** (-k / 2)
     es = _chord_set(delta, _unitary(4, 9) if rotated else np.eye(4))
     margin = 0.5 * delta**2
-    w = np.linalg.eigvalsh(_hermitian_coordinates(es))
+    w = np.linalg.eigvalsh(_hermitian_coordinates(es.matrices))
     assert abs((1.0 - w[-5]) - margin) <= 16 * np.finfo(float).eps
     if margin > _floor(4):
         rep = verify_resolution_fixed_points(es)
@@ -949,6 +949,37 @@ def test_analyze_reports_the_verifier_count(name, tmp_path, capsys):
         body = json.loads(out)
         assert body["fixed_dim"] == json.loads(verify_out)["fixed_dim"]
         assert "joint_block_dims" not in body or body["commutant_dim"] == sum(k * k for k in body["joint_block_dims"])
+
+
+ROUTE_SETS = {**CROSS_CHECK_SETS, **AGREEMENT_SETS, **{name: es for name, (es, _) in DEGENERATE_ELEMENT_SETS.items()}}
+
+
+def _outcome(es):
+    """The verifier's report, or the message of its Undecided."""
+    try:
+        return operation._verify_fixed_points(es)
+    except Undecided as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_SETS))
+def test_certificate_agrees_with_the_eigenvalue_count(name, monkeypatch):
+    # Wherever the Cholesky certificate succeeds, its fixed_dim = k must be the count of
+    # the eigvalsh route, which runs alone when the certificate is refused.  Each generated
+    # set is valid with a margin far above rounding, so there the certificate must succeed.
+    # The degenerate-element sets add targets with many solved columns (coupled-scalar).
+    es = ROUTE_SETS[name]
+    certify, calls = operation._certify, []
+
+    def spy(*args):
+        calls.append(certify(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(operation, "_certify", spy)
+    got = _outcome(es)
+    monkeypatch.setattr(operation, "_certify", lambda *args: False)
+    assert got == _outcome(es)
+    assert calls == [True] or name not in CROSS_CHECK_SETS
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,9 @@ from lueders.effects import (
 from lueders.errors import DimensionMismatch, InvalidArgument
 from lueders.operation import (
     LuedersOperation,
+    _certify,
+    _commutant_frame,
+    _real_span,
     channel_norm,
     commutant,
     fixed_point_space,
@@ -342,6 +345,7 @@ def test_verify_subnormalized_without_unit_eigenvalue_builds_no_commutant(monkey
         raise AssertionError("the empty target built the commutant")
 
     monkeypatch.setattr("lueders.operation.commutant", no_commutant)
+    monkeypatch.setattr("lueders.operation._commutant_frame", no_commutant)
     rep = verify_subnormalized_fixed_points(es)
     assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.2", 0, 0, True)
 
@@ -367,6 +371,56 @@ def test_verify_subnormalized_rejects_wrong_inputs():
     scaled = [0.9 * e for e in generate_noncommuting_resolution(3, 3, seed=2).matrices]
     rep = verify_subnormalized_fixed_points(build_effect_set(scaled))
     assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.2", 0, 0, True)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: generate_commuting_resolution(24, 8, seed=24),
+        lambda: generate_commuting_subnormalized(24, 8, seed=24, unit_fraction=0.5),
+        lambda: generate_noncommuting_resolution(24, 8, seed=24),
+    ],
+    ids=["cr", "cs", "nc"],
+)
+def test_verify_peak_memory_at_d24(generate):
+    # The certificate factors its one real d²×d² matrix (8·d⁴ bytes) in place, so
+    # only block-sized work arrays are alive beside it.
+    es = generate()
+    d = es.dim
+    resolution = es.normalization is Normalization.RESOLUTION
+    verify = verify_resolution_fixed_points if resolution else verify_subnormalized_fixed_points
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = verify(es)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict
+    assert peak < 1.5 * 8 * d**4
+
+
+def test_certificate_refuses_a_short_target():
+    # A target without one of its columns leaves an eigenvalue of Φ at 1 in M, which is then
+    # not positive definite: one matrix unit dropped from a commuting d = 16 target, the one
+    # solved column of a non-commuting one, or the empty target of a resolution.
+    tau = 64 * 16 * 16 * np.finfo(float).eps
+    es = generate_commuting_resolution(16, 3, seed=16)
+    frame = _commutant_frame(es)
+    on = frame.on(frame.free)
+    p = np.flatnonzero(frame.free[frame.label])[0]
+    short = on.copy()
+    short[p, p] = False
+    assert _certify(frame.ets, on, _real_span(frame, frame.y, on), tau)
+    assert not _certify(frame.ets, short, _real_span(frame, frame.y, short), tau)
+    assert not _certify(es.matrices, np.zeros((16, 16), dtype=bool), np.zeros((256, 0)), tau)
+    es = generate_noncommuting_resolution(16, 3, seed=16)
+    frame = _commutant_frame(es)
+    assert not frame.free.any() and frame.y.shape[1] == 1
+    on = frame.on(frame.free)
+    v = _real_span(frame, frame.y, on)
+    assert _certify(frame.ets, on, v, tau)
+    assert not _certify(frame.ets, on, v[:, :0], tau)
 
 
 def test_channel_norm_certificate():
