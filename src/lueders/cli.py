@@ -15,6 +15,7 @@ anywhere, 4 unexpected errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -203,6 +204,7 @@ def _cmd_suite(args):
     return report, 0 if rep.all_passed else 1
 
 
+@functools.cache  # `main` parses with it and never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lueders", description="Lüders operations: build, verify, witness.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

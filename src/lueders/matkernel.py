@@ -7,13 +7,13 @@ tr(A†B), held and compared as d²×k column bases.  Dimensions stay small
 of one surfaces unwrapped as ``np.linalg.LinAlgError``.
 
 ``nullspace`` costs one SVD, of the triangular QR factor when the matrix is
-tall, and the fixed-point space of a Lüders operation (in ``operation``) one
-real symmetric ``eigh`` of Φ in an orthonormal basis of the Hermitian
-matrices, which has the eigenvalues of the complex superoperator.  Both keep
-their kernel vectors by the same relative rule, ``_kernel_columns``, at
-``tolerances.NULLSPACE``.  The verifiers do not use it: they prove the
-fixed-point count with a Cholesky, or count eigenvalues, against an absolute
-margin.
+tall (real for a real matrix), and the fixed-point space of a Lüders
+operation (in ``operation``) one real symmetric ``eigh`` of Φ in an
+orthonormal basis of the Hermitian matrices, which has the eigenvalues of
+the complex superoperator.  Both keep their kernel vectors by the same
+relative rule, ``_kernel_columns``, at ``tolerances.NULLSPACE``.  The
+verifiers do not use it: they prove the fixed-point count with a Cholesky,
+or count eigenvalues, against an absolute margin.
 
 Vectorization is column-stacking: vec(AXB) = (Bᵀ ⊗ A) vec(X).
 """
@@ -141,7 +141,7 @@ def _kernel_columns(dist: np.ndarray, vectors: np.ndarray, scale: float | None =
 
 
 def nullspace(m, *, scale: float | None = None) -> np.ndarray:
-    """Orthonormal columns spanning the numerical kernel of M.
+    """Orthonormal columns spanning the numerical kernel of M, real (and spanning the complex kernel) for a real M.
 
     One SVD: a tall M is first reduced to its square triangular QR factor R,
     which has the same right singular vectors, so no left singular vectors of
@@ -154,10 +154,10 @@ def nullspace(m, *, scale: float | None = None) -> np.ndarray:
     columns can only lower σ_max, and a cut taken against the smaller value
     would count rounding dust of the kept columns as structure.
     """
-    a = as_complex_matrix(m)
+    a = as_complex_matrix(m) if np.iscomplexobj(m) else as_complex_matrix(m).real
     rows, cols = a.shape
     if a.size == 0:
-        return np.eye(cols, dtype=complex)
+        return np.eye(cols, dtype=a.dtype)
     if rows > cols:
         a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a, full_matrices=True)

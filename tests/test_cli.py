@@ -530,6 +530,19 @@ def test_out_receives_exactly_the_printed_bytes(name, inputs, tmp_path, capsys):
     assert out.read_bytes() == printed.encode("utf-8")
 
 
+@pytest.mark.parametrize("name", ["witness", "nagy"])
+def test_consecutive_calls_share_no_state(name, inputs, tmp_path, capsys):
+    # main parses every call with one parser: --full and --out must not reach the next call.
+    argv = [inputs.get(a, a) for a in REPORTS[name][0]]
+    assert main(argv) == 0
+    printed = _out(capsys)
+    assert main([*argv, "--full"]) == 0
+    assert main([*argv, "--full", "--out", str(tmp_path / "full.out")]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert _out(capsys) == printed
+
+
 def test_console_entry_point(tmp_path):
     # the child imports the same package as the tests, installed or not
     src = os.path.dirname(os.path.dirname(lueders.__file__))

@@ -152,14 +152,22 @@ EFFECT_SETS = dict(_effect_sets())
 
 
 @pytest.mark.parametrize(
-    "rows,cols,rank",
-    [(12, 5, 5), (12, 5, 3), (40, 9, 4), (5, 12, 5), (5, 12, 2), (7, 7, 7), (7, 7, 6), (1, 6, 1), (6, 1, 1)],
+    "rows,cols,rank,real",
+    [
+        pytest.param(*shape, real, id="-".join(map(str, shape)) + ("-real" if real else ""))
+        for real in (False, True)
+        for shape in [(12, 5, 5), (12, 5, 3), (40, 9, 4), (5, 12, 5), (5, 12, 2), (7, 7, 7), (7, 7, 6), (1, 6, 1), (6, 1, 1)]
+    ],
 )
-def test_nullspace_matches_reference(rows, cols, rank):
-    a = _rand(rows, rank, rows * cols + rank) @ _rand(rank, cols, rows + cols + rank)
+def test_nullspace_matches_reference(rows, cols, rank, real):
+    left, right = _rand(rows, rank, rows * cols + rank), _rand(rank, cols, rows + cols + rank)
+    a = left.real @ right.real if real else left @ right
     got = mk.nullspace(a)
     _assert_same_kernel(got, _reference_nullspace(a))
     assert got.shape[1] == cols - rank
+    # a real matrix keeps a real basis, which spans the kernel of the complex route
+    assert np.isrealobj(got) == real
+    _assert_same_kernel(got, mk.nullspace(a.astype(complex)))
 
 
 @pytest.mark.parametrize("rows,cols", [(4, 4), (9, 3), (3, 9)])
@@ -561,7 +569,11 @@ def test_commutant_matches_reference(name):
         # the kernel only to about ε·σ₁/σ, σ the smallest one dropped (Davis & Kahan).
         s = np.linalg.svd(np.vstack(_commutator_blocks(es)), compute_uv=False)
         distance = max(PROJECTOR_TOL, 16 * np.finfo(float).eps * s[0] / s[-want.shape[1] - 1])
-    _assert_same_kernel(commutant(es).vectors, want, distance)
+    got = commutant(es).vectors
+    _assert_same_kernel(got, want, distance)
+    # the solved columns come last, and each is vec(X) of a Hermitian X
+    solved = got[:, got.shape[1] - operation._commutant_frame(es).y.shape[1] :].T.reshape(-1, es.dim, es.dim)
+    assert np.abs(solved - solved.conj().transpose(0, 2, 1)).max(initial=0.0) <= 1e-13
 
 
 def test_verify_and_analyze_read_one_matrix_on_the_dusty_scalar_block(tmp_path, capsys):

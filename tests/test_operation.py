@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from lueders import matkernel as mk
+from lueders import matkernel as mk, operation
 from lueders.effects import (
     Normalization,
     build_effect_set,
@@ -17,7 +17,7 @@ from lueders.operation import (
     LuedersOperation,
     _certify,
     _commutant_frame,
-    _real_span,
+    _target,
     channel_norm,
     commutant,
     fixed_point_space,
@@ -400,6 +400,13 @@ def test_verify_peak_memory_at_d24(generate):
     assert peak < 1.5 * 8 * d**4
 
 
+def _placed(frame, c, on):
+    """V: the solved coordinates c written among all d² coordinates, then those off the mask on kept."""
+    v = np.zeros((on.size, c.shape[1]))
+    v[frame.on(~frame.free).ravel()] = c
+    return v[~on.ravel()]
+
+
 def test_certificate_refuses_a_short_target():
     # A target without one of its columns leaves an eigenvalue of Φ at 1 in M, which is then
     # not positive definite: one matrix unit dropped from a commuting d = 16 target, the one
@@ -411,16 +418,77 @@ def test_certificate_refuses_a_short_target():
     p = np.flatnonzero(frame.free[frame.label])[0]
     short = on.copy()
     short[p, p] = False
-    assert _certify(frame.ets, on, _real_span(frame, frame.y, on), tau)
-    assert not _certify(frame.ets, short, _real_span(frame, frame.y, short), tau)
+    assert _certify(frame.ets, on, _placed(frame, frame.y, on), tau)
+    assert not _certify(frame.ets, short, _placed(frame, frame.y, short), tau)
     assert not _certify(es.matrices, np.zeros((16, 16), dtype=bool), np.zeros((256, 0)), tau)
     es = generate_noncommuting_resolution(16, 3, seed=16)
     frame = _commutant_frame(es)
     assert not frame.free.any() and frame.y.shape[1] == 1
     on = frame.on(frame.free)
-    v = _real_span(frame, frame.y, on)
+    v = _placed(frame, frame.y, on)
     assert _certify(frame.ets, on, v, tau)
     assert not _certify(frame.ets, on, v[:, :0], tau)
+
+
+def _noncommuting_subnormalized(d):
+    # a non-commuting resolution ⊗ I₂ beside 0.8× another, in a random basis: a "3.2" target of 4 solved columns
+    a, b = generate_noncommuting_resolution(d, 3, seed=d), generate_noncommuting_resolution(d, 3, seed=d + 1)
+    u, _ = np.linalg.qr(_rand(3 * d, d))
+    mats = [u @ np.block([[np.kron(x, np.eye(2)), np.zeros((2 * d, d))], [np.zeros((d, 2 * d)), 0.8 * y]]) @ u.conj().T
+            for x, y in zip(a.matrices, b.matrices)]
+    return build_effect_set([(m + m.conj().T) / 2 for m in mats])
+
+
+def _real_resolution(d, seed):
+    # Eᵢ = Aᵢ^½ for the real POVM Aᵢ = G^-½·Bᵢ·G^-½, Bᵢ random real PSD and G = Σ Bᵢ
+    rng = np.random.Generator(np.random.Philox(seed))
+    bs = [g @ g.T for g in rng.standard_normal((3, d, d))]
+    w, v = np.linalg.eigh(sum(bs))
+    root = (v / np.sqrt(w)) @ v.T
+    effects = []
+    for b in bs:
+        w, v = np.linalg.eigh(root @ b @ root)
+        effects.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
+    return effects
+
+
+def _real_subnormalized(d):
+    # Real resolutions ⊗ I₂ beside 0.8× another.  H is real, and in a real frame the commutant
+    # direction I ⊗ iσ_y on the 0.8 block has a purely imaginary deficit (I - F̃)X, seen only by Im D.
+    z = np.zeros((2 * d, 2 * d))
+    mats = [np.block([[np.kron(x, np.eye(2)), z], [z, 0.8 * np.kron(y, np.eye(2))]])
+            for x, y in zip(_real_resolution(d, d), _real_resolution(d, d + 1))]
+    return build_effect_set([(m + m.T) / 2 for m in mats])
+
+
+@pytest.mark.parametrize(
+    "es,k",
+    [
+        (generate_noncommuting_resolution(16, 3, seed=16), 1),
+        (build_effect_set([np.kron(e, np.eye(2)) for e in generate_noncommuting_resolution(8, 3, seed=8).matrices]), 4),
+        (_noncommuting_subnormalized(4), 4),
+        (_real_subnormalized(4), 4),
+    ],
+    ids=["nc", "nc-x-i2", "nc-sub", "real-sub"],
+)
+def test_certificate_reads_the_target_coordinates(es, k, monkeypatch):
+    # The solved target columns c are the real coordinates Y of Hermitian X.  The V the verifier
+    # certifies with is c placed off the mask: orthonormal, and equal to the coordinates Re X + Im X
+    # of the target's own basis matrices there.
+    frame = _commutant_frame(es)
+    keep, c = _target(es, frame)
+    x = frame.hermitian(c)
+    assert not keep.any() and c.shape[1] == k and np.isrealobj(c)
+    assert np.abs(x - x.conj().transpose(0, 2, 1)).max() == 0.0
+    seen = []
+    monkeypatch.setattr(operation, "_certify", lambda *args: seen.append(args) or _certify(*args))
+    rep = operation._verify_fixed_points(es)
+    assert (rep.fixed_dim, rep.target_dim, rep.verdict) == (k, k, True)
+    [(_, on, v, _)] = seen
+    assert np.isrealobj(v) and np.abs(v.T @ v - np.eye(k)).max() <= 1e-13
+    assert np.array_equal(v, _placed(frame, c, on))
+    assert np.abs((x.real + x.imag).reshape(k, -1)[:, ~on.ravel()].T - v).max() <= 1e-15
+    assert _certify(*seen[0])
 
 
 def test_channel_norm_certificate():
