@@ -17,18 +17,18 @@ d²×d² matrix R with the eigenvalues of S.  The commutant is solved in the sam
 real coordinates, on the eigenblocks of one random element of the algebra: a
 block on which every effect is scalar and which no effect couples to another
 gives its matrix units, and the Cᵢ are never stacked.  `verify` decides the
-theorem from the residual ‖Φ(Q) - Q‖_F of the target basis Q and one
-Cholesky, factored in place, in the eigenframe of the commutant, where its
-free blocks are coordinate axes: its success proves that no eigenvalue of Φ
-beyond the k of the target reaches 1 - τ.  A set it refuses takes one
-``eigvalsh`` of R and reads no eigenvector.  `analyze` reports the
-fixed-point count of that same decision, and the commutant's dimension from
-its frame without writing its basis.  `fixed_point_space` takes the full
-``eigh`` of R for the basis itself and serves as the eigenvector oracle.
-Every function takes the `EffectSet`, whose exactly Hermitian matrices Φ, R,
-S and the commutant all read, and applies Φ to d×d matrices through `_phi`;
-`LuedersOperation` keeps `apply` for library users and builds S as the dense
-`superoperator` reference.
+theorem from the residual ‖Φ(Q) - Q‖_F of the target basis Q and one Cholesky,
+factored in place, both in the eigenframe of the commutant, where its free
+blocks are coordinate axes and Q is never written: the Cholesky's success
+proves that no eigenvalue of Φ beyond the k of the target reaches 1 - τ.  A
+set it refuses takes one ``eigvalsh`` of R and reads no eigenvector.
+`analyze` reports the fixed-point count of that same decision, and the
+commutant's dimension from its frame without writing its basis.
+`fixed_point_space` takes the full ``eigh`` of R for the basis itself and
+serves as the eigenvector oracle.  Every function takes the `EffectSet`, whose
+exactly Hermitian matrices Φ, R, S and the commutant all read, and applies Φ
+to d×d matrices through `_phi`; `LuedersOperation` keeps `apply` for library
+users and builds S as the dense `superoperator` reference.
 """
 
 from __future__ import annotations
@@ -126,8 +126,10 @@ def _hermitian_coordinates(matrices, off: np.ndarray | None = None) -> np.ndarra
     return r
 
 
-def _hermitian(y: np.ndarray) -> np.ndarray:
-    """The Hermitian X = sym(Y) + i·antisym(Y) that each real d×d Y of a stack stands for (see `_hermitian_coordinates`)."""
+def _hermitian(mask: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X = sym(Y) + i·antisym(Y) for each column of c, the Y_pq where the d×d mask holds (row-major; Y = 0 elsewhere)."""
+    y = np.zeros((c.shape[1],) + mask.shape)
+    y[:, mask] = c.T
     yt = np.swapaxes(y, -1, -2)
     return (y + yt) / 2 + 1j * ((y - yt) / 2)
 
@@ -143,7 +145,7 @@ def fixed_point_space(effect_set: EffectSet) -> mk.OperatorSubspace:
     """
     d = effect_set.dim
     w, v = np.linalg.eigh(_hermitian_coordinates(effect_set.matrices))
-    x = _hermitian(mk._kernel_columns(np.abs(w - 1.0), v).T.reshape(-1, d, d))
+    x = _hermitian(np.ones((d, d), dtype=bool), mk._kernel_columns(np.abs(w - 1.0), v))
     # x.transpose(2, 1, 0)[j, i, m] is entry (i, j) of Xₘ, so its reshape has columns vec(Xₘ)
     return mk.OperatorSubspace(d, x.transpose(2, 1, 0).reshape(d * d, -1))
 
@@ -172,22 +174,6 @@ class _Frame:
     def on(self, keep: np.ndarray) -> np.ndarray:
         """The d×d mask of the coordinates (p, q) that lie in one block where keep holds."""
         return (self.label[:, None] == self.label) & keep[self.label, None]
-
-    def hermitian(self, c: np.ndarray) -> np.ndarray:
-        """The m×d×d stack of the X for the m columns of c; entry k of a column is Y_pq, (p, q) the k-th of on(~free)."""
-        ys = np.zeros((c.shape[1],) + self.u.shape)
-        ys[:, self.on(~self.free)] = c.T
-        return _hermitian(ys)
-
-    def basis(self, keep: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """vec(u·E_pq·u†) on the blocks where keep holds, then vec(u·X·u†) for c: one C-contiguous d²×dim array."""
-        d, u = self.u.shape[0], self.u
-        rows, cols = np.nonzero(self.on(keep))
-        # x[j, i, m] is entry (i, j) of basis matrix m, so x.reshape(d², dim) has columns vec(·)
-        x = np.empty((d, d, rows.size + c.shape[1]), dtype=complex)
-        np.multiply(u.conj()[:, cols][:, None], u[:, rows], out=x[:, :, : rows.size])
-        x[:, :, rows.size :] = (u @ self.hermitian(c) @ u.conj().T).transpose(2, 1, 0)
-        return x.reshape(d * d, x.shape[2])
 
 
 def _commutant_frame(effect_set: EffectSet) -> _Frame:
@@ -243,12 +229,18 @@ def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
     values.  Each effect's real d²×K block, the coordinates of i[Ẽᵢ, X], is
     folded at once into a running K×K QR factor (memory O(d²·K) whatever n
     is), one SVD of it in `matkernel.nullspace` gives the kernel, and each
-    vector maps back through B = uXu†.  The basis is written once, free
-    columns first.  QR and SVD are independent of the Cholesky and ``eigvalsh``
-    of Φ behind the verifiers, so they never compare a computation with itself.
+    vector maps back through B = uXu†, written once, free columns first; the
+    verifiers read the frame.  QR and SVD are independent of their Cholesky
+    and ``eigvalsh`` of Φ, so they never compare a computation with itself.
     """
     frame = _commutant_frame(effect_set)
-    return mk.OperatorSubspace(effect_set.dim, frame.basis(frame.free, frame.y))
+    d, u = effect_set.dim, frame.u
+    rows, cols = np.nonzero(frame.on(frame.free))
+    # x[j, i, m] is entry (i, j) of basis matrix m, so x.reshape(d², dim) has columns vec(·)
+    x = np.empty((d, d, rows.size + frame.y.shape[1]), dtype=complex)
+    np.multiply(u.conj()[:, cols][:, None], u[:, rows], out=x[:, :, : rows.size])
+    x[:, :, rows.size :] = (u @ _hermitian(frame.on(~frame.free), frame.y) @ u.conj().T).transpose(2, 1, 0)
+    return mk.OperatorSubspace(d, x.reshape(d * d, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +307,8 @@ class TheoremReport:
     (target {Eᵢ}′), "3.2" for any strictly subnormalized set (target
     {X ∈ {Eᵢ}′ : (I - F)X = 0}, F = Σ Eᵢ²).  target_dim is k, the dimension
     of the target; distance is the residual ρ = ‖Φ(Q) - Q‖_F of its
-    orthonormal basis Q; fixed_dim counts the eigenvalues of Φ within
-    τ = max(3ρ, floor) of 1.
+    orthonormal basis Q, taken in the commutant's eigenframe; fixed_dim
+    counts the eigenvalues of Φ within τ = max(3ρ, floor) of 1.
     """
 
     theorem: str
@@ -330,17 +322,24 @@ class TheoremReport:
 _RESIDUAL_CHUNK = 2**19
 
 
-def _residual(matrices, q: np.ndarray, d: int) -> tuple[float, float]:
-    """(‖Φ(Q) - Q‖_F, maxⱼ ‖Φ(Xⱼ) - Xⱼ‖_F) over the columns vec(Xⱼ) of Q, one chunk of columns at a time."""
-    step = max(1, _RESIDUAL_CHUNK // (d * d))
-    total = worst = 0.0
-    for j in range(0, q.shape[1], step):
-        # column j of q is the column-stacked vec(Xⱼ), so its row-major (d, d) block is Xⱼᵀ
-        x = q[:, j : j + step].T.reshape(-1, d, d).transpose(0, 2, 1)
-        norms = np.linalg.norm(_phi(matrices, x) - x, axis=(1, 2))
-        total += float(norms @ norms)
-        worst = max(worst, float(norms.max()))
-    return float(np.sqrt(total)), worst
+def _residual(ets, on: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(‖Φ(Q) - Q‖_F, maxⱼ ‖Φ(Xⱼ) - Xⱼ‖_F) in the frame of ets for the target (on, v) of `_target`.
+
+    Q, never written, is E_pq where on holds, Φ(E_pq) = Σᵢ Ẽᵢ[:, p]Ẽᵢ[q, :], then the X of each column of v.
+    """
+    step = max(1, _RESIDUAL_CHUNK // on.size)
+    rows, cols = np.nonzero(on)
+    norms = [np.zeros(0)]
+    for j in range(0, rows.size, step):
+        p, q = rows[j : j + step], cols[j : j + step]
+        x = np.matmul(ets[:, :, p].transpose(2, 1, 0), ets[:, q, :].transpose(1, 0, 2))
+        x[np.arange(p.size), p, q] -= 1.0
+        norms.append(np.linalg.norm(x, axis=(1, 2)))
+    for j in range(0, v.shape[1], step):
+        x = _hermitian(~on, v[:, j : j + step])
+        norms.append(np.linalg.norm(_phi(ets, x) - x, axis=(1, 2)))
+    norms = np.concatenate(norms)
+    return float(np.linalg.norm(norms)), float(norms.max(initial=0.0))
 
 
 # `_cholesky_in_place`: order of the diagonal blocks (and rows per update), rows per substitution step.
@@ -395,64 +394,62 @@ def _certify(ets, on: np.ndarray, v: np.ndarray, tau: float) -> bool:
 
 
 def _target(effect_set: EffectSet, frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, c): the free blocks and real solved combinations spanning the target; all of them for a resolution.
+    """(on, v): the d×d mask of kept free coordinates and the N×k real solved coordinates off it, all for a resolution.
 
     A free block is scalar for F too and is kept when Σᵢ λᵢ,b² is within CLUSTER of 1; the kept solved
     combinations have singular value at most CLUSTER in the real [Re D; Im D] (rows interleaved by the float
     view), D = [vec((I - F̃)Xⱼ)]ⱼ, F̃ = u†Fu, which loses none: on the commutant X ↦ (I - F̃)X commutes with †.
     """
-    if effect_set.normalization is Normalization.RESOLUTION:
-        return frame.free, frame.y
-    keep = frame.free & (np.abs(1.0 - (frame.lam**2).sum(axis=0)) <= tol.CLUSTER)
-    f = frame.u.conj().T @ effect_set.sum_of_squares @ frame.u
-    deficit = (np.eye(effect_set.dim) - f) @ frame.hermitian(frame.y)
-    _, s, vh = np.linalg.svd(deficit.view(float).reshape(-1, 2 * f.size).T, full_matrices=False)
-    return keep, frame.y @ vh[s <= tol.CLUSTER].T
+    keep, c = frame.free, frame.y
+    if effect_set.normalization is not Normalization.RESOLUTION:
+        keep = keep & (np.abs(1.0 - (frame.lam**2).sum(axis=0)) <= tol.CLUSTER)
+        f = frame.u.conj().T @ effect_set.sum_of_squares @ frame.u
+        deficit = (np.eye(effect_set.dim) - f) @ _hermitian(frame.on(~frame.free), c)
+        _, s, vh = np.linalg.svd(deficit.view(float).reshape(-1, 2 * f.size).T, full_matrices=False)
+        c = c @ vh[s <= tol.CLUSTER].T
+    on = frame.on(keep)
+    v = np.zeros((np.count_nonzero(~on), c.shape[1]))
+    v[frame.on(~frame.free)[~on]] = c  # the solved coordinates c, placed among those off the mask
+    return on, v
 
 
 def _verify_fixed_points(effect_set: EffectSet, frame: _Frame | None = None) -> TheoremReport:
     """Decide Fix(Φ) = {X ∈ {Eᵢ}′ : (I - F)X = 0} (the commutant for a resolution) without an eigenvector.
 
-    For X in the commutant Φ(X) = XF, so ‖(I - F)X‖_F = ‖Φ(X) - X‖_F; `_target` picks the basis Q.
-    By Kahan's residual bound (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 11) Φ has k
-    eigenvalues within ‖Φ(Q) - Q‖₂ ≤ ρ = ‖Φ(Q) - Q‖_F of 1 (3ρ below leaves room for a Q orthonormal
-    only to rounding), and fixed_dim counts the w ≥ 1 - τ, τ = max(3ρ, floor).  `_certify` proves
-    that at most k pass, reading ‖F‖ ≥ ‖Φ‖ and adding the frame's rotation error to τ; a set it refuses
-    (false, Undecided, or a margin within rounding of τ) takes one ``eigvalsh`` of R, accurate to the
-    SPECTRUM_FLOOR, where eigenvectors would be accurate only to ε/gap (Davis & Kahan, SIAM J. Numer.
-    Anal. 7, 1970).  A unit X in the commutant has ‖Φ(X) - X‖_F = ‖X(F - I)‖_F ≤ ‖I - F‖₂, at most
-    CLUSTER for a resolution and at most the kept singular value for "3.2", but ρ can reach
-    √k·CLUSTER, so the cut reads the largest column residual ρ_max.  The verdict holds iff
+    For X in the commutant Φ(X) = XF, so ‖(I - F)X‖_F = ‖Φ(X) - X‖_F; `_target` picks the basis Q.  By
+    Kahan's residual bound (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 11) Φ has k eigenvalues
+    within ‖Φ(Q) - Q‖₂ ≤ ρ = ‖Φ(Q) - Q‖_F of 1 (3ρ below leaves room for a Q orthonormal only to
+    rounding), and fixed_dim counts the w ≥ 1 - τ, τ = max(3ρ, floor) with the floor read at ‖F‖ ≥ ‖Φ‖.
+    `_certify` proves that at most k pass, adding the frame's rotation error to τ; a set it refuses
+    (false, Undecided, or a margin within rounding of τ) takes one ``eigvalsh`` of R with the same τ,
+    accurate to the SPECTRUM_FLOOR, where eigenvectors would be accurate only to ε/gap (Davis & Kahan,
+    SIAM J. Numer. Anal. 7, 1970).  A unit X in the commutant has ‖Φ(X) - X‖_F = ‖X(F - I)‖_F ≤
+    ‖I - F‖₂, at most CLUSTER for a resolution and at most the kept singular value for "3.2", but ρ can
+    reach √k·CLUSTER, so the cut reads the largest column residual ρ_max.  The verdict holds iff
     ρ_max ≤ CLUSTER and fixed_dim = k; if more than k pass, the next one cannot be told from 1:
-    Undecided.  Target and residual read the commutant, F and Φ under the given Eᵢ, never R, so
-    the two sides share no computation.  `analyze` passes the frame whose dimension it reports;
-    else it is built only for a target that can be non-empty, and an empty one is certified in the
-    identity frame.
+    Undecided.  Residual and certificate share only the frame's Ẽᵢ, and the floor covers the rotation
+    error of a ρ measured there (see `tolerances.SPECTRUM_FLOOR`); the fallback reads R under the given
+    Eᵢ.  `analyze` passes the frame whose dimension it reports; else it is built only for a target that
+    can be non-empty, and an empty one is certified in the identity frame.
     """
     d = effect_set.dim
     resolution = effect_set.normalization is Normalization.RESOLUTION
     # with no w within CLUSTER of 1, ‖(I - F)X‖_F ≥ min |1 - w| > CLUSTER for every unit X
     if not resolution and np.abs(1.0 - effect_set.sum_of_squares_eigenvalues).min() > tol.CLUSTER:
-        q = v = np.zeros((d * d, 0))
-        ets, on = effect_set.matrices, np.zeros((d, d), dtype=bool)
+        ets, on, v = effect_set.matrices, np.zeros((d, d), dtype=bool), np.zeros((d * d, 0))
     else:
         frame = frame or _commutant_frame(effect_set)
-        keep, c = _target(effect_set, frame)
-        ets, on = frame.ets, frame.on(keep)
-        q, v = frame.basis(keep, c), np.zeros((np.count_nonzero(~on), c.shape[1]))
-        v[frame.on(~frame.free)[~on]] = c  # V: the target's coordinates are c, placed among those off the mask
-    k = q.shape[1]
-    rho, rho_max = _residual(effect_set.matrices, q, d)
-    del q  # up to d⁴ complex entries, not needed beside R
+        ets, (on, v) = frame.ets, _target(effect_set, frame)
+    k = int(np.count_nonzero(on)) + v.shape[1]
+    rho, rho_max = _residual(ets, on, v)
     fixed = rho_max <= tol.CLUSTER
     theorem = "3.1" if resolution else "3.2"
     eps = np.finfo(float).eps
-    floor = tol.SPECTRUM_FLOOR * d * d * eps * float(effect_set.sum_of_squares_eigenvalues[-1])
+    tau = max(3.0 * rho, tol.SPECTRUM_FLOOR * d * d * eps * float(effect_set.sum_of_squares_eigenvalues[-1]))
     rotation = 4 * d * eps * sum(float(e.eigenvalues[-1]) ** 2 for e in effect_set.effects)
-    if _certify(ets, on, v, max(3.0 * rho, floor) + rotation):
+    if _certify(ets, on, v, tau + rotation):
         return TheoremReport(theorem, k, k, rho, fixed)
     w = np.linalg.eigvalsh(_hermitian_coordinates(effect_set.matrices))
-    tau = max(3.0 * rho, tol.SPECTRUM_FLOOR * d * d * eps * float(np.abs(w).max()))
     fixed_dim = int(np.count_nonzero(w >= 1.0 - tau))
     if fixed and fixed_dim > k:
         raise Undecided(

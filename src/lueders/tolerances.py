@@ -69,9 +69,12 @@ ELEMENT_GAP = 1e-3
 # Cholesky of M - σI, σ = 4·(N + 1)·ε·(N + 2k), covers both, so its success
 # proves M ≻ 0 (S. M. Rump, "Verification of positive definiteness", BIT 46,
 # 2006): σ = 1.5e-8 at d = 64, k = 1.  R̃ is built in the commutant's eigenframe
-# u from Ẽᵢ = u†Eᵢu, within 4·d·ε·Σᵢ‖Eᵢ‖² ≤ 4·d²·ε·‖F‖ of the exact rotation
+# u from Ẽᵢ = u†Eᵢu, within r = 4·d·ε·Σᵢ‖Eᵢ‖² ≤ 4·d²·ε·‖F‖ of the exact rotation
 # of R (3.6e-12 at d = n = 64), a sixteenth of the floor (5.8e-11) or less; the
-# certificate adds it to τ, so the count it proves is one of R itself.
+# certificate adds r to τ, so the count it proves is one of R itself.  The
+# residual ρ is measured on the same Ẽᵢ, so it places k eigenvalues of R within
+# ρ + r ≤ τ/3 + τ/16 < τ of 1, τ = max(3ρ, floor): the certificate and the
+# ``eigvalsh`` of R both count those k, with one τ and the floor taken at ‖F‖.
 SPECTRUM_FLOOR = 64
 # Projector Frobenius distance for subspace equality.
 SUBSPACE = 1e-8

@@ -32,6 +32,7 @@ wherever `lueders verify` does.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -857,14 +858,73 @@ def test_verifier_matches_the_eigenvector_route_on_generated_sets(name, tmp_path
     )
 
 
+def _scalar_beside_noncommuting(b, d_noncommuting, seed):
+    """q·(sᵢ·I_b ⊕ Nᵢ)·q†, s = (0.6, 0.8, 0), for a non-commuting resolution Nᵢ of three effects.
+
+    The commutant is M_b ⊕ C·I: the b² matrix units of one free block, then one
+    solved column for the identity on the non-commuting part.
+    """
+    zero = np.zeros((b, d_noncommuting))
+    mats = [
+        np.block([[s * np.eye(b), zero], [zero.T, m]])
+        for s, m in zip((0.6, 0.8, 0.0), generate_noncommuting_resolution(d_noncommuting, 3, seed).matrices)
+    ]
+    q = _unitary(b + d_noncommuting, seed)
+    return build_effect_set([(m + m.conj().T) / 2 for m in (q @ m @ q.conj().T for m in mats)])
+
+
 def test_residual_matches_the_superoperator_across_chunks():
-    # d = 32: 512 columns per chunk, so 600 columns take two.
-    es = generate_noncommuting_resolution(32, 3, 12)
-    q = _rand(32 * 32, 600, 13)
-    columns = np.linalg.norm(LuedersOperation(es).superoperator @ q - q, axis=0)
-    rho, rho_max = _residual(es.matrices, q, 32)
+    # d = 32: 512 columns per chunk, so the 576 free columns take two and the solved one a third.
+    # The residual is taken in the commutant's eigenframe, so on the target it agrees with
+    # ‖S·Q - Q‖ of the commutant basis Q within the frame's rotation error (see `_verify_fixed_points`).
+    es = _scalar_beside_noncommuting(24, 8, seed=32)
+    frame = operation._commutant_frame(es)
+    on, v = operation._target(es, frame)
+    assert (np.count_nonzero(on), v.shape[1]) == (576, 1)
+    s = LuedersOperation(es).superoperator
+    q = commutant(es).vectors
+    columns = np.linalg.norm(s @ q - q, axis=0)
+    rotation = 4 * 32 * np.finfo(float).eps * sum(float(e.eigenvalues[-1]) ** 2 for e in es.effects)
+    rho, rho_max = _residual(frame.ets, on, v)
+    assert abs(rho - np.linalg.norm(columns)) <= rotation
+    assert abs(rho_max - columns.max()) <= rotation
+    # Off the target Φ moves most columns by O(1): a random mask of free columns (two chunks),
+    # then three random orthonormal solved columns off it, against their operators u·E_pq·u†, u·X·u†.
+    rng = np.random.Generator(np.random.Philox(33))
+    on = rng.random((32, 32)) < 0.6
+    v = np.linalg.qr(rng.standard_normal((np.count_nonzero(~on), 3)))[0]
+    u = frame.u
+    rows, cols = np.nonzero(on)
+    free = [np.kron(u[:, c].conj(), u[:, r]) for r, c in zip(rows, cols)]
+    y = np.zeros((3, 32, 32))
+    y[:, ~on] = v.T
+    x = (y + y.transpose(0, 2, 1)) / 2 + 1j * (y - y.transpose(0, 2, 1)) / 2
+    q = np.column_stack(free + [mk.vec(u @ m @ u.conj().T) for m in x])
+    columns = np.linalg.norm(s @ q - q, axis=0)
+    rho, rho_max = _residual(frame.ets, on, v)
+    assert rows.size > 512 and rho > 1.0
     assert abs(rho - np.linalg.norm(columns)) <= 1e-12 * rho
     assert abs(rho_max - columns.max()) <= 1e-12 * rho_max
+
+
+@pytest.mark.parametrize(
+    "es",
+    [build_effect_set([0.6 * np.eye(32), 0.8 * np.eye(32)]), _block_scalar(32, 24, seed=56)],
+    ids=["scalar-d32", "block-scalar-d32-b24"],
+)
+def test_verify_writes_no_operator_basis(es):
+    # Targets of d² = 1024 and b² + d - b = 584 free columns: the residual reads them in the
+    # commutant's frame, one chunk at a time, and no complex d²×k basis (16·d²·k bytes) is written.
+    d = es.dim
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = verify_resolution_fixed_points(es)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict and rep.target_dim in (d * d, 584)
+    assert peak <= 3 * 8 * d**4
 
 
 @pytest.mark.parametrize("d", [8, 16, 24, 32])

@@ -472,23 +472,27 @@ def _real_subnormalized(d):
     ids=["nc", "nc-x-i2", "nc-sub", "real-sub"],
 )
 def test_certificate_reads_the_target_coordinates(es, k, monkeypatch):
-    # The solved target columns c are the real coordinates Y of Hermitian X.  The V the verifier
-    # certifies with is c placed off the mask: orthonormal, and equal to the coordinates Re X + Im X
-    # of the target's own basis matrices there.
+    # `_target` holds the target once: the mask on of kept free coordinates (none here) and the
+    # solved columns v, the real coordinates Y of Hermitian X placed off the mask, orthonormal, and
+    # equal to the coordinates Re X + Im X of the target's own basis matrices there.  The residual
+    # and the certificate both read that one pair.
     frame = _commutant_frame(es)
-    keep, c = _target(es, frame)
-    x = frame.hermitian(c)
-    assert not keep.any() and c.shape[1] == k and np.isrealobj(c)
+    on, v = _target(es, frame)
+    x = operation._hermitian(~on, v)
+    assert not on.any() and v.shape == (es.dim**2, k) and np.isrealobj(v)
     assert np.abs(x - x.conj().transpose(0, 2, 1)).max() == 0.0
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-13
+    assert np.abs((x.real + x.imag).reshape(k, -1)[:, ~on.ravel()].T - v).max() <= 1e-15
     seen = []
-    monkeypatch.setattr(operation, "_certify", lambda *args: seen.append(args) or _certify(*args))
+    for name in ("_residual", "_certify"):
+        monkeypatch.setattr(operation, name, lambda *args, f=getattr(operation, name): seen.append(args) or f(*args))
     rep = operation._verify_fixed_points(es)
     assert (rep.fixed_dim, rep.target_dim, rep.verdict) == (k, k, True)
-    [(_, on, v, _)] = seen
-    assert np.isrealobj(v) and np.abs(v.T @ v - np.eye(k)).max() <= 1e-13
-    assert np.array_equal(v, _placed(frame, c, on))
-    assert np.abs((x.real + x.imag).reshape(k, -1)[:, ~on.ravel()].T - v).max() <= 1e-15
-    assert _certify(*seen[0])
+    [(ets, *pair), (_, *certified, _)] = seen
+    assert np.array_equal(ets, frame.ets)
+    for got in (pair, certified):
+        assert np.array_equal(got[0], on) and np.array_equal(got[1], v)
+    assert _certify(*seen[1])
 
 
 def test_channel_norm_certificate():
