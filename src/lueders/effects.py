@@ -14,6 +14,7 @@ keyed by the seed, so identical arguments produce bit-identical sets.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,16 +108,16 @@ class EffectSet:
     """A finite effect set with its derived classification data.
 
     sum_of_squares_eigenvalues holds the ascending eigenvalues of the
-    Hermitized F = Σ Eᵢ², from the subnormalization check.
+    Hermitized F = Σ Eᵢ², from the subnormalization check.  The set commutes
+    when every pairwise commutator norm is at most COMMUTATOR times the largest
+    effect norm, which is computed on first read and cached.
     """
 
     effects: tuple[Effect, ...]
     dim: int
     sum_of_squares: np.ndarray
     sum_of_squares_eigenvalues: np.ndarray
-    commuting: bool
     normalization: Normalization
-    max_pairwise_commutator_norm: float
 
     @property
     def n(self) -> int:
@@ -125,6 +126,14 @@ class EffectSet:
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
         return tuple(e.matrix for e in self.effects)
+
+    @functools.cached_property
+    def max_pairwise_commutator_norm(self) -> float:
+        return _max_commutator_norm(list(self.matrices))
+
+    @functools.cached_property
+    def commuting(self) -> bool:
+        return self.max_pairwise_commutator_norm <= tol.COMMUTATOR * max(float(e.eigenvalues[-1]) for e in self.effects)
 
 
 def _max_commutator_norm(mats: list[np.ndarray]) -> float:
@@ -165,11 +174,10 @@ def build_effect_set(mats) -> EffectSet:
     """Validate each matrix and classify the set.
 
     Raises NotSubnormalized when the sum of squares has an eigenvalue above
-    1 + PSD.  Commuting means every pairwise commutator norm stays at or
-    below COMMUTATOR times the largest effect norm.  A resolution has every
-    eigenvalue w of F within CLUSTER of 1.  The fixed-point verifier cuts the
-    singular values of X ↦ (I - F)X on the commutant at the same CLUSTER; for
-    a commuting set those are exactly the deficits |1 - w|.
+    1 + PSD.  A resolution has every eigenvalue w of F within CLUSTER of 1.
+    The fixed-point verifier cuts the singular values of X ↦ (I - F)X on the
+    commutant at the same CLUSTER; for a commuting set those are exactly the
+    deficits |1 - w|.
     """
     mats = list(mats)
     if not mats:
@@ -185,13 +193,9 @@ def build_effect_set(mats) -> EffectSet:
     if f_eigs[-1] > 1 + tol.PSD:
         raise NotSubnormalized(f"sum of squares has eigenvalue {f_eigs[-1]:.6e} above 1")
 
-    max_comm = _max_commutator_norm([e.matrix for e in effects])
-    max_norm = max(float(e.eigenvalues[-1]) for e in effects)
-    commuting = max_comm <= tol.COMMUTATOR * max_norm
-
     resolution = bool(np.all(np.abs(f_eigs - 1.0) <= tol.CLUSTER))
     norm = Normalization.RESOLUTION if resolution else Normalization.SUBNORMALIZED
-    return EffectSet(tuple(effects), d, f, f_eigs, commuting, norm, max_comm)
+    return EffectSet(tuple(effects), d, f, f_eigs, norm)
 
 
 # ---------------------------------------------------------------------------

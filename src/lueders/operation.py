@@ -17,11 +17,11 @@ d²×d² matrix R with the eigenvalues of S.  The commutant is solved in the sam
 real coordinates, on the eigenblocks of one random element of the algebra: a
 block on which every effect is scalar and which no effect couples to another
 gives its matrix units, and the Cᵢ are never stacked.  `verify` decides the
-theorem from the residual ‖Φ(Q) - Q‖_F of the target basis Q and one Cholesky,
-factored in place, both in the eigenframe of the commutant, where its free
-blocks are coordinate axes and Q is never written: the Cholesky's success
-proves that no eigenvalue of Φ beyond the k of the target reaches 1 - τ.  A
-set it refuses takes one ``eigvalsh`` of R and reads no eigenvector.
+theorem from the residual ‖Φ(Q) - Q‖_F of the target basis Q and a Cholesky
+certificate, both in the eigenframe of the commutant, where its free blocks
+are coordinate axes and Q is never written.  Where the frame's blocks hold
+the effects to within τ, a pair of free blocks is one number and only the
+other blocks are factored.  A set it refuses takes one ``eigvalsh`` of R.
 `analyze` reports the fixed-point count of that same decision, and the
 commutant's dimension from its frame without writing its basis.
 `fixed_point_space` takes the full ``eigh`` of R for the basis itself and
@@ -109,7 +109,7 @@ def _hermitian_coordinates(matrices, off: np.ndarray | None = None) -> np.ndarra
     """
     e = np.asarray(matrices)
     d = e.shape[-1]
-    flat = e.reshape(-1, d * d)
+    flat = e.reshape(len(e), d * d)
     off = np.ones((d, d), dtype=bool) if off is None else off
     cols = np.flatnonzero(off)
     r = np.empty((cols.size, cols.size))
@@ -281,6 +281,9 @@ def joint_eigenspaces(effect_set: EffectSet) -> tuple[JointBlock, ...]:
     for e in effect_set.matrices:
         refined: list[np.ndarray] = []
         for v in bases:
+            if v.shape[1] == 1:  # a one-dimensional block cannot split
+                refined.append(v)
+                continue
             c = v.conj().T @ e @ v
             w, wv = np.linalg.eigh((c + c.conj().T) / 2)
             # maximal runs of ascending eigenvalues with consecutive gaps at most CLUSTER
@@ -372,12 +375,12 @@ def _cholesky_in_place(a: np.ndarray) -> None:
 
 
 def _certify(ets, on: np.ndarray, v: np.ndarray, tau: float) -> bool:
-    """Whether one Cholesky proves that at most count(on) + k eigenvalues of Φ reach 1 - τ.
+    """Whether one Cholesky proves that at most k eigenvalues of R̃ off the mask on reach 1 - τ.
 
     In the frame of ets (Ẽᵢ = u†Eᵢu, u unitary), M = (1 - τ)I - R̃ + 2VVᵀ on the N coordinates off the
     mask on, v N×k.  If M ≻ 0, every x that vanishes on the mask with Vᵀx = 0 has xᵀR̃x < (1 - τ)‖x‖²,
-    and those x have codimension at most count(on) + k, so Courant–Fischer gives the bound.  That holds
-    for any frame, mask and v; a poor choice only makes the Cholesky fail.  It runs on M - σI,
+    so Courant–Fischer bounds the count by k for that principal submatrix, and by count(on) + k for R̃.
+    That holds for any frame, mask and v; a poor choice only makes the Cholesky fail.  It runs on M - σI,
     σ = 4·(N + 1)·ε·(N + 2k), whose success proves M ≻ 0 (see `tolerances.SPECTRUM_FLOOR`).
     """
     m = _hermitian_coordinates(ets, ~on)
@@ -391,6 +394,39 @@ def _certify(ets, on: np.ndarray, v: np.ndarray, tau: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _certify_blocks(effect_set: EffectSet, frame: _Frame, on, v, tau: float, r: float) -> bool:
+    """Whether at most k = count(on) + v.shape[1] eigenvalues of R reach 1 - τ, proven on the H-block pairs of the frame.
+
+    Bᵢ is the H-block diagonal of Ẽᵢ with each free block a replaced by λᵢ,ₐ·I, so Φ_B(X) = Σᵢ BᵢXBᵢ keeps the X
+    on each block pair {a, b}: R_B is block diagonal over the pairs.  As Φ̃ - Φ_B = Σᵢ (Ẽᵢ - Bᵢ)·Ẽᵢ + Bᵢ·(Ẽᵢ - Bᵢ)
+    and ‖Bᵢ‖ ≤ ‖Ẽᵢ‖ = ‖Eᵢ‖ (pinching and a mean diagonal entry are contractions: R. Bhatia, Matrix Analysis,
+    1997, ch. IV), ‖R̃ - R_B‖₂ ≤ δ = 2·Σᵢ‖Ẽᵢ - Bᵢ‖_F·‖Eᵢ‖, and by Weyl it suffices that at most k eigenvalues
+    of R_B reach 1 - τ - r - δ, r the rotation of R̃.  On two free blocks Φ_B is the scalar gₐᵦ = Σᵢ λᵢ,ₐλᵢ,ᵦ
+    of multiplicity 2kₐkᵦ (kₐ² if a = b), rounded by at most nε·√(gₐₐgᵦᵦ); the kept (a, a) are count(on).
+    A free a beside a non-free b maps X on a×b to X·Cₐ, Cₐ = Σᵢ λᵢ,ₐBᵢ[b]: the eigenvalues of Cₐ, each of
+    multiplicity 2kₐ, from one ``eigvalsh`` within SPECTRUM_FLOOR·k_b·ε·‖Cₐ‖.  The pairs of non-free blocks
+    form one group for `_certify` with V, which spans their (a, a).  All other pairs must lie below the cut.
+    When δ > τ (as for non-commuting sets) the one group is the whole matrix.
+    """
+    label, free, lam = frame.label, frame.free, frame.lam
+    b = np.where((label[:, None] == label) & ~frame.on(free), frame.ets, 0.0)
+    p = np.flatnonzero(free[label])
+    b[:, p, p] = lam[:, label[p]]
+    delta = 2.0 * float(np.linalg.norm(frame.ets - b, axis=(1, 2)) @ [e.eigenvalues[-1] for e in effect_set.effects])
+    if delta > tau:
+        return _certify(frame.ets, on, v, tau + r)
+    cut, g, eps = 1.0 - tau - r - delta, lam.T @ lam, np.finfo(float).eps
+    kept = np.bincount(label[on.diagonal()], minlength=free.size) > 0
+    if np.any(g[np.outer(free, free) & ~np.diag(kept)] >= cut - 2 * lam.shape[0] * eps * g.diagonal().max()):
+        return False
+    for a in np.flatnonzero(~free):
+        w = np.linalg.eigvalsh(np.einsum("ia,ipq->apq", lam[:, free], b[:, label == a][:, :, label == a]))
+        if np.any(w + tol.SPECTRUM_FLOOR * w.shape[-1] * eps * np.abs(w).max(initial=0.0) >= cut):
+            return False
+    p, solved = np.flatnonzero(~free[label]), np.outer(~free[label], ~free[label])
+    return _certify(b[:, p[:, None], p], np.zeros((p.size, p.size), dtype=bool), v[solved[~on]], tau + r + delta)
 
 
 def _target(effect_set: EffectSet, frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
@@ -420,34 +456,32 @@ def _verify_fixed_points(effect_set: EffectSet, frame: _Frame | None = None) -> 
     Kahan's residual bound (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 11) Φ has k eigenvalues
     within ‖Φ(Q) - Q‖₂ ≤ ρ = ‖Φ(Q) - Q‖_F of 1 (3ρ below leaves room for a Q orthonormal only to
     rounding), and fixed_dim counts the w ≥ 1 - τ, τ = max(3ρ, floor) with the floor read at ‖F‖ ≥ ‖Φ‖.
-    `_certify` proves that at most k pass, adding the frame's rotation error to τ; a set it refuses
-    (false, Undecided, or a margin within rounding of τ) takes one ``eigvalsh`` of R with the same τ,
-    accurate to the SPECTRUM_FLOOR, where eigenvectors would be accurate only to ε/gap (Davis & Kahan,
+    `_certify_blocks` proves that at most k pass, adding the frame's rotation error r to τ; a set it
+    refuses (false, Undecided, or a margin within rounding of τ) takes one ``eigvalsh`` of R with the same
+    τ, accurate to the SPECTRUM_FLOOR, where eigenvectors would be accurate only to ε/gap (Davis & Kahan,
     SIAM J. Numer. Anal. 7, 1970).  A unit X in the commutant has ‖Φ(X) - X‖_F = ‖X(F - I)‖_F ≤
     ‖I - F‖₂, at most CLUSTER for a resolution and at most the kept singular value for "3.2", but ρ can
     reach √k·CLUSTER, so the cut reads the largest column residual ρ_max.  The verdict holds iff
     ρ_max ≤ CLUSTER and fixed_dim = k; if more than k pass, the next one cannot be told from 1:
     Undecided.  Residual and certificate share only the frame's Ẽᵢ, and the floor covers the rotation
     error of a ρ measured there (see `tolerances.SPECTRUM_FLOOR`); the fallback reads R under the given
-    Eᵢ.  `analyze` passes the frame whose dimension it reports; else it is built only for a target that
-    can be non-empty, and an empty one is certified in the identity frame.
+    Eᵢ.  `analyze` passes the frame whose dimension it reports.  With no eigenvalue of F within CLUSTER
+    of 1 the target is empty, and ‖Φ‖ ≤ ‖F‖ < 1 - τ - r proves fixed_dim = 0 with no frame and no R.
     """
     d = effect_set.dim
-    resolution = effect_set.normalization is Normalization.RESOLUTION
-    # with no w within CLUSTER of 1, ‖(I - F)X‖_F ≥ min |1 - w| > CLUSTER for every unit X
-    if not resolution and np.abs(1.0 - effect_set.sum_of_squares_eigenvalues).min() > tol.CLUSTER:
-        ets, on, v = effect_set.matrices, np.zeros((d, d), dtype=bool), np.zeros((d * d, 0))
-    else:
-        frame = frame or _commutant_frame(effect_set)
-        ets, (on, v) = frame.ets, _target(effect_set, frame)
-    k = int(np.count_nonzero(on)) + v.shape[1]
-    rho, rho_max = _residual(ets, on, v)
-    fixed = rho_max <= tol.CLUSTER
-    theorem = "3.1" if resolution else "3.2"
-    eps = np.finfo(float).eps
-    tau = max(3.0 * rho, tol.SPECTRUM_FLOOR * d * d * eps * float(effect_set.sum_of_squares_eigenvalues[-1]))
+    theorem = "3.1" if effect_set.normalization is Normalization.RESOLUTION else "3.2"
+    f_norm, eps = float(effect_set.sum_of_squares_eigenvalues[-1]), np.finfo(float).eps
+    floor = tol.SPECTRUM_FLOOR * d * d * eps * f_norm
     rotation = 4 * d * eps * sum(float(e.eigenvalues[-1]) ** 2 for e in effect_set.effects)
-    if _certify(ets, on, v, tau + rotation):
+    if f_norm < 1.0 - max(tol.CLUSTER, floor + rotation):
+        return TheoremReport(theorem, 0, 0, 0.0, True)
+    frame = frame or _commutant_frame(effect_set)
+    on, v = _target(effect_set, frame)
+    k = int(np.count_nonzero(on)) + v.shape[1]
+    rho, rho_max = _residual(frame.ets, on, v)
+    fixed = rho_max <= tol.CLUSTER
+    tau = max(3.0 * rho, floor)
+    if _certify_blocks(effect_set, frame, on, v, tau, rotation):
         return TheoremReport(theorem, k, k, rho, fixed)
     w = np.linalg.eigvalsh(_hermitian_coordinates(effect_set.matrices))
     fixed_dim = int(np.count_nonzero(w >= 1.0 - tau))

@@ -38,10 +38,10 @@ __all__ = [
 _META_KEYS = ("flavor", "seed", "unit_fraction")
 
 # Largest Hilbert-space dimension and effect count a file may declare; `gen`
-# caps d and n here too.  Classifying a set forms n(n - 1)/2 commutators and
-# takes an SVD only of those whose bound can beat the largest norm so far; at
-# d = n = 64 `gen` and `validate` each take about 1.2 s (one BLAS thread).
-# An uncapped n would let a small file run for minutes.
+# caps d and n here too.  The commutator classification, read only by
+# `validate`, `analyze` and the non-commuting generator, forms n(n - 1)/2
+# commutators; with it `validate` takes about 1.2 s at d = n = 64 (one BLAS
+# thread).  An uncapped n would let a small file run for minutes.
 DIM_LIMIT = 64
 
 

@@ -75,6 +75,8 @@ ELEMENT_GAP = 1e-3
 # residual ρ is measured on the same Ẽᵢ, so it places k eigenvalues of R within
 # ρ + r ≤ τ/3 + τ/16 < τ of 1, τ = max(3ρ, floor): the certificate and the
 # ``eigvalsh`` of R both count those k, with one τ and the floor taken at ‖F‖.
+# Where the frame's blocks drop at most δ ≤ τ, the cut moves to 1 - τ - r - δ, and M
+# is factored only on blocks that are not free (`operation._certify_blocks`).
 SPECTRUM_FLOOR = 64
 # Projector Frobenius distance for subspace equality.
 SUBSPACE = 1e-8

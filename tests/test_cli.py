@@ -290,6 +290,34 @@ def test_witness_finds_pair_and_handles_commuting(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,classified",
+    [
+        (["validate", "{set}"], True),
+        (["analyze", "{set}"], True),
+        (["verify", "{set}"], False),
+        (["nagy", "{set}"], False),
+        (["witness", "{set}", "{op}"], False),
+        (["gen", "--flavor", "commuting-resolution", "--d", "4", "--n", "3"], False),
+        (["gen", "--flavor", "commuting-subnormalized", "--d", "4", "--n", "3"], False),
+        (["gen", "--flavor", "noncommuting-resolution", "--d", "4", "--n", "3"], True),
+    ],
+    ids=["validate", "analyze", "verify", "nagy", "witness", "gen-cr", "gen-cs", "gen-nc"],
+)
+def test_only_the_readers_of_the_classification_form_commutators(argv, classified, tmp_path, monkeypatch, capsys):
+    # The pairwise commutator maximum is computed on first read: validate and analyze report it,
+    # and the non-commuting generator redraws below its floor.  No other command pays for it.
+    op_path = tmp_path / "sx.json"
+    dump_operator(op_path, SIGMA_X)
+    paths = {"set": _pinching_file(tmp_path), "op": str(op_path)}
+    calls = []
+    max_norm = lueders.effects._max_commutator_norm
+    monkeypatch.setattr(lueders.effects, "_max_commutator_norm", lambda mats: calls.append(1) or max_norm(mats))
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    capsys.readouterr()
+    assert bool(calls) is classified
+
+
 def test_bound_output(capsys):
     assert main(["bound", "--n", "1", "--m", "2", "--p", "100"]) == 0
     text = _out(capsys)

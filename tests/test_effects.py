@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lueders import matkernel as mk
+from lueders import effects as effects_module, matkernel as mk
 from lueders.effects import (
     MIN_TUPLE_SEPARATION,
     Normalization,
@@ -360,6 +360,20 @@ def test_exactly_commuting_effects_take_no_svd(monkeypatch):
     assert calls == []
 
 
+def test_classification_is_computed_on_first_read_only(monkeypatch):
+    # build_effect_set forms no commutator; the first read of either property classifies once.
+    calls = []
+    max_norm = effects_module._max_commutator_norm
+    monkeypatch.setattr(effects_module, "_max_commutator_norm", lambda mats: calls.append(1) or max_norm(mats))
+    es = generate_noncommuting_resolution(4, 3, seed=4)
+    calls.clear()
+    es = build_effect_set(es.matrices)
+    assert calls == []
+    assert not es.commuting and es.max_pairwise_commutator_norm >= 0.01
+    assert not es.commuting
+    assert calls == [1]
+
+
 def _pinching_pair(theta: float, weight: float) -> tuple[np.ndarray, np.ndarray]:
     """weight·P and weight·Q for P = |0⟩⟨0| and Q the projector onto (cos θ, sin θ): one singular value pair."""
     v = np.array([np.cos(theta), np.sin(theta)])
@@ -374,9 +388,11 @@ def test_max_commutator_norm_looks_past_the_largest_bound(monkeypatch):
     r, s = _pinching_pair(0.9, 0.6)
     e1, e2 = (np.kron(np.diag([1.0, 1, 1, 1, 0]), m) for m in (p, q))
     e3, e4 = (np.block([[np.zeros((8, 8)), np.zeros((8, 2))], [np.zeros((2, 8)), m]]) for m in (r, s))
-    calls = _counting_operator_norm(monkeypatch)
     es = build_effect_set([e1, e2, e3, e4])
+    calls = _counting_operator_norm(monkeypatch)
+    norm = es.max_pairwise_commutator_norm  # classified on first read
     monkeypatch.undo()
     assert len(calls) == 2
+    assert norm == es.max_pairwise_commutator_norm
     assert mk.operator_norm(calls[0]) < mk.operator_norm(calls[1])
     assert es.max_pairwise_commutator_norm == _brute_max_commutator(es) == mk.operator_norm(calls[1])

@@ -51,6 +51,7 @@ from lueders.errors import Undecided
 from lueders.operation import (
     ChannelNormCertificate,
     LuedersOperation,
+    _commutant_frame,
     _hermitian_coordinates,
     _residual,
     channel_norm,
@@ -1036,22 +1037,134 @@ def _outcome(es):
 
 @pytest.mark.parametrize("name", sorted(ROUTE_SETS))
 def test_certificate_agrees_with_the_eigenvalue_count(name, monkeypatch):
-    # Wherever the Cholesky certificate succeeds, its fixed_dim = k must be the count of
-    # the eigvalsh route, which runs alone when the certificate is refused.  Each generated
-    # set is valid with a margin far above rounding, so there the certificate must succeed.
-    # The degenerate-element sets add targets with many solved columns (coupled-scalar).
+    # The block-pair route, the one-group route forced on every set, and the eigvalsh
+    # route alone give the same report or the same Undecided message.  Each generated set is
+    # valid with a margin far above rounding, so there both certificates must succeed.  The
+    # degenerate-element sets add targets with many solved columns (coupled-scalar).
     es = ROUTE_SETS[name]
-    certify, calls = operation._certify, []
-
-    def spy(*args):
-        calls.append(certify(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(operation, "_certify", spy)
+    blocks, certified = operation._certify_blocks, []
+    monkeypatch.setattr(operation, "_certify_blocks", lambda *args: certified.append(blocks(*args)) or certified[-1])
     got = _outcome(es)
-    monkeypatch.setattr(operation, "_certify", lambda *args: False)
+    certify = operation._certify  # the branch taken where δ > τ: one Cholesky of the whole matrix
+    monkeypatch.setattr(operation, "_certify_blocks", lambda es, frame, on, v, tau, r: certified.append(
+        certify(frame.ets, on, v, tau + r)) or certified[-1])
     assert got == _outcome(es)
-    assert calls == [True] or name not in CROSS_CHECK_SETS
+    monkeypatch.setattr(operation, "_certify_blocks", lambda *args: False)
+    assert got == _outcome(es)
+    assert certified in ([True, True], []) or name not in CROSS_CHECK_SETS
+
+
+def _certify_calls(es, monkeypatch):
+    """The orders of the stacks `verify` hands `_certify`: all below d on the block-pair route, d on the one group."""
+    certify, orders = operation._certify, []
+    monkeypatch.setattr(operation, "_certify", lambda ets, *args: orders.append(ets.shape[-1]) or certify(ets, *args))
+    rep = operation._verify_fixed_points(es)
+    monkeypatch.undo()
+    assert rep.verdict
+    return orders
+
+
+@pytest.mark.parametrize("flavor", ["commuting-resolution", "commuting-subnormalized", "noncommuting-resolution"])
+@pytest.mark.parametrize("d", [2, 4, 8, 16, 24])
+def test_commuting_sets_take_the_block_pair_route(flavor, d, monkeypatch):
+    # Generated commuting sets drop only eigenvector dust of H (δ ≤ τ): no stack of order d is factored.
+    # A non-commuting set drops its coupling (δ > τ) and takes the one Cholesky of the whole matrix.
+    for n, seed in ((3, 0), (8, 1)):
+        if flavor == "commuting-resolution":
+            es = generate_commuting_resolution(d, n, seed)
+        elif flavor == "commuting-subnormalized":
+            es = generate_commuting_subnormalized(d, n, seed, 0.5)
+        else:
+            es = generate_noncommuting_resolution(d, n, seed)
+        orders = _certify_calls(es, monkeypatch)
+        assert orders == [d] if flavor.startswith("non") else max(orders) < d
+
+
+def test_commuting_resolution_at_d64_factors_only_its_solved_blocks(monkeypatch):
+    # 60 free H-blocks and 2 non-free blocks of order 2: one group of their pairs (16 coordinates),
+    # with no d²×d² matrix.
+    es = generate_commuting_resolution(64, 64, 3)
+    frame = _commutant_frame(es)
+    assert sorted(np.bincount(frame.label)[~frame.free]) == [2, 2]
+    assert _certify_calls(es, monkeypatch) == [4]
+
+
+def _hand_frame(theta, radii, sizes, dust=0.0):
+    """Diagonal effects r·cos θ, r·sin θ on a hand-made H-block partition, dust on entries (0, d-1), (d-1, 0) of Ẽ₁.
+
+    A block of order 1 is free; a larger one solves to its diagonal coordinates, which span the
+    commutant there when its tuples differ.  The certificate holds in any frame, not only the one
+    `commutant` builds.
+    """
+    t = np.asarray(theta)
+    es = build_effect_set([np.diag(radii * np.cos(t)), np.diag(radii * np.sin(t))])
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    free = np.array(sizes) == 1
+    ets = np.array(es.matrices)
+    ets[0, 0, -1] = ets[0, -1, 0] = dust
+    lam = np.add.reduceat(ets.diagonal(0, 1, 2).real, np.cumsum([0] + sizes[:-1]), axis=1) / sizes
+    solved = (label[:, None] == label) & ~free[label, None]
+    diagonal = np.flatnonzero(np.eye(len(t), dtype=bool)[solved])
+    y = np.zeros((np.count_nonzero(solved), diagonal.size))
+    y[diagonal, np.arange(diagonal.size)] = 1.0
+    return es, operation._Frame(np.eye(len(t)), ets, label, free, lam, y)
+
+
+@pytest.mark.parametrize(
+    "order,sizes",
+    [([0, 1, 2, 3], [1, 1, 1, 1]), ([0, 2, 1, 3], [2, 1, 1]), ([0, 2, 1, 3], [2, 2]), ([0, 1, 2, 3], [2, 1, 1])],
+    ids=["free-free", "free-solved", "solved-solved", "within-solved"],
+)
+def test_block_pairs_refuse_two_close_tuples(order, sizes):
+    # Two joint tuples 1e-7 apart have g = 1 - 5e-15 < 1 - τ on their pair, wherever the partition
+    # puts it: two free blocks, a free block beside a solved one, two solved blocks, or inside one
+    # solved block.  Each must refuse, and the same partition with the tuples 0.1 apart certifies.
+    for gap, certified in ((1e-7, False), (0.1, True)):
+        es, frame = _hand_frame(np.array([0.3, 0.3 + gap, 0.9, 1.3])[order], np.ones(4), sizes)
+        on, v = operation._target(es, frame)
+        assert operation._certify_blocks(es, frame, on, v, _floor(4), 1e-15) is certified
+
+
+def test_block_pairs_keep_delta_and_the_unkept_blocks():
+    # The dust t gives δ = 2·√2·t·‖E₁‖ ≤ τ: a pair margin of τ + r + δ/2 must refuse, and τ + r + 2δ
+    # certifies.  A free block with g = 1 - 2e-9 lies outside a "3.2" target (CLUSTER = 1e-9); under
+    # τ = 1e-8 (the certificate takes any τ) its own pair must refuse.
+    tau, r, t = 1e-10, 1e-12, 1e-11
+    delta = 2 * np.sqrt(2) * t * np.cos(0.3)
+    for margin, certified in ((tau + r + delta / 2, False), (tau + r + 2 * delta, True)):
+        theta = [0.3, 0.3 + 2 * np.arcsin(np.sqrt(margin / 2)), 0.9, 1.3]
+        es, frame = _hand_frame(theta, np.ones(4), [1, 1, 1, 1], dust=t)
+        on, v = operation._target(es, frame)
+        assert operation._certify_blocks(es, frame, on, v, tau, r) is certified
+    es, frame = _hand_frame([0.3, 0.9, 1.2, 1.3], np.sqrt([1.0, 1.0, 1.0, 1.0 - 2e-9]), [1, 1, 1, 1])
+    on, v = operation._target(es, frame)
+    assert np.count_nonzero(on) == 3
+    assert operation._certify_blocks(es, frame, on, v, tau, r)
+    assert not operation._certify_blocks(es, frame, on, v, 1e-8, r)
+
+
+def test_block_pairs_keep_the_rounding_of_the_gram_entries():
+    # g₀₁ = cos(10⁻³) is a sum of n = 2 products, so the cut keeps 2·n·ε·max gₐₐ ≈ 8.9e-16 below
+    # it: a cut 4e-16 above the computed g₀₁ must refuse, one 2e-15 above it certifies.
+    es, frame = _hand_frame([0.3, 0.301, 0.9, 1.3], np.ones(4), [1, 1, 1, 1])
+    on, v = operation._target(es, frame)
+    g = frame.lam[:, 0] @ frame.lam[:, 1]
+    for gap, certified in ((4e-16, False), (2e-15, True)):
+        assert operation._certify_blocks(es, frame, on, v, (1.0 - g) - gap, 0.0) is certified
+
+
+def test_verify_of_a_commuting_resolution_stays_below_the_size_of_r():
+    # The block-pair route writes no d²×d² matrix: the peak stays below 8·d⁴ bytes, R̃ alone.
+    es = generate_commuting_resolution(32, 8, 32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = verify_resolution_fixed_points(es)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict and rep.target_dim == 32
+    assert peak < 8 * 32**4
 
 
 @pytest.mark.parametrize(

@@ -213,6 +213,19 @@ def test_joint_eigenspaces_act_as_scalars(seed):
     assert commutant(es).dim == sum(b.dim**2 for b in blocks)
 
 
+def test_joint_eigenspaces_take_no_eigh_of_a_one_dimensional_block(monkeypatch):
+    # The first effect splits C⁴ into blocks of order 1 and 3; only the block of order 3 is split again.
+    es = build_effect_set([np.diag([0.1, 0.5, 0.5, 0.5]), np.diag([0.9, 0.2, 0.4, 0.4])])
+    eigh, orders = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: orders.append(a.shape[-1]) or eigh(a))
+    blocks = joint_eigenspaces(es)
+    assert orders == [4, 3]
+    assert [b.dim for b in blocks] == [1, 1, 2]
+    for block in blocks:
+        for e, lam in zip(es.matrices, block.values):
+            assert np.abs(e @ block.basis - lam * block.basis).max() < 1e-12
+
+
 def test_joint_eigenspaces_reject_noncommuting():
     with pytest.raises(InvalidArgument):
         joint_eigenspaces(generate_noncommuting_resolution(3, 3, seed=1))
@@ -348,6 +361,18 @@ def test_verify_subnormalized_without_unit_eigenvalue_builds_no_commutant(monkey
     monkeypatch.setattr("lueders.operation._commutant_frame", no_commutant)
     rep = verify_subnormalized_fixed_points(es)
     assert (rep.theorem, rep.fixed_dim, rep.target_dim, rep.verdict) == ("3.2", 0, 0, True)
+
+
+def test_verify_subnormalized_without_unit_eigenvalue_builds_no_matrix(monkeypatch):
+    # ‖Φ‖ ≤ ‖F‖ = 0.61 < 1 - τ - r proves fixed_dim = 0: no R̃ of order d² = 4096 is built or factored.
+    es = build_effect_set([0.5 * np.eye(64), 0.6 * np.eye(64)])
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the empty target built a matrix of Φ")
+
+    monkeypatch.setattr(operation, "_hermitian_coordinates", no_matrix)
+    rep = verify_subnormalized_fixed_points(es)
+    assert asdict(rep) == {"theorem": "3.2", "fixed_dim": 0, "target_dim": 0, "distance": 0.0, "verdict": True}
 
 
 def test_verify_subnormalized_partial_unit_spectrum():
