@@ -74,28 +74,36 @@ def _check_spectrum(w: np.ndarray) -> None:
         raise SpectrumAboveOne(f"eigenvalue {w[-1]:.6e} above 1")
 
 
-# What `_check_effect` raises for a finite square matrix that is no effect.
+# What `_validated` raises for a finite square stack that holds a matrix that is no effect.
 _NOT_AN_EFFECT = (NotHermitian, SpectrumBelowZero, SpectrumAboveOne)
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """Exactly Hermitian (M + M†)/2, from halves, of a square M that passes the check; a Hermitian M keeps its bits."""
-    mk._require_square(mat)
-    mk._require_hermitian(mat)
-    return np.where(mat == mat.conj().T, mat, mat / 2 + mat.conj().T / 2)
+    """Exactly Hermitian (M + M†)/2, from halves, of a matrix or of each in a stack; a Hermitian M keeps its bits."""
+    adj = np.swapaxes(mat, -1, -2).conj()
+    return np.where(mat == adj, mat, mat / 2 + adj / 2)
 
 
-def _check_effect(mat: np.ndarray) -> None:
-    """The rule of `validate_effect` for a finite square matrix, from its eigenvalues alone."""
-    _check_spectrum(np.linalg.eigvalsh(_hermitian_part(mat)))
+def _validated(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_hermitian_part` of a finite (n, d, d) stack and its ``eigh``, clipped; the first matrix to fail raises.
+
+    Each matrix gets the Hermitian check, then the spectrum rule, all in one batched pass.
+    """
+    mat = _hermitian_part(stack)
+    w, u = np.linalg.eigh(mat)
+    bad = mk._asymmetric(stack) | (w[:, 0] < -tol.PSD) | (w[:, -1] > 1 + tol.PSD)
+    if bad.any():
+        i = int(bad.argmax())
+        mk._require_hermitian(stack[i])
+        _check_spectrum(w[i])
+    return mat, np.clip(w, 0.0, 1.0), u
 
 
 def validate_effect(m) -> Effect:
     """Check Hermiticity and spectrum ⊂ [-PSD, 1 + PSD]; store `_hermitian_part` with its own ``eigh``, clipped."""
-    mat = _hermitian_part(mk.as_complex_matrix(m))
-    w, u = np.linalg.eigh(mat)
-    _check_spectrum(w)
-    return Effect(mat, np.clip(w, 0.0, 1.0), u)
+    mat = mk.as_complex_matrix(m)
+    mk._require_square(mat)
+    return Effect(*(x[0] for x in _validated(mat[None])))
 
 
 class Normalization(enum.Enum):
@@ -139,17 +147,18 @@ class EffectSet:
 def _max_commutator_norm(mats: list[np.ndarray]) -> float:
     """Largest ‖EᵢEⱼ - EⱼEᵢ‖₂ over pairs i < j, with an SVD only for pairs that can be the maximum.
 
-    Each pair first gets the bound β = ‖C†C‖_F^½ ≥ ‖C‖₂ (the Schatten-4 norm),
-    with margin 1 + 1e-8 for rounding, on C scaled by an exact power of two so
-    that C†C neither underflows nor overflows.  Pairs are visited by
-    descending β, and the visit stops once β cannot beat the best norm so
-    far.  The commutators of one effect with all later ones form one batch,
-    so at most n - 1 of them are held at a time.
+    Each pair first gets the Schatten-4 bound ‖C†C‖_F^½ ≥ ‖C‖₂, with margin
+    1 + 1e-8 for rounding, on C scaled by an exact power of two so that C†C
+    neither underflows nor overflows.  Pairs are visited by descending bound,
+    and the visit stops once it cannot beat the best norm so far; a visited
+    pair gets its SVD only if the Schatten-8 bound ‖(C†C)²‖_F^¼ ≥ ‖C‖₂ of the
+    same scaled C, with the same margin, beats it too.  The commutators of one
+    effect with all later ones form one batch, so at most n - 1 are held at once.
     """
     if len(mats) < 2:
         return 0.0
     stack = np.stack(mats)
-    bounds = []
+    bounds, exps = [], []
     for i in range(len(mats) - 1):
         rest = stack[i + 1:]
         c = stack[i] @ rest
@@ -159,14 +168,19 @@ def _max_commutator_norm(mats: list[np.ndarray]) -> float:
         np.ldexp(parts, -e[:, None, None], out=parts)
         gram = c.conj().transpose(0, 2, 1) @ c
         bounds.append(np.ldexp(np.sqrt(np.linalg.norm(gram, axis=(1, 2))) * (1 + 1e-8), e))
-    bounds = np.concatenate(bounds)
+        exps.append(e)
+    bounds, exps = np.concatenate(bounds), np.concatenate(exps)
     first, second = np.triu_indices(len(mats), 1)  # the pairs in the order of the batches
     best = 0.0
     for k in np.argsort(-bounds):
         if bounds[k] <= best:
             break
         a, b = mats[first[k]], mats[second[k]]
-        best = max(best, mk.operator_norm(a @ b - b @ a))
+        c = a @ b - b @ a
+        scaled = np.ldexp(c.view(float), -exps[k]).view(complex)
+        gram = scaled.conj().T @ scaled
+        if np.ldexp(np.sqrt(np.sqrt(np.linalg.norm(gram @ gram))) * (1 + 1e-8), exps[k]) > best:
+            best = max(best, mk.operator_norm(c))
     return best
 
 
@@ -182,20 +196,23 @@ def build_effect_set(mats) -> EffectSet:
     mats = list(mats)
     if not mats:
         raise InvalidArgument("an effect set needs at least one effect")
-    effects = [validate_effect(m) for m in mats]
-    d = effects[0].dim
-    for e in effects:
-        if e.dim != d:
-            raise DimensionMismatch(f"effects of dimension {e.dim} and {d} in one set")
-
-    f = mk.sum_terms([e.matrix @ e.matrix for e in effects])
+    try:
+        stack = np.array(mats, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or entries that are no numbers
+        stack = np.zeros(0)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.isfinite(stack).all():
+        # Each matrix as a stack of one raises the first failure in effect order; else the dimensions differ.
+        d = [validate_effect(m).dim for m in mats]
+        raise DimensionMismatch(f"effects of dimension {next(k for k in d if k != d[0])} and {d[0]} in one set")
+    mat, w, u = _validated(stack)
+    f = mk.sum_terms(mat @ mat)
     f_eigs = np.linalg.eigvalsh((f + f.conj().T) / 2)
     if f_eigs[-1] > 1 + tol.PSD:
         raise NotSubnormalized(f"sum of squares has eigenvalue {f_eigs[-1]:.6e} above 1")
 
     resolution = bool(np.all(np.abs(f_eigs - 1.0) <= tol.CLUSTER))
     norm = Normalization.RESOLUTION if resolution else Normalization.SUBNORMALIZED
-    return EffectSet(tuple(effects), d, f, f_eigs, norm)
+    return EffectSet(tuple(map(Effect, mat, w, u)), stack.shape[1], f, f_eigs, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +336,9 @@ def generate_noncommuting_resolution(d: int, n: int, seed: int) -> EffectSet:
 
     The first n-1 effects are scaled so their squares sum to at most 0.95·I;
     the last effect is the PSD square root of the remainder, which is ⪰ 0.05·I
-    by construction, so only rounding dust is clipped.  Draws whose
-    largest pairwise commutator norm falls below 0.01 are regenerated from the
-    next sub-stream, so the result is deterministically non-commuting.
+    by construction, so only rounding dust is clipped.  A draw is kept at the
+    first pair, in order, whose commutator norm reaches 0.01, else redrawn from
+    the next sub-stream, so the result is deterministically non-commuting.
     """
     if d < 2:
         raise InvalidArgument(f"need d >= 2 for a non-commuting set, got {d}")
@@ -343,6 +360,6 @@ def generate_noncommuting_resolution(d: int, n: int, seed: int) -> EffectSet:
         w, u = np.linalg.eigh(np.eye(d) - mk.sum_terms([e @ e for e in scaled]))
         closer = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
         es = build_effect_set(scaled + [closer])
-        if es.max_pairwise_commutator_norm >= 0.01:
+        if any(mk.operator_norm(a @ b - b @ a) >= 0.01 for i, a in enumerate(es.matrices) for b in es.matrices[i + 1:]):
             return es
     raise RuntimeError("could not reach the non-commutation floor")

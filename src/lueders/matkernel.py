@@ -20,7 +20,6 @@ Vectorization is column-stacking: vec(AXB) = (Bᵀ ⊗ A) vec(X).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -66,21 +65,28 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def _scaled_below_one(a: np.ndarray) -> tuple[np.ndarray, int]:
+def _scaled_below_one(a: np.ndarray) -> tuple[np.ndarray, int | list[int]]:
     """(a·2⁻ᵉ, e) with e ≥ 0 the least exponent that puts every real and imaginary part below 1.
 
-    Entries near the top of the double range overflow norms to inf, and inf > threshold * inf
-    is false.  Scaling by a power of two is exact, so decisions on finite matrices stay
-    bit for bit the same, and a norm scales back exactly with ``math.ldexp(norm, e)``.
+    A stack gets one e per matrix, in a list.  Entries near the top of the double range overflow
+    norms to inf, and inf > threshold * inf is false.  Scaling by a power of two is exact, so
+    decisions on finite matrices stay bit for bit the same, and a norm scales back exactly with
+    ``math.ldexp(norm, e)``.
     """
-    big = float(np.abs(np.stack([a.real, a.imag])).max(initial=0.0))
-    e = max(math.frexp(big)[1], 0)
-    return a * 2.0**-e, e
+    big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), initial=0.0)
+    e = np.maximum(np.frexp(big)[1], 0)
+    return a * np.asarray(np.ldexp(1.0, -e))[..., None, None], e.tolist()
+
+
+def _asymmetric(a: np.ndarray) -> np.ndarray:
+    """Whether ‖M - M†‖_F > HERMITIAN·‖M‖_F, decided on M·2⁻ᵉ, for a matrix or each matrix of a stack."""
+    scaled, _ = _scaled_below_one(a)
+    defect = np.linalg.norm(scaled - np.swapaxes(scaled, -1, -2).conj(), axis=(-2, -1))
+    return defect > tol.HERMITIAN * np.linalg.norm(scaled, axis=(-2, -1))
 
 
 def _require_hermitian(a: np.ndarray) -> None:
-    scaled, _ = _scaled_below_one(a)
-    if hermitian_defect(scaled) > tol.HERMITIAN * np.linalg.norm(scaled):
+    if _asymmetric(a):
         raise NotHermitian(f"asymmetry {hermitian_defect(a):.3e} exceeds {tol.HERMITIAN:g} * ‖M‖")
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel as mk, tolerances as tol
-from .effects import _NOT_AN_EFFECT, EffectSet, Normalization, _check_effect
+from .effects import _NOT_AN_EFFECT, EffectSet, Normalization, _validated
 from .errors import DimensionMismatch, InvalidArgument, Undecided
 from .rng import philox_generator
 
@@ -329,18 +329,23 @@ def _residual(ets, on: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """(‖Φ(Q) - Q‖_F, maxⱼ ‖Φ(Xⱼ) - Xⱼ‖_F) in the frame of ets for the target (on, v) of `_target`.
 
     Q, never written, is E_pq where on holds, Φ(E_pq) = Σᵢ Ẽᵢ[:, p]Ẽᵢ[q, :], then the X of each column of v.
+    A chunk is freed before the next is formed, and its norms are taken an eighth of it at a time.
     """
     step = max(1, _RESIDUAL_CHUNK // on.size)
+    sub = max(1, step // 8)
     rows, cols = np.nonzero(on)
     norms = [np.zeros(0)]
     for j in range(0, rows.size, step):
         p, q = rows[j : j + step], cols[j : j + step]
         x = np.matmul(ets[:, :, p].transpose(2, 1, 0), ets[:, q, :].transpose(1, 0, 2))
         x[np.arange(p.size), p, q] -= 1.0
-        norms.append(np.linalg.norm(x, axis=(1, 2)))
+        norms += [np.linalg.norm(x[s : s + sub], axis=(1, 2)) for s in range(0, len(x), sub)]
+        del x
     for j in range(0, v.shape[1], step):
         x = _hermitian(~on, v[:, j : j + step])
-        norms.append(np.linalg.norm(_phi(ets, x) - x, axis=(1, 2)))
+        x = _phi(ets, x) - x
+        norms += [np.linalg.norm(x[s : s + sub], axis=(1, 2)) for s in range(0, len(x), sub)]
+        del x
     norms = np.concatenate(norms)
     return float(np.linalg.norm(norms)), float(norms.max(initial=0.0))
 
@@ -597,7 +602,7 @@ def nagy_solve(effect_set: EffectSet) -> NagySolution:
     residual = float(np.linalg.norm(_phi(effect_set.matrices, x) + x - np.eye(d)))
     half_distance = float(np.linalg.norm(x - np.eye(d) / 2))
     try:
-        _check_effect(x)
+        _validated(x[None])
         is_effect = True
     except _NOT_AN_EFFECT:
         is_effect = False
@@ -618,7 +623,7 @@ def is_undisturbed_state(effect_set: EffectSet, rho) -> tuple[bool, bool]:
     if mat.shape != (d, d):
         raise DimensionMismatch(f"state shape {mat.shape} does not match dimension {d}")
     try:
-        _check_effect(mat)
+        _validated(mat[None])
     except _NOT_AN_EFFECT as exc:
         raise InvalidArgument(f"state fails the effect check: {exc}") from exc
     if abs(float(np.real(np.trace(mat))) - 1.0) > tol.COMMUTATOR:

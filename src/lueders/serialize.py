@@ -39,9 +39,9 @@ _META_KEYS = ("flavor", "seed", "unit_fraction")
 
 # Largest Hilbert-space dimension and effect count a file may declare; `gen`
 # caps d and n here too.  The commutator classification, read only by
-# `validate`, `analyze` and the non-commuting generator, forms n(n - 1)/2
-# commutators; with it `validate` takes about 1.2 s at d = n = 64 (one BLAS
-# thread).  An uncapped n would let a small file run for minutes.
+# `validate` and `analyze`, forms n(n - 1)/2 commutators; with it `validate`
+# takes about 1-1.5 s at d = n = 64 in a fresh process (one BLAS thread).
+# An uncapped n would let a small file run for minutes.
 DIM_LIMIT = 64
 
 
@@ -117,25 +117,26 @@ def _decode(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-def _parse_matrix(obj, d: int, what: str) -> np.ndarray:
-    """d×d complex matrix from rows of [re, im] pairs.
+def _parse_matrices(objs: list, d: int, names: list[str]) -> np.ndarray:
+    """(n, d, d) complex stack from a list of n matrices, each rows of [re, im] pairs.
 
-    A well-formed matrix of finite int or float leaves converts in one NumPy
-    call, read as complex through a view so that -0.0 keeps its sign.  Any
-    other input goes through the entry loop, which names the first failing
-    entry.
+    A list of well-formed matrices of finite int or float leaves converts in
+    one NumPy call, read as complex through a view so that -0.0 keeps its
+    sign.  Any other input goes through the entry loop, which names the
+    first failing entry in matrix order.
     """
-    # Exact types, checked by C-level passes: bool (an int subclass) takes the loop and is rejected there.
-    if isinstance(obj, list) and len(obj) == d and set(map(type, obj)) == {list}:
-        entries = list(chain.from_iterable(obj))
-        if set(map(type, entries)) == {list} and set(map(type, chain.from_iterable(entries))) <= {int, float}:
-            try:
-                parts = np.array(obj, dtype=float)
-            except (OverflowError, ValueError):  # a huge int, or ragged rows or entries
-                parts = None
-            if parts is not None and parts.shape == (d, d, 2) and np.isfinite(parts).all():
-                return parts.view(complex)[..., 0]
-    return _parse_matrix_entries(obj, d, what)
+    # Exact types and lengths, checked by C-level passes: bool (an int subclass) takes the loop and is rejected there.
+    rows = list(chain.from_iterable(objs)) if set(map(type, objs)) == {list} and set(map(len, objs)) == {d} else []
+    entries = list(chain.from_iterable(rows)) if set(map(type, rows)) == {list} and set(map(len, rows)) == {d} else []
+    pairs = set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
+    if pairs and set(map(type, chain.from_iterable(entries))) <= {int, float}:
+        try:
+            parts = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
+        except OverflowError:  # an int beyond the double range
+            parts = None
+        if parts is not None and np.isfinite(parts).all():
+            return parts.view(complex).reshape(len(objs), d, d)
+    return np.array([_parse_matrix_entries(obj, d, name) for obj, name in zip(objs, names)])
 
 
 def _parse_matrix_entries(obj, d: int, what: str) -> np.ndarray:
@@ -179,7 +180,7 @@ def parse_effect_set(text: str) -> EffectSet:
     effects = doc["effects"]
     if not isinstance(effects, list) or len(effects) != n:
         raise ParseError(f"effects must be a list of {n} matrices")
-    mats = [_parse_matrix(mat, d, f"effect {i}") for i, mat in enumerate(effects)]
+    mats = _parse_matrices(effects, d, [f"effect {i}" for i in range(n)])
     del doc, effects  # the decoded lists outweigh the matrices; free them before classifying
     return build_effect_set(mats)
 
@@ -193,7 +194,7 @@ def parse_operator(text: str) -> np.ndarray:
         raise ParseError(f"need d >= 1, got {d}")
     if d > DIM_LIMIT:
         raise ParseError(f"d must be at most {DIM_LIMIT}, got {d}")
-    return _parse_matrix(doc["matrix"], d, "matrix")
+    return _parse_matrices([doc["matrix"]], d, ["matrix"])[0]
 
 
 def _read_text(path) -> str:

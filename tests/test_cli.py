@@ -300,13 +300,13 @@ def test_witness_finds_pair_and_handles_commuting(tmp_path, capsys):
         (["witness", "{set}", "{op}"], False),
         (["gen", "--flavor", "commuting-resolution", "--d", "4", "--n", "3"], False),
         (["gen", "--flavor", "commuting-subnormalized", "--d", "4", "--n", "3"], False),
-        (["gen", "--flavor", "noncommuting-resolution", "--d", "4", "--n", "3"], True),
+        (["gen", "--flavor", "noncommuting-resolution", "--d", "4", "--n", "3"], False),
     ],
     ids=["validate", "analyze", "verify", "nagy", "witness", "gen-cr", "gen-cs", "gen-nc"],
 )
 def test_only_the_readers_of_the_classification_form_commutators(argv, classified, tmp_path, monkeypatch, capsys):
-    # The pairwise commutator maximum is computed on first read: validate and analyze report it,
-    # and the non-commuting generator redraws below its floor.  No other command pays for it.
+    # The pairwise commutator maximum is computed on first read: validate and analyze report it.
+    # No other command pays for it; the non-commuting generator stops at the first pair above its floor.
     op_path = tmp_path / "sx.json"
     dump_operator(op_path, SIGMA_X)
     paths = {"set": _pinching_file(tmp_path), "op": str(op_path)}
@@ -353,6 +353,26 @@ def test_nonfinite_entries_exit_three(tmp_path, capsys, entry):
     assert main(["witness", _pinching_file(tmp_path), str(op_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError:") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "matrix,message",
+    [
+        ('"rows"', "matrix must be a list of 2 rows"),
+        ("[[[0, 0], [1, 0]]]", "matrix must be a list of 2 rows"),
+        ("[[[0, 0], [1, 0]], [[1, 0]]]", "matrix row 1 must be a list of 2 entries"),
+        ("[[[0, 0], [1, 0]], [[1, 0], [0]]]", "matrix entry (1, 1) must be a [re, im] pair"),
+        ("[[[0, 0], [1, 0]], [[1, true], [0, 0]]]", "matrix entry (1, 0) imaginary part must be a number, got True"),
+        ('[[[0, 0], [1, 0]], [[1, 0], ["0", 0]]]', "matrix entry (1, 1) real part must be a number, got '0'"),
+        ("[[[0, 0], [1e400, 0]], [[1, 0], [0, null]]]", "matrix entry (0, 1) real part must be finite, got inf"),
+    ],
+    ids=["not-a-list", "one-row", "short-row", "short-entry", "bool", "string", "overflow"],
+)
+def test_malformed_operator_files_exit_three_naming_the_entry(matrix, message, tmp_path, capsys):
+    op_path = tmp_path / "op.json"
+    op_path.write_text('{"d": 2, "matrix": %s}' % matrix)
+    assert main(["witness", _pinching_file(tmp_path), str(op_path)]) == 3
+    assert capsys.readouterr().err == f"error: ParseError: {message}\n"
 
 
 def test_witness_near_the_top_of_the_double_range(tmp_path, capsys):

@@ -322,6 +322,18 @@ def test_max_commutator_norm_matches_every_pair(flavor, d, n):
     assert es.max_pairwise_commutator_norm == _brute_max_commutator(es)
 
 
+@pytest.mark.parametrize("flavor,d,n", [(f, d, n) for f in _FLAVORS for d in (2, 8, 64) for n in (3, 32)])
+def test_stacked_validation_stores_what_validate_effect_stores(flavor, d, n):
+    # build_effect_set validates the (n, d, d) stack with one batched check and eigh; each
+    # stored matrix, spectrum and eigenbasis is bit for bit what validate_effect gives alone.
+    es = _generated(flavor, d, n)
+    for e in es.effects:
+        alone = validate_effect(e.matrix)
+        for part in ("matrix", "eigenvalues", "eigenvectors"):
+            stored, ref = getattr(e, part), getattr(alone, part)
+            assert stored.shape == ref.shape and stored.tobytes() == ref.tobytes()
+
+
 def _six_dim_effects():
     e1 = np.zeros((6, 6), dtype=complex)
     e1[:2, :2] = [[0.6, 0.2], [0.2, 0.3]]
@@ -372,6 +384,58 @@ def test_classification_is_computed_on_first_read_only(monkeypatch):
     assert not es.commuting and es.max_pairwise_commutator_norm >= 0.01
     assert not es.commuting
     assert calls == [1]
+
+
+def test_commuting_set_at_d32_takes_few_svds(monkeypatch):
+    # Every commutator is rounding dust, so many Schatten-4 bounds beat the best norm found so
+    # far; the Schatten-8 bound of the same C lets only a few of them reach an SVD.
+    es = generate_commuting_resolution(32, 32, seed=0)
+    calls = _counting_operator_norm(monkeypatch)
+    norm = es.max_pairwise_commutator_norm
+    monkeypatch.undo()
+    assert es.commuting and 1 <= len(calls) <= 8
+    assert norm == _brute_max_commutator(es)
+
+
+def _floor_set(weight: float):
+    """0.5·I, diag(0.6, 0.2) and weight·|+⟩⟨+|: only the last pair fails to commute, ‖[E₂, E₃]‖ = 0.2·weight."""
+    return build_effect_set([0.5 * np.eye(2), np.diag([0.6, 0.2]), weight * np.full((2, 2), 0.5)])
+
+
+def test_noncommuting_generator_stops_at_the_first_pair_above_the_floor(monkeypatch):
+    calls = _counting_operator_norm(monkeypatch)
+    es = generate_noncommuting_resolution(8, 6, seed=3)
+    monkeypatch.undo()
+    # One norm scales the draw (first attempt), one is the commutator of the first pair.
+    a, b = es.matrices[:2]
+    assert len(calls) == 2 and np.array_equal(calls[1], a @ b - b @ a)
+    assert mk.operator_norm(calls[1]) >= 0.01
+    assert es.max_pairwise_commutator_norm >= mk.operator_norm(calls[1])
+
+
+def test_noncommuting_generator_keeps_a_draw_whose_last_pair_alone_reaches_the_floor(monkeypatch):
+    drawn = _floor_set(0.1)
+    assert drawn.max_pairwise_commutator_norm == _brute_max_commutator(drawn) >= 0.01
+    monkeypatch.setattr(effects_module, "build_effect_set", lambda mats: drawn)
+    assert generate_noncommuting_resolution(4, 3, seed=0) is drawn
+
+
+def test_noncommuting_generator_redraws_when_no_pair_reaches_the_floor(monkeypatch):
+    below = _floor_set(0.0495)
+    assert 0.0 < below.max_pairwise_commutator_norm < 0.01
+    expected = generate_noncommuting_resolution(4, 3, seed=0)
+    attempts = []
+    build = effects_module.build_effect_set
+
+    def first_below(mats):
+        attempts.append(mats)
+        return below if len(attempts) == 1 else build(mats)
+
+    monkeypatch.setattr(effects_module, "build_effect_set", first_below)
+    es = generate_noncommuting_resolution(4, 3, seed=0)
+    assert len(attempts) == 2 and es is not below
+    assert es.max_pairwise_commutator_norm >= 0.01
+    assert not all(np.array_equal(x, y) for x, y in zip(es.matrices, expected.matrices))
 
 
 def _pinching_pair(theta: float, weight: float) -> tuple[np.ndarray, np.ndarray]:

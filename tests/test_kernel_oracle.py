@@ -916,6 +916,8 @@ def test_residual_matches_the_superoperator_across_chunks():
 def test_verify_writes_no_operator_basis(es):
     # Targets of d² = 1024 and b² + d - b = 584 free columns: the residual reads them in the
     # commutant's frame, one chunk at a time, and no complex d²×k basis (16·d²·k bytes) is written.
+    # A chunk is 8·d⁴ bytes at d = 32; it is freed before the next is formed, and its norms are
+    # taken an eighth of it at a time, so no second chunk-sized array is ever alive.
     d = es.dim
     tracemalloc.start()
     try:
@@ -925,7 +927,7 @@ def test_verify_writes_no_operator_basis(es):
     finally:
         tracemalloc.stop()
     assert rep.verdict and rep.target_dim in (d * d, 584)
-    assert peak <= 3 * 8 * d**4
+    assert peak <= 1.25 * 8 * d**4
 
 
 @pytest.mark.parametrize("d", [8, 16, 24, 32])

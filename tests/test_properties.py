@@ -1,4 +1,4 @@
-"""Property tests: serialization round trips, the commutator maximum, the contraction bound, and the validate exit codes."""
+"""Property tests: serialization round trips, stacked validation, the commutator maximum, the contraction bound, and the validate exit codes."""
 
 import contextlib
 import io
@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lueders import matkernel as mk  # noqa: E402
 from lueders.cli import main  # noqa: E402
-from lueders.effects import build_effect_set  # noqa: E402
+from lueders.effects import build_effect_set, validate_effect  # noqa: E402
+from lueders.errors import DimensionMismatch  # noqa: E402
 from lueders.serialize import (  # noqa: E402
     effect_set_to_json,
     operator_to_json,
@@ -96,6 +97,67 @@ def test_max_commutator_norm_is_the_largest_pairwise_norm(mats):
         default=0.0,
     )
     assert es.max_pairwise_commutator_norm == brute
+
+
+_FAULTS = ("none", "none", "none", "asymmetric", "above-one", "below-zero", "non-finite", "non-square", "vector", "other-d")
+
+
+@st.composite
+def faulty_effect_lists(draw):
+    """1-5 effects AA†/(tr(AA†)·√n) of one d, some with one fault (an other-d one has d + 1), as arrays or nested lists."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    unit = st.floats(-1, 1, allow_nan=False)
+    mats = []
+    for _ in range(n):
+        fault = draw(st.sampled_from(_FAULTS))
+        k = d + 1 if fault == "other-d" else d
+        parts = draw(st.lists(unit, min_size=2 * k * k, max_size=2 * k * k))
+        a = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(k, k)
+        g = a @ a.conj().T
+        m = g / (np.trace(g).real * np.sqrt(n)) if np.trace(g).real > 0 else np.zeros((k, k), dtype=complex)
+        if fault == "asymmetric":
+            m[0, -1] += 0.5j
+        elif fault in ("above-one", "below-zero"):
+            m = m + (1.5 if fault == "above-one" else -1.5) * np.eye(k)
+        elif fault == "non-finite":
+            m[-1, 0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif fault == "non-square":
+            m = np.hstack([m, m[:, :1]])
+        elif fault == "vector":
+            m = m[0]
+        mats.append(m.tolist() if draw(st.booleans()) else m)
+    return mats
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:  # the class and the text are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def _validate_in_order(mats):
+    """validate_effect on each matrix in order, then the dimension check: the order build_effect_set reports."""
+    dims = [validate_effect(m).dim for m in mats]
+    for k in dims:
+        if k != dims[0]:
+            raise DimensionMismatch(f"effects of dimension {k} and {dims[0]} in one set")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(faulty_effect_lists())
+def test_stacked_validation_raises_the_first_fault_in_effect_order(mats):
+    # Σ Eᵢ² ≤ I holds by the scaling, so a list without faults must build.
+    expected = _outcome(lambda: _validate_in_order(mats))
+    assert _outcome(lambda: build_effect_set(mats)) == expected
+    if expected is None:
+        for e, m in zip(build_effect_set(mats).effects, mats):
+            alone = validate_effect(m)
+            assert e.matrix.tobytes() == alone.matrix.tobytes()
+            assert e.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            assert e.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
 
 
 sizes = st.integers(1, 10**6)

@@ -10,7 +10,7 @@ from lueders.effects import build_effect_set, generate_commuting_resolution
 from lueders.errors import NotHermitian, ParseError, SpectrumAboveOne
 from lueders.serialize import (
     _matrix_fragment,
-    _parse_matrix,
+    _parse_matrices,
     _parse_matrix_entries,
     dump_effect_set,
     dump_operator,
@@ -91,7 +91,7 @@ def test_matrix_fragment_matches_the_entry_renderer():
     for m in [edge, edge.T, np.zeros((0, 0)), *bits]:
         text = _matrix_fragment(m)
         assert text == _reference_fragment(m)
-        back = _parse_matrix(json.loads(text), m.shape[0], "m")
+        back = _parse_matrices([json.loads(text)], m.shape[0], ["m"])[0]
         assert back.view(np.uint64).tolist() == np.ascontiguousarray(m).view(np.uint64).tolist()
 
 
@@ -208,6 +208,15 @@ def test_integer_over_the_digit_limit_is_a_parse_error():
         parse_operator('{"d": 1, "matrix": [[[%s, 0]]]}' % ("1" * 5000))
 
 
+def test_effect_set_parse_error_names_the_first_bad_entry_in_matrix_order():
+    good, bad_late, bad_early = "[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]", "[[[0, 0], [0, 0]], [[0, 0], [0, null]]]", "[[[0, 0]], [[0, 0], [0, 0]]]"
+    text = '{"d": 2, "n": 3, "effects": [%s, %s, %s]}'
+    with pytest.raises(ParseError, match=r"^effect 1 entry \(1, 1\) imaginary part must be a number, got None$"):
+        parse_effect_set(text % (good, bad_late, bad_early))
+    with pytest.raises(ParseError, match=r"^effect 1 row 0 must be a list of 2 entries$"):
+        parse_effect_set(text % (good, bad_early, bad_late))
+
+
 def _loop_or_error(obj, d):
     try:
         return _parse_matrix_entries(obj, d, "m")
@@ -217,7 +226,7 @@ def _loop_or_error(obj, d):
 
 def _fast_or_error(obj, d):
     try:
-        return _parse_matrix(obj, d, "m")
+        return _parse_matrices([obj], d, ["m"])[0]
     except ParseError as exc:
         return str(exc)
 
