@@ -266,11 +266,10 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _separated(candidate: np.ndarray, existing: list[np.ndarray]) -> bool:
-    for t in existing:
-        dist = float(np.linalg.norm(candidate - t))
-        if _EXACT_TIE < dist < MIN_TUPLE_SEPARATION:
-            return False
-    return True
+    """No earlier tuple lies in the near-collision band around candidate; one stacked distance per call."""
+    diff = candidate - np.array(existing).reshape(-1, candidate.size)
+    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    return not np.any((_EXACT_TIE < dist) & (dist < MIN_TUPLE_SEPARATION))
 
 
 def _draw_joint_spectra(d: int, n: int, rng: np.random.Generator, radii: np.ndarray) -> np.ndarray:

@@ -87,9 +87,11 @@ def _phi(matrices, b: np.ndarray) -> np.ndarray:
     """Σᵢ (EᵢB)Eᵢ, summed left to right, for one d×d matrix B or a stack of them.
 
     The terms come from a generator, so at most one of them is alive besides
-    the running sum: a list of stacked terms would hold all n at once.
+    the running sum: a list of stacked terms would hold all n at once.  The
+    right product of a stack is one tall GEMM of its rows, which gives the
+    bits of the per-matrix products.
     """
-    return mk.sum_terms((e @ b) @ e for e in matrices)
+    return mk.sum_terms(((e @ b).reshape(-1, b.shape[-1]) @ e).reshape(b.shape) for e in matrices)
 
 
 def _hermitian_coordinates(matrices, off: np.ndarray | None = None) -> np.ndarray:
@@ -549,8 +551,9 @@ def channel_norm(effect_set: EffectSet, probes: int = 200, seed: int = 0) -> Cha
     The probes are one batched draw of shape (probes, 2, d, d) from the Philox
     stream of seed, bit-equal to drawing the real and imaginary part of each
     probe one at a time.  Each probe is divided by its operator norm, and Φ and
-    the image norms are applied to the whole stack at once.  A negative probe
-    count or seed raises InvalidArgument.
+    the image norms are applied to the whole stack at once: an image gets an
+    SVD only if its bounds let it hold the maximum, which keeps that maximum
+    bit for bit (`_max_singular_value`).  A negative probe count or seed raises InvalidArgument.
     """
     if probes < 0:
         raise InvalidArgument(f"probes must be >= 0, got {probes}")
@@ -561,8 +564,31 @@ def channel_norm(effect_set: EffectSet, probes: int = 200, seed: int = 0) -> Cha
     b = g[:, 0] + 1j * g[:, 1]
     b = b / np.linalg.svd(b, compute_uv=False)[:, :1, None]
     images = _phi(effect_set.matrices, b)
-    max_probe = float(np.linalg.svd(images, compute_uv=False).max(initial=0.0))
-    return ChannelNormCertificate(value, identity_norm, max_probe, probes)
+    return ChannelNormCertificate(value, identity_norm, _max_singular_value(images), probes)
+
+
+def _max_singular_value(stack: np.ndarray) -> float:
+    """Largest singular value over a stack of matrices A, with an SVD only for those that can hold it.
+
+    The stack is scaled by one exact power of two so that its largest real or
+    imaginary part lies in [0.5, 1): the matrix holding it has σ ≥ 0.5, so its
+    bounds neither underflow nor overflow.  With M = A†A, ‖M²‖_F^¼ ≥ σ_max
+    (Schatten-8) and ‖Ax‖ / ‖x‖ = (x†Mx / x†x)^½ ≤ σ_max (Rayleigh; x the
+    largest column of M², and 0 for A = 0).  Only the matrices whose upper
+    bound, with margin 1e-8 for rounding, reaches the largest lower bound get
+    an SVD, of their unscaled bits; the batched SVD factors each matrix on its
+    own, so this is the full-stack maximum bit for bit.
+    """
+    parts = stack.view(float)
+    a = np.ldexp(parts, -np.frexp(np.abs(parts).max(initial=0.0))[1]).view(complex)
+    m = a.conj().transpose(0, 2, 1) @ a
+    m2 = m @ m
+    cols = np.linalg.norm(m2, axis=1)
+    x = m2[np.arange(len(m2)), :, cols.argmax(axis=1), None]
+    ax, xn = np.linalg.norm(a @ x, axis=(1, 2)), cols.max(axis=1)
+    lower = np.divide(ax, xn, out=np.zeros_like(ax), where=xn > 0)
+    keep = np.sqrt(np.sqrt(np.linalg.norm(cols, axis=1))) * (1 + 1e-8) >= lower.max(initial=0.0) * (1 - 1e-8)
+    return float(np.linalg.svd(stack[keep], compute_uv=False).max(initial=0.0))
 
 
 @dataclass(frozen=True)

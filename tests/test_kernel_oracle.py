@@ -8,15 +8,17 @@ complex span of its Hermitian fixed points), `commutant` a QR + SVD
 restricted to the eigenblocks of one random element H = Σ cᵢEᵢ, `nagy_solve`
 conjugate gradients on Φ applied to d×d matrices, `subspaces_equal` two
 residuals of d²×k column bases, `orthonormalize` one thin SVD and
-`channel_norm` one batched draw, Φ and SVD over all its probes.  The
-references below are the direct routes they replaced: a full SVD of the
-unreduced matrix for every kernel (for the fixed points, of the complex
+`channel_norm` one batched draw and Φ over all its probes, then an SVD only of
+the images whose Schatten-8 upper bound reaches the largest Rayleigh lower
+bound.  The references below are the direct routes they replaced: a full SVD
+of the unreduced matrix for every kernel (for the fixed points, of the complex
 S - I; for the commutant, of the dense (n·d²)×d² commutator stack),
 ``lstsq`` on the dense superoperator for the Φ(X) + X = I system, the d²×d²
 projectors VV† for subspace distances, modified Gram-Schmidt for orthonormal
-bases and a per-probe loop for the channel norm.  They live here, not in the
-package (which keeps only `LuedersOperation.superoperator` to build S), so
-they stay independent oracles.  The fixed-point target of a non-commuting
+bases, and a per-probe loop and the SVD of every probe image for the channel
+norm.  They live here, not in the package (which keeps only
+`LuedersOperation.superoperator` to build S), so they stay independent
+oracles.  The fixed-point target of a non-commuting
 subnormalized set is checked against one stacked kernel built from the
 projector P onto the unit eigenspace of F = Σ Eᵢ², which the package never
 forms (it cuts (I - F)X = 0 on the commutant).
@@ -53,6 +55,7 @@ from lueders.operation import (
     LuedersOperation,
     _commutant_frame,
     _hermitian_coordinates,
+    _phi,
     _residual,
     channel_norm,
     commutant,
@@ -64,7 +67,7 @@ from lueders.operation import (
 )
 from lueders.rng import philox_generator
 from lueders.serialize import dump_effect_set
-from lueders.suite import QUICK, _noncommuting_pool, _resolution_pool, _subnormalized_pool, run_criterion
+from lueders.suite import FULL, QUICK, _noncommuting_pool, _resolution_pool, _subnormalized_pool, run_criterion
 
 PROJECTOR_TOL = 1e-10
 
@@ -804,6 +807,85 @@ def test_c5_probe_excess_matches_per_probe_loop():
     certs = [_reference_channel_norm(es, QUICK.norm_probes, 7000 + i) for i, es in enumerate(sets)]
     want = max(c.max_probe_image_norm - c.value for c in certs)
     assert run_criterion("C5", QUICK).details["max_probe_excess"] == want
+
+
+# Sets where the pruned image maximum meets its edge cases: images so small that
+# their squares are subnormal, all-zero images (whose Rayleigh quotient is 0/0),
+# and sets whose images all tie at σ = 1 or at one common value.
+PRUNE_EDGE_SETS = {
+    "subnormal": [1e-160 * np.eye(4), 1e-170 * np.diag([1.0, 0.5, 0.2, 0.1])],
+    "zero": [np.zeros((3, 3))],
+    "identity": [np.eye(4)],
+    "halves": [0.5 * np.eye(2), 0.5 * np.eye(2)],
+}
+
+
+@pytest.mark.parametrize("probes", [0, 1, 50])
+@pytest.mark.parametrize("name", sorted(PRUNE_EDGE_SETS))
+def test_pruned_image_maximum_edge_cases_match_per_probe_loop(name, probes):
+    es = build_effect_set(PRUNE_EDGE_SETS[name])
+    assert channel_norm(es, probes, seed=probes) == _reference_channel_norm(es, probes, probes)
+
+
+@pytest.mark.parametrize("probes", [0, 1, 50])
+def test_pruned_image_maximum_on_single_effect_pool_sets(probes):
+    # An n = 1 resolution has E² = I, so every probe image ties at σ ≈ 1.
+    sets = [es for es in _resolution_pool(QUICK) if len(es.matrices) == 1]
+    assert sets
+    for i, es in enumerate(sets):
+        assert channel_norm(es, probes, seed=i) == _reference_channel_norm(es, probes, i)
+
+
+def _stack(*scales):
+    rng = philox_generator(len(scales))
+    return np.array([c * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) for c in scales])
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [_stack(0.0, 0.7), _stack(0.0, 0.0), _stack(1e-300, 1e-200), _stack(1e200, 1.0, 1e-200), _stack(1.0, 1.0 + 1e-15)],
+    ids=["zero-beside-nonzero", "all-zero", "tiny", "huge", "near-tie"],
+)
+def test_max_singular_value_matches_the_full_stack_svd(stack):
+    # A zero matrix's Rayleigh quotient is 0/0; it must not hide the others' lower bounds.
+    want = float(np.linalg.svd(stack, compute_uv=False).max(initial=0.0))
+    assert operation._max_singular_value(stack) == want
+
+
+@pytest.mark.parametrize(("generate", "bound"), [(generate_commuting_resolution, 50), (generate_noncommuting_resolution, 120)])
+def test_pruned_image_maximum_takes_few_svds(generate, bound, monkeypatch):
+    # The first stacked SVD normalizes the 200 probes; the second gets only the images that can hold the maximum.
+    es, shapes, svd = generate(8, 3, 11), [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+    cert = channel_norm(es, probes=200)
+    monkeypatch.undo()
+    stacks = [shape[0] for shape in shapes if len(shape) == 3]
+    assert len(stacks) == 2 and stacks[0] == 200 and 1 <= stacks[1] <= bound
+    assert cert == _reference_channel_norm(es, 200, 0)
+
+
+def test_c5_full_scale_matches_the_full_stack_svd(monkeypatch):
+    pruned, agree = operation._max_singular_value, []
+
+    def both(images):
+        got = pruned(images)
+        agree.append(got == float(np.linalg.svd(images, compute_uv=False).max(initial=0.0)))
+        return got
+
+    monkeypatch.setattr(operation, "_max_singular_value", both)
+    result = run_criterion("C5", FULL)
+    assert result.passed and len(agree) == result.details["sets"] and all(agree)
+
+
+@pytest.mark.parametrize("d", [2, 8, 24, 64])
+def test_stacked_phi_matches_per_matrix_phi(d):
+    # `_residual` applies Φ to stacks, and `verify`'s distance reads those bits.
+    es = generate_noncommuting_resolution(d, 3, d)
+    rng = philox_generator(d)
+    stack = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    want = np.array([_phi(es.matrices, b) for b in stack])
+    assert np.array_equal(_phi(es.matrices, stack), want)
+    assert np.array_equal(want[0], mk.sum_terms((e @ stack[0]) @ e for e in es.matrices))
 
 
 # ---------------------------------------------------------------------------
