@@ -66,14 +66,6 @@ class Effect:
         return self.matrix.shape[0]
 
 
-def _check_spectrum(w: np.ndarray) -> None:
-    """The spectrum rule of an effect, on ascending eigenvalues w: none below -PSD, none above 1 + PSD."""
-    if w[0] < -tol.PSD:
-        raise SpectrumBelowZero(f"eigenvalue {w[0]:.6e} below 0")
-    if w[-1] > 1 + tol.PSD:
-        raise SpectrumAboveOne(f"eigenvalue {w[-1]:.6e} above 1")
-
-
 # What `_validated` raises for a finite square stack that holds a matrix that is no effect.
 _NOT_AN_EFFECT = (NotHermitian, SpectrumBelowZero, SpectrumAboveOne)
 
@@ -87,15 +79,21 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
 def _validated(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_hermitian_part` of a finite (n, d, d) stack and its ``eigh``, clipped; the first matrix to fail raises.
 
-    Each matrix gets the Hermitian check, then the spectrum rule, all in one batched pass.
+    Each matrix gets the Hermitian check, then the spectrum rule (no eigenvalue below -PSD or above
+    1 + PSD), all in one batched pass.
     """
     mat = _hermitian_part(stack)
     w, u = np.linalg.eigh(mat)
-    bad = mk._asymmetric(stack) | (w[:, 0] < -tol.PSD) | (w[:, -1] > 1 + tol.PSD)
+    asymmetric, below, above = mk._asymmetric(stack), w[:, 0] < -tol.PSD, w[:, -1] > 1 + tol.PSD
+    bad = asymmetric | below | above
     if bad.any():
         i = int(bad.argmax())
-        mk._require_hermitian(stack[i])
-        _check_spectrum(w[i])
+        if asymmetric[i]:
+            mk._require_hermitian(stack[i])
+        if below[i]:
+            raise SpectrumBelowZero(f"eigenvalue {w[i, 0]:.6e} below 0")
+        if above[i]:
+            raise SpectrumAboveOne(f"eigenvalue {w[i, -1]:.6e} above 1")
     return mat, np.clip(w, 0.0, 1.0), u
 
 

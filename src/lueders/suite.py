@@ -1,21 +1,11 @@
 """Acceptance battery: ten numbered criteria run at full or quick scale.
 
 Each criterion exercises one guaranteed property of the package over seeded
-instance pools and reports pass/fail with diagnostic details.  All seeds are
-fixed constants, so every run sees the same instances.  Oracles used inside a
-criterion (brute-force eigenprojector blocks, direct reconstruction checks)
-are computed independently of the code path under test.
-
-C1   commuting resolutions: fixed-point space equals the commutant
-C2   commuting subnormalized sets: fixed-point space equals the compressed commutant
-C3   non-commuting resolutions: the same fixed-point identity still holds
-C4   the complete-disturbance equation has the unique solution I/2 on resolutions
-C5   channel norm: ‖Φ(I)‖ equals ‖F‖ exactly and random probes never exceed it
-C6   witness search matches a brute-force eigenprojector oracle
-C7   the contractive block construction achieves its explicit bound
-C8   commutant dimension equals the sum of squared joint-block dimensions
-C9   a state is fixed iff it commutes with every effect (equivalence sweep)
-C10  kernel health: eigendecomposition reconstruction and window partitions
+instance pools and returns pass/fail with diagnostic details; `_DESCRIPTIONS`
+states the property, and `run_criterion` joins the two into a result.  All
+seeds are fixed constants, so every run sees the same instances.  Oracles used
+inside a criterion (brute-force eigenprojector blocks, direct reconstruction
+checks) are computed independently of the code path under test.
 """
 
 from __future__ import annotations
@@ -187,11 +177,11 @@ def _random_effect(d: int, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# criteria
+# criteria: each takes the scale and returns (passed, details)
 
 
-def _fixed_point_criterion(cid: str, description: str, verify, cases, **extra) -> CriterionResult:
-    """One criterion from a fixed-point verifier run over (set, trivial) pairs.
+def _fixed_point_criterion(verify, cases, **extra) -> tuple[bool, dict]:
+    """A fixed-point verifier run over (set, trivial) pairs.
 
     A set flagged trivial must also have a zero-dimensional fixed-point space.
     """
@@ -203,42 +193,32 @@ def _fixed_point_criterion(cid: str, description: str, verify, cases, **extra) -
         ok = rep.verdict and rep.fixed_dim == rep.target_dim and rep.distance <= 1e-8
         if not ok or (trivial and rep.fixed_dim != 0):
             failures += 1
-    details = {"sets": len(cases), "max_distance": worst, **extra, "failures": failures}
-    return CriterionResult(cid, description, failures == 0, details)
+    return failures == 0, {"sets": len(cases), "max_distance": worst, **extra, "failures": failures}
 
 
-def _c1(scale: Scale) -> CriterionResult:
-    return _fixed_point_criterion(
-        "C1",
-        "commuting resolutions: fixed-point space equals the commutant",
-        verify_resolution_fixed_points,
-        [(es, False) for es in _resolution_pool(scale)],
-    )
+def _c1(scale: Scale) -> tuple[bool, dict]:
+    return _fixed_point_criterion(verify_resolution_fixed_points, [(es, False) for es in _resolution_pool(scale)])
 
 
-def _c2(scale: Scale) -> CriterionResult:
+def _c2(scale: Scale) -> tuple[bool, dict]:
     cases = [(es, uf == 0.0) for uf, es in _subnormalized_pool(scale)]
     return _fixed_point_criterion(
-        "C2",
-        "commuting subnormalized sets: fixed-point space equals the compressed commutant",
         verify_subnormalized_fixed_points,
         cases,
         zero_unit_fraction_sets=sum(trivial for _, trivial in cases),
     )
 
 
-def _c3(scale: Scale) -> CriterionResult:
+def _c3(scale: Scale) -> tuple[bool, dict]:
     pool = _noncommuting_pool(scale)
     return _fixed_point_criterion(
-        "C3",
-        "non-commuting resolutions: fixed-point space still equals the commutant",
         verify_resolution_fixed_points,
         [(es, False) for es in pool],
         min_commutator_norm=min((es.max_pairwise_commutator_norm for es in pool), default=None),
     )
 
 
-def _c4(scale: Scale) -> CriterionResult:
+def _c4(scale: Scale) -> tuple[bool, dict]:
     pool = _resolution_pool(scale)
     failures = 0
     worst_half = 0.0
@@ -249,20 +229,15 @@ def _c4(scale: Scale) -> CriterionResult:
         worst_res = max(worst_res, sol.residual)
         if not (sol.half_identity_distance <= 1e-9 and sol.residual <= 1e-10):
             failures += 1
-    return CriterionResult(
-        "C4",
-        "the complete-disturbance equation has the unique solution I/2 on resolutions",
-        failures == 0,
-        {
-            "sets": len(pool),
-            "max_half_identity_distance": worst_half,
-            "max_residual": worst_res,
-            "failures": failures,
-        },
-    )
+    return failures == 0, {
+        "sets": len(pool),
+        "max_half_identity_distance": worst_half,
+        "max_residual": worst_res,
+        "failures": failures,
+    }
 
 
-def _c5(scale: Scale) -> CriterionResult:
+def _c5(scale: Scale) -> tuple[bool, dict]:
     sets = (
         list(_resolution_pool(scale))
         + [es for _, es in _subnormalized_pool(scale)]
@@ -276,12 +251,7 @@ def _c5(scale: Scale) -> CriterionResult:
         excesses.append(excess)
         if not (cert.identity_image_norm == cert.value and excess <= 1e-10):
             failures += 1
-    return CriterionResult(
-        "C5",
-        "channel norm: ‖Φ(I)‖ equals ‖F‖ exactly and random probes never exceed it",
-        failures == 0,
-        {"sets": len(sets), "max_probe_excess": max(excesses, default=None), "failures": failures},
-    )
+    return failures == 0, {"sets": len(sets), "max_probe_excess": max(excesses, default=None), "failures": failures}
 
 
 def _oracle_block_norm(effect_matrix: np.ndarray, b: np.ndarray, m: int, k: int, j: int) -> float:
@@ -298,7 +268,7 @@ def _oracle_block_norm(effect_matrix: np.ndarray, b: np.ndarray, m: int, k: int,
     return float(np.linalg.svd(proj(k) @ b @ proj(j), compute_uv=False)[0])
 
 
-def _c6(scale: Scale) -> CriterionResult:
+def _c6(scale: Scale) -> tuple[bool, dict]:
     failures = 0
     worst_oracle_gap = 0.0
     commuting_detected = 0
@@ -325,22 +295,16 @@ def _c6(scale: Scale) -> CriterionResult:
             failures += 1
         except CommutesNoWitness:
             commuting_detected += 1
-    return CriterionResult(
-        "C6",
-        "witness search matches a brute-force eigenprojector oracle",
-        failures == 0,
-        {
-            "cases": scale.witness_cases,
-            "max_oracle_gap": worst_oracle_gap,
-            "commuting_detected": commuting_detected,
-            "failures": failures,
-        },
-    )
+    return failures == 0, {
+        "cases": scale.witness_cases,
+        "max_oracle_gap": worst_oracle_gap,
+        "commuting_detected": commuting_detected,
+        "failures": failures,
+    }
 
 
-def _c7(scale: Scale) -> CriterionResult:
+def _c7(scale: Scale) -> tuple[bool, dict]:
     failures = 0
-    checks: dict[str, float] = {}
     margins = []
     cases = 0
     attempt = 0
@@ -384,40 +348,29 @@ def _c7(scale: Scale) -> CriterionResult:
         if not ok:
             failures += 1
     spot = contraction_bound(1, 2, 100)
-    checks["bound_1_2_100"] = spot
-    checks["bound_1_2_100_printed"] = f"{spot:.7f}"
     limit_gap = abs(contraction_bound(1, 2, 10**6) - 0.125)
-    checks["limit_gap_at_p_1e6"] = limit_gap
     formula_ok = f"{spot:.7f}" == "0.1149750" and limit_gap <= 1e-4
-    return CriterionResult(
-        "C7",
-        "the contractive block construction achieves its explicit bound",
-        failures == 0 and cases >= scale.contraction_cases and formula_ok,
-        {
-            "cases": cases,
-            "min_margin": min(margins, default=None),
-            "failures": failures,
-            **checks,
-        },
-    )
+    return failures == 0 and cases >= scale.contraction_cases and formula_ok, {
+        "cases": cases,
+        "min_margin": min(margins, default=None),
+        "failures": failures,
+        "bound_1_2_100": spot,
+        "bound_1_2_100_printed": f"{spot:.7f}",
+        "limit_gap_at_p_1e6": limit_gap,
+    }
 
 
-def _c8(scale: Scale) -> CriterionResult:
+def _c8(scale: Scale) -> tuple[bool, dict]:
     sets = list(_resolution_pool(scale)) + [es for _, es in _subnormalized_pool(scale)]
     failures = 0
     for es in sets:
         blocks = joint_eigenspaces(es)
         if commutant(es).dim != sum(b.dim**2 for b in blocks):
             failures += 1
-    return CriterionResult(
-        "C8",
-        "commutant dimension equals the sum of squared joint-block dimensions",
-        failures == 0,
-        {"sets": len(sets), "failures": failures},
-    )
+    return failures == 0, {"sets": len(sets), "failures": failures}
 
 
-def _c9(scale: Scale) -> CriterionResult:
+def _c9(scale: Scale) -> tuple[bool, dict]:
     pool = _resolution_pool(scale)
     commuting_pool = [es for es in pool if es.commuting]
     trials = scale.density_trials if commuting_pool else 0
@@ -440,15 +393,10 @@ def _c9(scale: Scale) -> CriterionResult:
         fixed, commutes = is_undisturbed_state(es, rho)
         if fixed != commutes:
             disagreements += 1
-    return CriterionResult(
-        "C9",
-        "a state is fixed iff it commutes with every effect (equivalence sweep)",
-        disagreements == 0,
-        {"trials": trials, "disagreements": disagreements},
-    )
+    return disagreements == 0, {"trials": trials, "disagreements": disagreements}
 
 
-def _c10(scale: Scale) -> CriterionResult:
+def _c10(scale: Scale) -> tuple[bool, dict]:
     recon_failures = 0
     worst_recon = 0.0
     for t in range(scale.eig_trials):
@@ -473,18 +421,27 @@ def _c10(scale: Scale) -> CriterionResult:
             worst_partition = max(worst_partition, defect)
             if defect > 1e-10:
                 window_failures += 1
-    return CriterionResult(
-        "C10",
-        "kernel health: eigendecomposition reconstruction and window partitions",
-        recon_failures == 0 and window_failures == 0,
-        {
-            "eig_trials": scale.eig_trials,
-            "max_relative_reconstruction": worst_recon,
-            "window_effects": scale.window_effects,
-            "max_partition_defect": worst_partition,
-        },
-    )
+    return recon_failures == 0 and window_failures == 0, {
+        "eig_trials": scale.eig_trials,
+        "max_relative_reconstruction": worst_recon,
+        "window_effects": scale.window_effects,
+        "max_partition_defect": worst_partition,
+    }
 
+
+# What each criterion checks, keyed like CRITERIA.
+_DESCRIPTIONS = {
+    "C1": "commuting resolutions: fixed-point space equals the commutant",
+    "C2": "commuting subnormalized sets: fixed-point space equals the compressed commutant",
+    "C3": "non-commuting resolutions: fixed-point space still equals the commutant",
+    "C4": "the complete-disturbance equation has the unique solution I/2 on resolutions",
+    "C5": "channel norm: ‖Φ(I)‖ equals ‖F‖ exactly and random probes never exceed it",
+    "C6": "witness search matches a brute-force eigenprojector oracle",
+    "C7": "the contractive block construction achieves its explicit bound",
+    "C8": "commutant dimension equals the sum of squared joint-block dimensions",
+    "C9": "a state is fixed iff it commutes with every effect (equivalence sweep)",
+    "C10": "kernel health: eigendecomposition reconstruction and window partitions",
+}
 
 CRITERIA = {
     "C1": _c1,
@@ -501,8 +458,9 @@ CRITERIA = {
 
 
 def run_criterion(cid: str, scale: Scale = FULL) -> CriterionResult:
-    return CRITERIA[cid](scale)
+    passed, details = CRITERIA[cid](scale)
+    return CriterionResult(cid, _DESCRIPTIONS[cid], passed, details)
 
 
 def run_suite(scale: Scale = FULL) -> SuiteReport:
-    return SuiteReport(scale.name, tuple(CRITERIA[cid](scale) for cid in CRITERIA))
+    return SuiteReport(scale.name, tuple(run_criterion(cid, scale) for cid in CRITERIA))

@@ -1,9 +1,14 @@
 """The nine numerical thresholds, pinned as module constants.
 
-Every numerical decision in the package (Hermitian checks, rank cuts, cluster
-gaps, commutation thresholds) reads one of these constants, so the acceptance
-thresholds live in one place and no function takes a tolerance argument.
-Scale-relative thresholds say so below; everything else is absolute.
+These govern the library's numerical decisions: Hermitian checks, spectrum
+dust, rank cuts, cluster gaps, the eigenvalue merge of `commutant`,
+commutation thresholds, subspace equality, witness block norms and the
+rounding floor of Φ's eigenvalues.  No function takes a tolerance argument.
+Two kinds of bound live elsewhere: the spacing of generated spectra
+(`effects.MIN_TUPLE_SEPARATION`), and the acceptance battery's pass bounds,
+such as 1e-8 on the C1–C3 distances or 1e-9 and 1e-10 on C4, which each
+criterion in `suite` states for itself.  Scale-relative thresholds say so
+below; everything else is absolute.
 """
 
 from __future__ import annotations

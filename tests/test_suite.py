@@ -29,9 +29,30 @@ def test_empty_pools_give_standard_json():
 
 def test_suite_details_keep_their_key_order():
     keys = {r.id: list(r.details) for r in run_suite(EMPTY).results}
-    assert keys["C1"] == ["sets", "max_distance", "failures"]
-    assert keys["C3"] == ["sets", "max_distance", "min_commutator_norm", "failures"]
-    assert keys["C5"] == ["sets", "max_probe_excess", "failures"]
+    assert keys == {
+        "C1": ["sets", "max_distance", "failures"],
+        "C2": ["sets", "max_distance", "zero_unit_fraction_sets", "failures"],
+        "C3": ["sets", "max_distance", "min_commutator_norm", "failures"],
+        "C4": ["sets", "max_half_identity_distance", "max_residual", "failures"],
+        "C5": ["sets", "max_probe_excess", "failures"],
+        "C6": ["cases", "max_oracle_gap", "commuting_detected", "failures"],
+        "C7": ["cases", "min_margin", "failures", "bound_1_2_100", "bound_1_2_100_printed", "limit_gap_at_p_1e6"],
+        "C8": ["sets", "failures"],
+        "C9": ["trials", "disagreements"],
+        "C10": ["eig_trials", "max_relative_reconstruction", "window_effects", "max_partition_defect"],
+    }
+
+
+def test_criteria_return_passed_and_details_and_the_table_describes_them():
+    ids = [f"C{i}" for i in range(1, 11)]
+    assert list(suite.CRITERIA) == ids
+    assert list(suite._DESCRIPTIONS) == ids
+    for cid, check in suite.CRITERIA.items():
+        outcome = check(EMPTY)
+        assert type(outcome) is tuple and len(outcome) == 2, cid
+        assert type(outcome[0]) is bool and type(outcome[1]) is dict, cid
+    report = run_suite(EMPTY)
+    assert [(r.id, r.description) for r in report.results] == list(suite._DESCRIPTIONS.items())
 
 
 def _nested_loop_schedule(scale):
