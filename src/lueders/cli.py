@@ -30,17 +30,7 @@ from .effects import (
     generate_commuting_subnormalized,
     generate_noncommuting_resolution,
 )
-from .errors import (
-    CommutesNoWitness,
-    DimensionMismatch,
-    InvalidArgument,
-    LuedersError,
-    NotHermitian,
-    NotSquare,
-    NotSubnormalized,
-    SpectrumAboveOne,
-    SpectrumBelowZero,
-)
+from .errors import VIOLATIONS, CommutesNoWitness, InvalidArgument, LuedersError
 from .operation import (
     _commutant_frame,
     _verify_fixed_points,
@@ -54,16 +44,6 @@ from .witness import contraction_bound, contraction_threshold, witness_search
 __all__ = ["build_parser", "main"]
 
 _FLAVORS = ("commuting-resolution", "commuting-subnormalized", "noncommuting-resolution")
-
-# Validation failures that name the violated invariant with exit code 1.
-_VALIDATION_ERRORS = (
-    NotSquare,
-    NotHermitian,
-    SpectrumBelowZero,
-    SpectrumAboveOne,
-    NotSubnormalized,
-    DimensionMismatch,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,7 +101,7 @@ def _cmd_gen(args):
 def _cmd_validate(args):
     try:
         es = serialize.load_effect_set(args.input)
-    except _VALIDATION_ERRORS as exc:
+    except VIOLATIONS as exc:
         return {"valid": False, "violation": type(exc).__name__, "detail": str(exc)}, 1
     return {
         "valid": True,

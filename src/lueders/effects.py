@@ -24,7 +24,6 @@ from . import matkernel as mk, tolerances as tol
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
-    NotHermitian,
     NotSubnormalized,
     SpectrumAboveOne,
     SpectrumBelowZero,
@@ -64,10 +63,6 @@ class Effect:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-# What `_validated` raises for a finite square stack that holds a matrix that is no effect.
-_NOT_AN_EFFECT = (NotHermitian, SpectrumBelowZero, SpectrumAboveOne)
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -146,8 +141,8 @@ def _max_commutator_norm(mats: list[np.ndarray]) -> float:
     """Largest ‖EᵢEⱼ - EⱼEᵢ‖₂ over pairs i < j, with an SVD only for pairs that can be the maximum.
 
     Each pair first gets the Schatten-4 bound ‖C†C‖_F^½ ≥ ‖C‖₂, with margin
-    1 + 1e-8 for rounding, on C scaled by an exact power of two so that C†C
-    neither underflows nor overflows.  Pairs are visited by descending bound,
+    1 + 1e-8 for rounding, on the `_scaled` C, whose C†C neither underflows
+    nor overflows.  Pairs are visited by descending bound,
     and the visit stops once it cannot beat the best norm so far; a visited
     pair gets its SVD only if the Schatten-8 bound ‖(C†C)²‖_F^¼ ≥ ‖C‖₂ of the
     same scaled C, with the same margin, beats it too.  The commutators of one
@@ -156,18 +151,13 @@ def _max_commutator_norm(mats: list[np.ndarray]) -> float:
     if len(mats) < 2:
         return 0.0
     stack = np.stack(mats)
-    bounds, exps = [], []
+    bounds = []
     for i in range(len(mats) - 1):
         rest = stack[i + 1:]
-        c = stack[i] @ rest
-        c -= rest @ stack[i]
-        parts = c.view(float)
-        e = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
-        np.ldexp(parts, -e[:, None, None], out=parts)
+        c, e = mk._scaled(stack[i] @ rest - rest @ stack[i])
         gram = c.conj().transpose(0, 2, 1) @ c
         bounds.append(np.ldexp(np.sqrt(np.linalg.norm(gram, axis=(1, 2))) * (1 + 1e-8), e))
-        exps.append(e)
-    bounds, exps = np.concatenate(bounds), np.concatenate(exps)
+    bounds = np.concatenate(bounds)
     first, second = np.triu_indices(len(mats), 1)  # the pairs in the order of the batches
     best = 0.0
     for k in np.argsort(-bounds):
@@ -175,9 +165,9 @@ def _max_commutator_norm(mats: list[np.ndarray]) -> float:
             break
         a, b = mats[first[k]], mats[second[k]]
         c = a @ b - b @ a
-        scaled = np.ldexp(c.view(float), -exps[k]).view(complex)
+        scaled, e = mk._scaled(c)
         gram = scaled.conj().T @ scaled
-        if np.ldexp(np.sqrt(np.sqrt(np.linalg.norm(gram @ gram))) * (1 + 1e-8), exps[k]) > best:
+        if np.ldexp(np.sqrt(np.sqrt(np.linalg.norm(gram @ gram))) * (1 + 1e-8), e) > best:
             best = max(best, mk.operator_norm(c))
     return best
 

@@ -4,8 +4,8 @@ Every predictable failure mode raises one of these, so callers (and the CLI
 exit-code mapping) can dispatch on the class name instead of parsing messages.
 Each class is one of four kinds:
 
-- a violation that `validate` names in its JSON: NotSquare, NotHermitian,
-  SpectrumBelowZero, SpectrumAboveOne, NotSubnormalized, DimensionMismatch;
+- a violation that `validate` names in its JSON, one of the classes in
+  `VIOLATIONS`;
 - a malformed file: ParseError;
 - an argument outside its function's domain: InvalidArgument;
 - a typed outcome: CommutesNoWitness, ResolutionExhausted,
@@ -60,6 +60,10 @@ class Undecided(LuedersError):
     fixed-point count cannot be told from the target's dimension in floating
     point, and no verdict is given.
     """
+
+
+# The violations, which `validate` reports with exit code 1.
+VIOLATIONS = (NotSquare, NotHermitian, SpectrumBelowZero, SpectrumAboveOne, NotSubnormalized, DimensionMismatch)
 
 
 class ParseError(LuedersError):

@@ -15,6 +15,12 @@ relative rule, ``_kernel_columns``, at ``tolerances.NULLSPACE``.  The
 verifiers do not use it: they prove the fixed-point count with a Cholesky,
 or count eigenvalues, against an absolute margin.
 
+A matrix argument is taken by `as_complex_matrix`, which also checks a d×d
+shape for the callers that need one.  `_scaled` is the one exact scaling by a
+power of two, up or down: the Hermitian check, the witness routes, the
+commutator maximum and the probe-image maximum decide on its output, so they
+hold at every scale of the input.
+
 Vectorization is column-stacking: vec(AXB) = (Bᵀ ⊗ A) vec(X).
 """
 
@@ -45,13 +51,15 @@ __all__ = [
 ]
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex array with finite entries."""
+def as_complex_matrix(m, d: int | None = None) -> np.ndarray:
+    """Coerce to a 2-d complex array with finite entries; given d, it must be d×d, else DimensionMismatch."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise NotSquare(f"expected a matrix, got array of rank {a.ndim}")
     if not np.all(np.isfinite(a)):
         raise InvalidArgument("matrix entries must be finite")
+    if d is not None and a.shape != (d, d):
+        raise DimensionMismatch(f"operator shape {a.shape} does not match dimension {d}")
     return a
 
 
@@ -60,27 +68,30 @@ def _require_square(a: np.ndarray) -> None:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """Frobenius norm of M - M†."""
-    return float(np.linalg.norm(a - a.conj().T))
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
+    """(a·2⁻ᵉ, e), e the exponent that puts the largest real or imaginary part of a in [0.5, 1), or 0 for a zero matrix.
 
-
-def _scaled_below_one(a: np.ndarray) -> tuple[np.ndarray, int | list[int]]:
-    """(a·2⁻ᵉ, e) with e ≥ 0 the least exponent that puts every real and imaginary part below 1.
-
-    A stack gets one e per matrix, in a list.  Entries near the top of the double range overflow
-    norms to inf, and inf > threshold * inf is false.  Scaling by a power of two is exact, so
-    decisions on finite matrices stay bit for bit the same, and a norm scales back exactly with
-    ``math.ldexp(norm, e)``.
+    A stack gets one e per matrix, in an array; one matrix gets an int, which ``math.ldexp``
+    takes.  Norms of the scaled matrix neither underflow nor overflow, and scaling by a power
+    of two is exact in the normal range, so decisions on it are the decisions on a, and a norm
+    scales back exactly with ``ldexp(norm, e)``.
     """
-    big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), initial=0.0)
-    e = np.maximum(np.frexp(big)[1], 0)
-    return a * np.asarray(np.ldexp(1.0, -e))[..., None, None], e.tolist()
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)
+    # max and -min rather than |parts|.max(): no temporary the size of a
+    e = np.frexp(np.maximum(parts.max(axis=(-2, -1), initial=0.0), -parts.min(axis=(-2, -1), initial=0.0)))[1]
+    return np.ldexp(parts, -e[..., None, None]).view(complex), int(e) if e.ndim == 0 else e
+
+
+def hermitian_defect(a: np.ndarray) -> float:
+    """Frobenius norm of M - M†, taken on the `_scaled` M and scaled back: inf only past the double range."""
+    scaled, e = _scaled(a)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(scaled - scaled.conj().T), e))
 
 
 def _asymmetric(a: np.ndarray) -> np.ndarray:
-    """Whether ‖M - M†‖_F > HERMITIAN·‖M‖_F, decided on M·2⁻ᵉ, for a matrix or each matrix of a stack."""
-    scaled, _ = _scaled_below_one(a)
+    """Whether ‖M - M†‖_F > HERMITIAN·‖M‖_F, decided on the `_scaled` M, for a matrix or each matrix of a stack."""
+    scaled, _ = _scaled(a)
     defect = np.linalg.norm(scaled - np.swapaxes(scaled, -1, -2).conj(), axis=(-2, -1))
     return defect > tol.HERMITIAN * np.linalg.norm(scaled, axis=(-2, -1))
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel as mk, tolerances as tol
-from .effects import _NOT_AN_EFFECT, EffectSet, Normalization, _validated
-from .errors import DimensionMismatch, InvalidArgument, Undecided
+from .effects import EffectSet, Normalization, _validated
+from .errors import VIOLATIONS, InvalidArgument, Undecided
 from .rng import philox_generator
 
 __all__ = [
@@ -66,11 +66,7 @@ class LuedersOperation:
         self.effect_set = effect_set
 
     def apply(self, b) -> np.ndarray:
-        d = self.effect_set.dim
-        mat = mk.as_complex_matrix(b)
-        if mat.shape != (d, d):
-            raise DimensionMismatch(f"operator shape {mat.shape} does not match dimension {d}")
-        return _phi(self.effect_set.matrices, mat)
+        return _phi(self.effect_set.matrices, mk.as_complex_matrix(b, self.effect_set.dim))
 
     @property
     def superoperator(self) -> np.ndarray:
@@ -570,24 +566,24 @@ def channel_norm(effect_set: EffectSet, probes: int = 200, seed: int = 0) -> Cha
 def _max_singular_value(stack: np.ndarray) -> float:
     """Largest singular value over a stack of matrices A, with an SVD only for those that can hold it.
 
-    The stack is scaled by one exact power of two so that its largest real or
-    imaginary part lies in [0.5, 1): the matrix holding it has σ ≥ 0.5, so its
-    bounds neither underflow nor overflow.  With M = A†A, ‖M²‖_F^¼ ≥ σ_max
-    (Schatten-8) and ‖Ax‖ / ‖x‖ = (x†Mx / x†x)^½ ≤ σ_max (Rayleigh; x the
-    largest column of M², and 0 for A = 0).  Only the matrices whose upper
+    Each matrix is `_scaled` by its own power of two, so a nonzero one has
+    σ ≥ 0.5 and its bounds neither underflow nor overflow.  With M = A†A,
+    ‖M²‖_F^¼ ≥ σ_max (Schatten-8) and ‖Ax‖ / ‖x‖ = (x†Mx / x†x)^½ ≤ σ_max
+    (Rayleigh; x the largest column of M², and 0 for A = 0).  The bounds are
+    scaled back, which rounds monotonically, and only the matrices whose upper
     bound, with margin 1e-8 for rounding, reaches the largest lower bound get
     an SVD, of their unscaled bits; the batched SVD factors each matrix on its
     own, so this is the full-stack maximum bit for bit.
     """
-    parts = stack.view(float)
-    a = np.ldexp(parts, -np.frexp(np.abs(parts).max(initial=0.0))[1]).view(complex)
+    a, e = mk._scaled(stack)
     m = a.conj().transpose(0, 2, 1) @ a
     m2 = m @ m
     cols = np.linalg.norm(m2, axis=1)
     x = m2[np.arange(len(m2)), :, cols.argmax(axis=1), None]
     ax, xn = np.linalg.norm(a @ x, axis=(1, 2)), cols.max(axis=1)
-    lower = np.divide(ax, xn, out=np.zeros_like(ax), where=xn > 0)
-    keep = np.sqrt(np.sqrt(np.linalg.norm(cols, axis=1))) * (1 + 1e-8) >= lower.max(initial=0.0) * (1 - 1e-8)
+    lower = np.ldexp(np.divide(ax, xn, out=np.zeros_like(ax), where=xn > 0), e)
+    upper = np.ldexp(np.sqrt(np.sqrt(np.linalg.norm(cols, axis=1))) * (1 + 1e-8), e)
+    keep = upper >= lower.max(initial=0.0) * (1 - 1e-8)
     return float(np.linalg.svd(stack[keep], compute_uv=False).max(initial=0.0))
 
 
@@ -630,7 +626,7 @@ def nagy_solve(effect_set: EffectSet) -> NagySolution:
     try:
         _validated(x[None])
         is_effect = True
-    except _NOT_AN_EFFECT:
+    except VIOLATIONS:
         is_effect = False
     return NagySolution(x, residual, half_distance, is_effect)
 
@@ -644,13 +640,10 @@ def is_undisturbed_state(effect_set: EffectSet, rho) -> tuple[bool, bool]:
     satisfy |tr ρ - 1| ≤ COMMUTATOR; each failure raises InvalidArgument.
     For Lüders operations of resolutions the two verdicts agree.
     """
-    d = effect_set.dim
-    mat = mk.as_complex_matrix(rho)
-    if mat.shape != (d, d):
-        raise DimensionMismatch(f"state shape {mat.shape} does not match dimension {d}")
+    mat = mk.as_complex_matrix(rho, effect_set.dim)
     try:
         _validated(mat[None])
-    except _NOT_AN_EFFECT as exc:
+    except VIOLATIONS as exc:
         raise InvalidArgument(f"state fails the effect check: {exc}") from exc
     if abs(float(np.real(np.trace(mat))) - 1.0) > tol.COMMUTATOR:
         raise InvalidArgument(f"trace {np.real(np.trace(mat)):.12f} is not 1")

@@ -22,13 +22,7 @@ import numpy as np
 
 from . import matkernel as mk, tolerances as tol
 from .effects import Effect, EffectSet, _group_by_window
-from .errors import (
-    CommutesNoWitness,
-    DimensionMismatch,
-    InvalidArgument,
-    RefinementVanished,
-    ResolutionExhausted,
-)
+from .errors import CommutesNoWitness, InvalidArgument, RefinementVanished, ResolutionExhausted
 from .operation import JointBlock, _phi, joint_eigenspaces
 
 __all__ = [
@@ -75,12 +69,10 @@ def witness_search(effect: Effect, b) -> WitnessCertificate:
     lexicographic (k, j) order; the first block with norm above WITNESS·‖b‖
     and |k - j| ≥ 2 wins.  Raises CommutesNoWitness when ‖[b, E]‖ ≤
     COMMUTATOR·‖b‖ and ResolutionExhausted past M_MAX.  Norms are taken of
-    b·2⁻ᵉ, which cannot overflow; InvalidArgument if block_norm = 2ᵉ·norm does.
+    the `_scaled` b·2⁻ᵉ, which neither underflows nor overflows; InvalidArgument
+    if block_norm = 2ᵉ·norm does.
     """
-    mat = mk.as_complex_matrix(b)
-    if mat.shape != effect.matrix.shape:
-        raise DimensionMismatch(f"operator shape {mat.shape} does not match effect shape {effect.matrix.shape}")
-    mat, e = mk._scaled_below_one(mat)
+    mat, e = mk._scaled(mk.as_complex_matrix(b, effect.dim))
     b_norm = mk.operator_norm(mat)
     comm = mk.operator_norm(effect.matrix @ mat - mat @ effect.matrix)
     if comm <= tol.COMMUTATOR * b_norm:
@@ -194,18 +186,17 @@ def build_contractive_block(effect_set: EffectSet, x, p: int) -> ContractionRepo
     block alive; refine both tuples at resolution p·m the same way.  The
     surviving block Y = P x Q then loses at least contraction_bound(n, m, p)
     of its operator norm under the operation.  As in witness_search, blocks
-    are decided on x·2⁻ᵉ; y and its norms scale back by 2ᵉ exactly, and
-    InvalidArgument is raised if they leave the double range.
+    are decided on the `_scaled` x·2⁻ᵉ; y and its norms scale back by 2ᵉ, and
+    InvalidArgument is raised if they leave the double range.  p and the shape
+    of x are checked before the joint eigenspaces are formed.
     """
-    joint = joint_eigenspaces(effect_set)
     if p < 1:
         raise InvalidArgument(f"refinement factor p must be >= 1, got {p}")
-    mat = mk.as_complex_matrix(x)
-    if mat.shape != (effect_set.dim, effect_set.dim):
-        raise DimensionMismatch(f"operator shape {mat.shape} does not match dimension {effect_set.dim}")
+    mat = mk.as_complex_matrix(x, effect_set.dim)
+    joint = joint_eigenspaces(effect_set)
     cert = witness_search(effect_set.effects[0], mat)
     m, k, j = cert.m, cert.k, cert.j
-    mat, e = mk._scaled_below_one(mat)
+    mat, e = mk._scaled(mat)
     thresh = tol.WITNESS * mk.operator_norm(mat)
 
     def bins(blocks: list[JointBlock], res: int) -> dict[tuple[int, ...], list[JointBlock]]:

@@ -140,6 +140,16 @@ def test_validate_reports_violation_with_exit_one(tmp_path, capsys):
     assert report["violation"] == "SpectrumAboveOne"
 
 
+@pytest.mark.parametrize("s", [1e-170, 1e-300, 5e-324])
+def test_validate_names_the_asymmetry_of_tiny_matrices(s, tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"d": 2, "n": 1, "effects": [[[[0, 0], [s, 0]], [[0, 0], [0, 0]]]]}))
+    assert main(["validate", str(path)]) == 1
+    report = json.loads(_out(capsys))
+    assert (report["valid"], report["violation"]) == (False, "NotHermitian")
+    assert report["detail"].startswith(f"asymmetry {s * np.sqrt(2):.3e} exceeds")
+
+
 def test_validate_parse_error_and_missing_file(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("not json at all")

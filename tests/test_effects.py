@@ -45,6 +45,24 @@ def test_validate_effect_rejects_bad_spectra():
         validate_effect(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("s", [1e-170, 1e-300, 5e-324])
+def test_tiny_asymmetric_matrices_are_not_hermitian(s):
+    # Unscaled, every Frobenius square underflows to 0, and 0 > HERMITIAN * 0 is false.
+    m = np.array([[0.0, s], [0.0, 0.0]])
+    for call in (validate_effect, lambda m: build_effect_set([m]), lambda m: build_effect_set([np.eye(2) / 2, m])):
+        with pytest.raises(NotHermitian, match=f"^asymmetry {s * np.sqrt(2):.3e} exceeds"):
+            call(m)
+
+
+def test_tiny_diagonal_effect_validates_bit_for_bit():
+    m = np.diag([1e-300, 5e-324]).astype(complex)
+    w, u = np.linalg.eigh(m)
+    for eff in (validate_effect(m), build_effect_set([m]).effects[0]):
+        assert eff.matrix.tobytes() == m.tobytes()
+        assert eff.eigenvalues.tobytes() == np.clip(w, 0.0, 1.0).tobytes()
+        assert eff.eigenvectors.tobytes() == u.tobytes()
+
+
 def test_build_effect_set_classifies_identity():
     es = build_effect_set([np.eye(3)])
     assert es.normalization is Normalization.RESOLUTION

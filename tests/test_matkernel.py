@@ -134,3 +134,18 @@ def test_subspaces_equal_is_basis_independent():
 def test_subspaces_equal_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         mk.subspaces_equal(mk.OperatorSubspace(2, np.zeros((4, 0))), mk.OperatorSubspace(3, np.zeros((9, 0))))
+
+
+def test_scaled_puts_each_largest_part_in_half_to_one_and_ldexp_restores_the_bits():
+    # 5e-324 needs e = -1073, where the factor 2¹⁰⁷³ itself would overflow; 1.7e308 needs e = 1024.
+    mats = [np.zeros((2, 2), complex), np.array([[0, 5e-324j], [0, 0]]), np.array([[1.0, -1.7e308], [0, 0.5j]])]
+    stack = np.stack(mats)
+    scaled, e = mk._scaled(stack)
+    assert e.tolist() == [0, -1073, 1024]
+    alone = [mk._scaled(a) for a in mats]
+    assert [type(k) for _, k in alone] == [int] * 3 and [k for _, k in alone] == e.tolist()
+    for a, s, k, (s1, _) in zip(mats, scaled, e, alone):
+        assert s.tobytes() == s1.tobytes()
+        big = np.abs(s.view(float)).max()
+        assert big == 0.0 if not a.any() else 0.5 <= big < 1
+        assert np.ldexp(s.view(float), k).tobytes() == a.view(float).tobytes()

@@ -104,20 +104,26 @@ _FAULTS = ("none", "none", "none", "asymmetric", "above-one", "below-zero", "non
 
 @st.composite
 def faulty_effect_lists(draw):
-    """1-5 effects AA†/(tr(AA†)·√n) of one d, some with one fault (an other-d one has d + 1), as arrays or nested lists."""
+    """1-5 effects AA†/(tr(AA†)·√n) of one d, each scaled by s, some with one fault (an other-d one has
+    d + 1), as arrays or nested lists, with the fault of each.  An asymmetric fault adds 0.5j·s, so
+    that tiny matrices are tested too."""
     d = draw(st.integers(1, 4))
     n = draw(st.integers(1, 5))
     unit = st.floats(-1, 1, allow_nan=False)
-    mats = []
+    mats, faults = [], []
     for _ in range(n):
         fault = draw(st.sampled_from(_FAULTS))
+        s = draw(st.sampled_from([1.0, 1.0, 1e-170, 2.0**-1060]))
         k = d + 1 if fault == "other-d" else d
         parts = draw(st.lists(unit, min_size=2 * k * k, max_size=2 * k * k))
         a = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(k, k)
         g = a @ a.conj().T
-        m = g / (np.trace(g).real * np.sqrt(n)) if np.trace(g).real > 0 else np.zeros((k, k), dtype=complex)
+        if s < 2.0**-1022:  # subnormal entries would round the Hermitian dust of g past HERMITIAN
+            g = (g + g.conj().T) / 2
+        t = np.trace(g).real
+        m = g / (t * np.sqrt(n)) * s if t > 0 else np.zeros((k, k), dtype=complex)
         if fault == "asymmetric":
-            m[0, -1] += 0.5j
+            m[0, -1] += 0.5j * s
         elif fault in ("above-one", "below-zero"):
             m = m + (1.5 if fault == "above-one" else -1.5) * np.eye(k)
         elif fault == "non-finite":
@@ -127,7 +133,8 @@ def faulty_effect_lists(draw):
         elif fault == "vector":
             m = m[0]
         mats.append(m.tolist() if draw(st.booleans()) else m)
-    return mats
+        faults.append(fault)
+    return mats, faults
 
 
 def _outcome(call):
@@ -148,10 +155,12 @@ def _validate_in_order(mats):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(faulty_effect_lists())
-def test_stacked_validation_raises_the_first_fault_in_effect_order(mats):
-    # Σ Eᵢ² ≤ I holds by the scaling, so a list without faults must build.
+def test_stacked_validation_raises_the_first_fault_in_effect_order(mats_and_faults):
+    # Σ Eᵢ² ≤ I holds by the scaling, so a list without faults must build, at every scale.
+    mats, faults = mats_and_faults
     expected = _outcome(lambda: _validate_in_order(mats))
     assert _outcome(lambda: build_effect_set(mats)) == expected
+    assert (expected is None) == (set(faults) <= {"none", "other-d"} and len({np.shape(m) for m in mats}) == 1)
     if expected is None:
         for e, m in zip(build_effect_set(mats).effects, mats):
             alone = validate_effect(m)

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from lueders import matkernel as mk, tolerances as tol
+from lueders import matkernel as mk, tolerances as tol, witness as witness_module
 from lueders.effects import _group_by_window, build_effect_set, generate_commuting_resolution, spectral_window
 from lueders.errors import (
     CommutesNoWitness,
@@ -13,7 +13,7 @@ from lueders.errors import (
     InvalidArgument,
     ResolutionExhausted,
 )
-from lueders.operation import LuedersOperation, joint_eigenspaces
+from lueders.operation import LuedersOperation, is_undisturbed_state, joint_eigenspaces
 from lueders.witness import (
     build_contractive_block,
     contraction_bound,
@@ -118,6 +118,19 @@ def test_witness_search_rejects_shape_mismatch():
         witness_search(_pinching().effects[0], np.eye(3))
 
 
+def test_operator_arguments_share_one_shape_check():
+    es = _pinching()
+    calls = [
+        lambda x: LuedersOperation(es).apply(x),
+        lambda x: is_undisturbed_state(es, x),
+        lambda x: witness_search(es.effects[0], x),
+        lambda x: build_contractive_block(es, x, 2),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match=r"^operator shape \(3, 3\) does not match dimension 2$"):
+            call(np.eye(3) / 3)
+
+
 def test_witness_search_exhausts_on_tiny_gap():
     eff = build_effect_set([np.diag([0.5, 0.5 + 1e-7])]).effects[0]
     with pytest.raises(ResolutionExhausted):
@@ -136,6 +149,19 @@ def test_witness_search_scales_operators_near_the_top_of_the_double_range():
     b[:2, 2:] = 1.7e308
     with pytest.raises(InvalidArgument, match="double range"):
         witness_search(build_effect_set([np.diag([0.1, 0.1, 0.9, 0.9])]).effects[0], b)
+
+
+def test_witness_routes_scale_tiny_operators_up_exactly():
+    # Below about 1e-140 LAPACK's SVD rescales by a factor that is no power of two,
+    # which moves the last bits; scaled up first, the norms scale back exactly.
+    es = build_effect_set([np.diag([0.1, 0.5, 0.9])])
+    x = np.array([[0.3, -1.0, 0.7], [1.0, 0.2, -1.0], [-0.6, 1.0, 0.1]]) + 0.25j
+    cert, tiny = witness_search(es.effects[0], x), witness_search(es.effects[0], x * 2.0**-1000)
+    assert (tiny.m, tiny.k, tiny.j) == (cert.m, cert.k, cert.j)
+    assert tiny.block_norm == math.ldexp(cert.block_norm, -1000)
+    rep, small = build_contractive_block(es, x, 40), build_contractive_block(es, x * 2.0**-1000, 40)
+    assert small.achieved_ratio == rep.achieved_ratio
+    assert (small.y_norm, small.image_norm) == (math.ldexp(rep.y_norm, -1000), math.ldexp(rep.image_norm, -1000))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -314,7 +340,7 @@ def test_build_contractive_block_scales_operators_near_the_top_of_the_double_ran
         build_contractive_block(build_effect_set([np.diag([0.1, 0.1, 0.9, 0.9])]), b, 40)
 
 
-def test_build_contractive_block_guards():
+def test_build_contractive_block_guards(monkeypatch):
     es = _pinching()
     with pytest.raises(InvalidArgument):
         build_contractive_block(es, SIGMA_X, 0)
@@ -322,5 +348,12 @@ def test_build_contractive_block_guards():
         build_contractive_block(es, np.eye(3), 2)
     from lueders.effects import generate_noncommuting_resolution
 
+    noncommuting = generate_noncommuting_resolution(3, 3, seed=3)
     with pytest.raises(InvalidArgument):
-        build_contractive_block(generate_noncommuting_resolution(3, 3, seed=3), np.eye(3), 2)
+        build_contractive_block(noncommuting, np.eye(3), 2)
+    # p and the operator's shape are checked before the joint eigenspaces are formed
+    monkeypatch.setattr(witness_module, "joint_eigenspaces", lambda es: pytest.fail("formed the joint eigenspaces"))
+    with pytest.raises(InvalidArgument, match="refinement factor p"):
+        build_contractive_block(noncommuting, np.eye(3), 0)
+    with pytest.raises(DimensionMismatch):
+        build_contractive_block(noncommuting, np.eye(2), 2)
