@@ -68,7 +68,10 @@ class Effect:
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     """Exactly Hermitian (M + M†)/2, from halves, of a matrix or of each in a stack; a Hermitian M keeps its bits."""
     adj = np.swapaxes(mat, -1, -2).conj()
-    return np.where(mat == adj, mat, mat / 2 + adj / 2)
+    same, out = mat == adj, np.divide(mat, 2)  # mat / 2 + adj / 2, bit for bit, in two temporaries
+    np.add(out, np.divide(adj, 2, out=adj), out=out)
+    np.copyto(out, mat, where=same)
+    return out
 
 
 def _validated(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,11 +184,11 @@ def build_effect_set(mats) -> EffectSet:
     commutant at the same CLUSTER; for a commuting set those are exactly the
     deficits |1 - w|.
     """
-    mats = list(mats)
-    if not mats:
+    mats = mats if isinstance(mats, np.ndarray) else list(mats)  # a complex (n, d, d) array is not copied
+    if len(mats) == 0:
         raise InvalidArgument("an effect set needs at least one effect")
     try:
-        stack = np.array(mats, dtype=complex)
+        stack = np.asarray(mats, dtype=complex)
     except (TypeError, ValueError):  # ragged, or entries that are no numbers
         stack = np.zeros(0)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.isfinite(stack).all():

@@ -7,6 +7,9 @@ generate/parse round trip is exact and repeated generation is byte-identical.
 
 Effect-set file:   {"d": int, "n": int, ...optional metadata..., "effects": [matrix]}
 Operator file:     {"d": int, "matrix": matrix}
+
+An effect-set file is read one matrix at a time, each element of "effects" an array before json's
+scanner reads the next, and written with one join of the header, matrix fragments and separators.
 """
 
 from __future__ import annotations
@@ -36,11 +39,13 @@ __all__ = [
 ]
 
 _META_KEYS = ("flavor", "seed", "unit_fraction")
+_SCAN = json.JSONDecoder().scan_once  # one JSON value at an index: (value, end), or StopIteration
+_SPACE = json.decoder.WHITESPACE.match
 
 # Largest Hilbert-space dimension and effect count a file may declare; `gen`
 # caps d and n here too.  The commutator classification, read only by
 # `validate` and `analyze`, forms n(n - 1)/2 commutators; with it `validate`
-# takes about 1-1.5 s at d = n = 64 in a fresh process (one BLAS thread).
+# takes about 0.8-1 s at d = n = 64 in a fresh process (one BLAS thread).
 # An uncapped n would let a small file run for minutes.
 DIM_LIMIT = 64
 
@@ -65,18 +70,12 @@ def matrix_to_lists(m: np.ndarray) -> list:
 def effect_set_to_json(es: EffectSet, meta: dict | None = None) -> str:
     """Serialize an effect set; metadata keys (flavor, seed, unit_fraction) are optional."""
     meta = meta or {}
-    lines = ["{", f'  "d": {es.dim},', f'  "n": {es.n},']
-    for key in _META_KEYS:
-        if key in meta:
-            lines.append(f'  "{key}": {json.dumps(meta[key])},')
-    lines.append('  "effects": [')
-    frags = [_matrix_fragment(e) for e in es.matrices]
-    for i, frag in enumerate(frags):
-        comma = "," if i + 1 < len(frags) else ""
-        lines.append(f"    {frag}{comma}")
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    head = "".join(f'  "{key}": {json.dumps(meta[key])},\n' for key in _META_KEYS if key in meta)
+    parts = [f'{{\n  "d": {es.dim},\n  "n": {es.n},\n{head}  "effects": [\n']
+    for e in es.matrices:
+        parts += ["    ", _matrix_fragment(e), ",\n"]
+    parts[-1] = "\n  ]\n}\n"
+    return "".join(parts)
 
 
 def operator_to_json(m: np.ndarray) -> str:
@@ -105,38 +104,91 @@ def _as_float(obj, what: str) -> float:
 
 
 def _decode(text: str):
-    """json.loads with every decoding failure turned into a ParseError.
-
-    Besides JSONDecodeError, ``json.loads`` raises ValueError for an integer
-    over Python's digit limit and RecursionError for deeply nested arrays or
-    objects.
-    """
+    """json.loads with each failure (JSONDecodeError, ValueError past the int digit limit, RecursionError) a ParseError."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-def _parse_matrices(objs: list, d: int, names: list[str]) -> np.ndarray:
-    """(n, d, d) complex stack from a list of n matrices, each rows of [re, im] pairs.
+def _as_matrix(obj):
+    """A square list of k rows of finite [re, im] pairs as a (k, k) complex array; anything else unchanged.
 
-    A list of well-formed matrices of finite int or float leaves converts in
-    one NumPy call, read as complex through a view so that -0.0 keeps its
-    sign.  Any other input goes through the entry loop, which names the
-    first failing entry in matrix order.
+    C-level passes check exact types and lengths (bool, an int subclass, is left to the entry loop);
+    the parts are read as complex through a view, so -0.0 keeps its sign.
     """
-    # Exact types and lengths, checked by C-level passes: bool (an int subclass) takes the loop and is rejected there.
-    rows = list(chain.from_iterable(objs)) if set(map(type, objs)) == {list} and set(map(len, objs)) == {d} else []
-    entries = list(chain.from_iterable(rows)) if set(map(type, rows)) == {list} and set(map(len, rows)) == {d} else []
-    pairs = set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
+    rows = obj if type(obj) is list and set(map(type, obj)) == {list} and set(map(len, obj)) == {len(obj)} else []
+    entries = list(chain.from_iterable(rows))
+    pairs = entries and set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
     if pairs and set(map(type, chain.from_iterable(entries))) <= {int, float}:
         try:
             parts = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
         except OverflowError:  # an int beyond the double range
-            parts = None
-        if parts is not None and np.isfinite(parts).all():
-            return parts.view(complex).reshape(len(objs), d, d)
-    return np.array([_parse_matrix_entries(obj, d, name) for obj, name in zip(objs, names)])
+            return obj
+        if np.isfinite(parts).all():
+            return parts.view(complex).reshape(len(obj), len(obj))
+    return obj
+
+
+def _parse_matrices(objs: list, d: int, names: list[str]) -> np.ndarray:
+    """(n, d, d) complex stack; a matrix `_as_matrix` leaves no d×d array goes to the loop, which names its first bad entry."""
+    mats = map(_as_matrix, objs)
+    return np.array([m if isinstance(m, np.ndarray) and len(m) == d else _parse_matrix_entries(m, d, name) for m, name in zip(mats, names)])
+
+
+def _sequence(text: str, i: int, close: str, read) -> tuple[list, int]:
+    """The items `read` from the JSON array or object whose opening bracket ends at text[i], and the index after `close`."""
+    items, i = [], _SPACE(text, i).end()
+    while text[i:i + 1] != close:
+        if items and text[i:i + 1] != ",":
+            raise StopIteration(i)
+        item, i = read(text, _SPACE(text, i + 1).end() if items else i)
+        items.append(item)
+        i = _SPACE(text, i).end()
+    return items, i + 1
+
+
+def _member(text: str, i: int) -> tuple[tuple, int]:
+    """One key and value of the top-level object: a scalar, or an "effects" array read one matrix at a time."""
+    if text[i:i + 1] != '"':
+        raise StopIteration(i)
+    key, i = _SCAN(text, i)
+    i = _SPACE(text, i).end()
+    if text[i:i + 1] != ":":
+        raise StopIteration(i)
+    i = _SPACE(text, i + 1).end()
+    if key == "effects" and text[i:i + 1] == "[":
+        value, i = _sequence(text, i + 1, "]", _matrix_at)
+    else:
+        value, i = _SCAN(text, i)
+        if isinstance(value, (list, dict)):
+            raise StopIteration(i)
+    return (key, value), i
+
+
+def _matrix_at(text: str, i: int) -> tuple[np.ndarray, int]:
+    obj, i = _SCAN(text, i)
+    mat = _as_matrix(obj)
+    if not isinstance(mat, np.ndarray):
+        raise StopIteration(i)
+    return mat, i
+
+
+def _walk(text: str) -> dict | None:
+    """A top-level object as ``json.loads`` decodes it, its "effects" read one matrix at a time; None if declined.
+
+    json's C scanner reads each key and value and its whitespace rule skips the gaps; the last duplicate key wins.
+    Declined, so that json's words and nesting limit decide: what json refuses, other containers, non-matrix elements.
+    """
+    try:
+        i = _SPACE(text, 0).end()
+        if text[i:i + 1] == "{":
+            members, i = _sequence(text, i + 1, "}", _member)
+            if _SPACE(text, i).end() == len(text):
+                return dict(members)
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return None
 
 
 def _parse_matrix_entries(obj, d: int, what: str) -> np.ndarray:
@@ -163,7 +215,7 @@ def parse_effect_set(text: str) -> EffectSet:
     (Hermiticity, spectrum bounds, subnormalization) propagate as their own
     typed errors from the validator.
     """
-    doc = _decode(text)
+    doc = _walk(text) or _decode(text)  # here, not in the walk: json's nesting limit may count Python frames
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("d", "n", "effects"):
@@ -181,7 +233,7 @@ def parse_effect_set(text: str) -> EffectSet:
     if not isinstance(effects, list) or len(effects) != n:
         raise ParseError(f"effects must be a list of {n} matrices")
     mats = _parse_matrices(effects, d, [f"effect {i}" for i in range(n)])
-    del doc, effects  # the decoded lists outweigh the matrices; free them before classifying
+    del doc, effects  # the matrices are in the stack; free them before classifying
     return build_effect_set(mats)
 
 

@@ -478,3 +478,21 @@ def test_max_commutator_norm_looks_past_the_largest_bound(monkeypatch):
     assert norm == es.max_pairwise_commutator_norm
     assert mk.operator_norm(calls[0]) < mk.operator_norm(calls[1])
     assert es.max_pairwise_commutator_norm == _brute_max_commutator(es) == mk.operator_norm(calls[1])
+
+
+def test_hermitian_part_keeps_the_bits_of_the_plain_halves():
+    # The in-place halves must give exactly np.where(M == M†, M, M/2 + M†/2), signs of zero
+    # included; multiplying by 0.5 instead of dividing by 2 would flip some of them.
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.3, -1.0, 1.7976931348623157e308])
+    rng = np.random.Generator(np.random.Philox(5))
+    for d, n in [(1, 1), (2, 3), (3, 2), (5, 4)]:
+        for _ in range(50):
+            parts = np.where(rng.random((n, d, d, 2)) < 0.5, rng.choice(values, (n, d, d, 2)), rng.standard_normal((n, d, d, 2)))
+            stack = parts.view(complex)[..., 0]
+            with np.errstate(over="ignore", invalid="ignore"):  # M + M† overflows at the largest double
+                stack[: n // 2] += np.swapaxes(stack[: n // 2], -1, -2).conj()  # some exactly Hermitian
+                adj = np.swapaxes(stack, -1, -2).conj()
+                want = np.where(stack == adj, stack, stack / 2 + adj / 2)
+                got, one = effects_module._hermitian_part(stack), effects_module._hermitian_part(stack[0])
+            assert got.tobytes() == want.tobytes()
+            assert one.tobytes() == want[0].tobytes()

@@ -1,4 +1,4 @@
-"""Property tests: serialization round trips, stacked validation, the commutator maximum, the contraction bound, and the validate exit codes."""
+"""Property tests: serialization round trips, the effect-set walk against json.loads, stacked validation, the commutator maximum, the contraction bound, and the validate exit codes."""
 
 import contextlib
 import io
@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lueders import matkernel as mk  # noqa: E402
 from lueders.cli import main  # noqa: E402
-from lueders.effects import build_effect_set, validate_effect  # noqa: E402
-from lueders.errors import DimensionMismatch  # noqa: E402
+from lueders.effects import build_effect_set, generate_commuting_resolution, validate_effect  # noqa: E402
+from lueders import serialize  # noqa: E402
+from lueders.errors import DimensionMismatch, LuedersError, ParseError  # noqa: E402
 from lueders.serialize import (  # noqa: E402
     effect_set_to_json,
     operator_to_json,
@@ -255,3 +257,118 @@ def test_validate_never_exits_four(doc):
             # an effect's entries are bounded by its operator norm, at most 1
             entries = np.array(doc["effects"], dtype=float)
             assert np.abs(entries[..., 0] + 1j * entries[..., 1]).max() <= 1 + 1e-9
+
+
+_odd_leaves = st.sampled_from([True, False, None, float("nan"), float("-inf"), 10**400, -(10**309), "1", [0]])
+_corruptions = ' ,:[]{}"-0.eE\ta\\\ufeff'
+_finite_pair = st.lists(st.one_of(st.sampled_from([0, 0.5, -0.0, 5e-324]), st.integers(-(2**70), 2**70), finite), min_size=2, max_size=2)
+
+
+@st.composite
+def walkable_documents(draw):
+    """A generated set, or square matrices of finite numbers, mostly d×d."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return json.loads(effect_set_to_json(generate_commuting_resolution(d, n, draw(st.integers(0, 99)))))
+    k = d if draw(st.integers(0, 3)) else draw(st.integers(1, 3))
+    matrix = st.lists(st.lists(_finite_pair, min_size=k, max_size=k), min_size=k, max_size=k)
+    return {"d": d, "n": n, "effects": draw(st.lists(matrix, min_size=n, max_size=n))}
+
+
+@st.composite
+def effect_texts(draw):
+    """Effect-set documents rendered by json.dumps in varied layouts, some with an odd leaf, a duplicate
+    "effects" key, a BOM, trailing text, or truncated or with one character changed."""
+    doc = draw(st.one_of(effect_documents(), walkable_documents()))
+    node = doc["effects"]
+    while isinstance(node, list) and node and draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(0, len(node) - 1))
+        if not isinstance(node[i], list) or draw(st.integers(0, 3)) == 0:
+            node[i] = draw(_odd_leaves)
+            break
+        node = node[i]
+    indent = draw(st.sampled_from([None, 0, 2, "\t"]))
+    separators = draw(st.sampled_from([None, (",", ":"), (", ", ": "), (" ,\n", " : ")]))
+    text = json.dumps(doc, indent=indent, separators=separators)
+    if draw(st.integers(0, 3)) == 0:
+        first = draw(st.one_of(_effects[1, 1], json_values, walkable_documents().map(lambda doc: doc["effects"])))
+        text = '{"effects": %s, %s' % (json.dumps(first), text[1:])
+    change = draw(st.sampled_from(["none"] * 6 + ["truncate", "replace", "bom", "extra"]))
+    if change == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif change == "replace":
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.sampled_from(_corruptions)) + text[i + 1:]
+    elif change == "bom":
+        text = "\ufeff" + text
+    elif change == "extra":
+        text += draw(st.sampled_from([" 1", "}", ",", " \n\t", "{}"]))
+    return text
+
+
+def _as_lists(value):
+    """A walked "effects" list with each array mapped back to nested [re, im] lists."""
+    return [m.view(float).reshape(len(m), len(m), 2).tolist() for m in value]
+
+
+def _walkable(key, value):
+    """Whether the walk reads this member of a top-level object read with object_pairs_hook=tuple."""
+    if key == "effects" and isinstance(value, list):
+        return all(isinstance(serialize._as_matrix(m), np.ndarray) for m in value)
+    return not isinstance(value, (list, tuple))
+
+
+def _parsed(text):
+    """Matrix bits and normalization, or the error class and message."""
+    try:
+        es = parse_effect_set(text)
+    except LuedersError as exc:
+        return type(exc), str(exc)
+    return [m.tobytes() for m in es.matrices], es.normalization
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(effect_texts())
+@example('{"d": 1, "n": 1, "effects": [[[[0.5, 0]]],]}')
+@example('{"d": 1, "n": 1, "effects": [[[[0.5, 0]]]],}')
+@example('{"d": 1, "n": 1, "effects": [[[[0.5, 0]]]]} {}')
+@example('\ufeff{"d": 1, "n": 1, "effects": [[[[0.5, 0]]]]}')
+@example('[{"d": 1, "n": 1, "effects": [[[[0.5, 0]]]]}]')
+@example('{"d": 1, "n": 1, "effects": [[[[%s, 0]]]]}' % ("1" * 5000))
+@example('{"d": 1, "n": 1, "seed": %s, "effects": [[[[0.5, 0]]]]}' % ("1" * 5000))
+@example('{"d": 1, "n": 1, "effects": [%s]}' % ("[" * 100_000 + "]" * 100_000))
+@example('{"d": 1, "n": 1, "effects": [[[[0.5, 0]]]], "effects": [[[[0.25, 0]]]]}')
+@example('{"d": 1, "n": 1, "effects": [[[[0.5, 0]]]], "effects": 5}')
+@example('{"d": 1, "n": 1, "effects": [[[[0.5, 0]]], [[[true, 0]]]]}')
+@example(' \t\n{ "d" :1 ,"n":\r1, "effects" : [ [ [ [ -0.0 , 1e-320 ] ] ] ] }\n ')
+@example("{}")
+def test_walk_reads_what_json_loads_reads(text):
+    try:
+        expected = json.loads(text)
+    except (ValueError, RecursionError):
+        # json refuses: the walk declines, and parse_effect_set raises _decode's own message
+        assert serialize._walk(text) is None
+        with pytest.raises(ParseError) as want:
+            serialize._decode(text)
+        with pytest.raises(ParseError) as got:
+            parse_effect_set(text)
+        assert str(got.value) == str(want.value)
+        return
+    walked = serialize._walk(text)
+    if walked is None:
+        # declined only for a top level that is no object, or for a member the walk does not read
+        members = json.loads(text, object_pairs_hook=tuple)
+        assert not isinstance(expected, dict) or not all(_walkable(k, v) for k, v in members)
+    else:
+        assert list(walked) == list(expected)
+        for key, value in expected.items():
+            if key == "effects" and isinstance(value, list):
+                floats = json.loads(json.dumps(value), parse_int=float)  # a bool stays a bool
+                assert json.dumps(_as_lists(walked[key])) == json.dumps(floats)  # the sign of zero included
+            else:
+                assert json.dumps(walked[key]) == json.dumps(value), key  # NaN included
+    # the same outcome as decoding the whole document first
+    with mock.patch.object(serialize, "_walk", return_value=None):
+        decoded = _parsed(text)
+    assert _parsed(text) == decoded

@@ -2,10 +2,13 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from lueders import serialize
 from lueders.effects import build_effect_set, generate_commuting_resolution
 from lueders.errors import NotHermitian, ParseError, SpectrumAboveOne
 from lueders.serialize import (
@@ -281,3 +284,56 @@ def test_generated_file_parses_bit_exactly_through_the_fast_path():
     back = parse_effect_set(effect_set_to_json(es))
     for a, b in zip(back.matrices, es.matrices):
         assert a.tobytes() == b.tobytes()
+
+
+def _traced_peak(call, *args):
+    """The call's result and the peak bytes it allocated beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_and_writing_a_large_file_peak_at_a_small_multiple_of_its_text():
+    # Read one matrix at a time and written with one join, each peaks near 2.0x the text (3.1 MB here).
+    # Decoding the whole document first peaked at 3.6x, a second copy of the parsed stack in
+    # build_effect_set at 2.4x, and copying each fragment into a line at 4.0x.
+    text = effect_set_to_json(generate_commuting_resolution(64, 16, seed=4))
+    es, parse_peak = _traced_peak(parse_effect_set, text)
+    out, emit_peak = _traced_peak(effect_set_to_json, es)
+    assert out == text
+    assert parse_peak <= 2.25 * len(text), parse_peak / len(text)
+    assert emit_peak <= 2.25 * len(text), emit_peak / len(text)
+
+
+def _outcome(text):
+    try:
+        return [m.tobytes() for m in parse_effect_set(text).matrices]
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_documents_at_the_json_nesting_limit_parse_as_without_the_walk():
+    # The least depth json.loads refuses when called from here, which is where parse_effect_set calls it.
+    lo, hi = 1, 1 << 20
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            json.loads("[" * mid + "]" * mid)
+            lo = mid + 1
+        except RecursionError:
+            hi = mid
+    templates = [
+        '{"d": 1, "n": 1, "seed": %s, "effects": [[[[0.5, 0]]]]}',
+        '{"d": 1, "n": 1, "effects": [%s]}',
+        '{"d": 1, "n": 1, "effects": [[[[0.5, 0]]], %s]}',
+    ]
+    for depth in range(lo - 6, lo + 3):
+        for template in templates:
+            text = template % ("[" * depth + "]" * depth)
+            with mock.patch.object(serialize, "_walk", return_value=None):
+                decoded = _outcome(text)
+            assert _outcome(text) == decoded, (depth, template)
