@@ -80,9 +80,10 @@ def _validated(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each matrix gets the Hermitian check, then the spectrum rule (no eigenvalue below -PSD or above
     1 + PSD), all in one batched pass.
     """
+    asymmetric = mk._asymmetric(stack)  # first: its temporaries are freed before mat and u exist
     mat = _hermitian_part(stack)
     w, u = np.linalg.eigh(mat)
-    asymmetric, below, above = mk._asymmetric(stack), w[:, 0] < -tol.PSD, w[:, -1] > 1 + tol.PSD
+    below, above = w[:, 0] < -tol.PSD, w[:, -1] > 1 + tol.PSD
     bad = asymmetric | below | above
     if bad.any():
         i = int(bad.argmax())
@@ -147,8 +148,8 @@ def _max_commutator_norm(mats: list[np.ndarray]) -> float:
     1 + 1e-8 for rounding, on the `_scaled` C, whose C†C neither underflows
     nor overflows.  Pairs are visited by descending bound,
     and the visit stops once it cannot beat the best norm so far; a visited
-    pair gets its SVD only if the Schatten-8 bound ‖(C†C)²‖_F^¼ ≥ ‖C‖₂ of the
-    same scaled C, with the same margin, beats it too.  The commutators of one
+    pair goes to `matkernel._max_singular_value` with that best norm, which
+    SVDs it only if its Schatten-8 bound reaches it too.  The commutators of one
     effect with all later ones form one batch, so at most n - 1 are held at once.
     """
     if len(mats) < 2:
@@ -167,11 +168,7 @@ def _max_commutator_norm(mats: list[np.ndarray]) -> float:
         if bounds[k] <= best:
             break
         a, b = mats[first[k]], mats[second[k]]
-        c = a @ b - b @ a
-        scaled, e = mk._scaled(c)
-        gram = scaled.conj().T @ scaled
-        if np.ldexp(np.sqrt(np.sqrt(np.linalg.norm(gram @ gram))) * (1 + 1e-8), e) > best:
-            best = max(best, mk.operator_norm(c))
+        best = mk._max_singular_value((a @ b - b @ a)[None], best)
     return best
 
 
@@ -197,7 +194,7 @@ def build_effect_set(mats) -> EffectSet:
         raise DimensionMismatch(f"effects of dimension {next(k for k in d if k != d[0])} and {d[0]} in one set")
     mat, w, u = _validated(stack)
     f = mk.sum_terms(mat @ mat)
-    f_eigs = np.linalg.eigvalsh((f + f.conj().T) / 2)
+    f_eigs = np.linalg.eigvalsh(_hermitian_part(f))
     if f_eigs[-1] > 1 + tol.PSD:
         raise NotSubnormalized(f"sum of squares has eigenvalue {f_eigs[-1]:.6e} above 1")
 

@@ -6,9 +6,9 @@ tr(A†B), held and compared as d²×k column bases.  Dimensions stay small
 (d ≤ 64), so dense LAPACK routines via numpy are used throughout; a failure
 of one surfaces unwrapped as ``np.linalg.LinAlgError``.
 
-``nullspace`` costs one SVD, of the triangular QR factor when the matrix is
-tall (real for a real matrix), and the fixed-point space of a Lüders
-operation (in ``operation``) one real symmetric ``eigh`` of Φ in an
+``nullspace`` costs one SVD (real for a real matrix; the commutant folds its
+tall system into a square QR factor first), and the fixed-point space of a
+Lüders operation (in ``operation``) one real symmetric ``eigh`` of Φ in an
 orthonormal basis of the Hermitian matrices, which has the eigenvalues of
 the complex superoperator.  Both keep their kernel vectors by the same
 relative rule, ``_kernel_columns``, at ``tolerances.NULLSPACE``.  The
@@ -18,8 +18,9 @@ or count eigenvalues, against an absolute margin.
 A matrix argument is taken by `as_complex_matrix`, which also checks a d×d
 shape for the callers that need one.  `_scaled` is the one exact scaling by a
 power of two, up or down: the Hermitian check, the witness routes, the
-commutator maximum and the probe-image maximum decide on its output, so they
-hold at every scale of the input.
+commutator ordering and `_max_singular_value` (the one bounded σ_max of a
+stack, for commutators, a state's commuting check and the probe images)
+decide on its output, so they hold at every scale of the input.
 
 Vectorization is column-stacking: vec(AXB) = (Bᵀ ⊗ A) vec(X).
 """
@@ -109,6 +110,30 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _max_singular_value(stack: np.ndarray, best: float = 0.0) -> float:
+    """max(best, σ_max) over a stack of matrices A, with an SVD only for those that can beat both.
+
+    Each matrix is `_scaled` by its own power of two, so a nonzero one has
+    σ ≥ 0.5 and its bounds neither underflow nor overflow.  With M = A†A,
+    ‖M²‖_F^¼ ≥ σ_max (Schatten-8) and ‖Ax‖ / ‖x‖ = (x†Mx / x†x)^½ ≤ σ_max
+    (Rayleigh; x the largest column of M², and 0 for A = 0).  The bounds are
+    scaled back, which rounds monotonically, and only the matrices whose upper
+    bound, with margin 1e-8 for rounding, reaches both best (a caller's running
+    maximum) and the largest lower bound get an SVD, of their unscaled bits; the
+    batched SVD factors each matrix on its own, so this is bit for bit exact.
+    """
+    a, e = _scaled(stack)
+    m = a.conj().transpose(0, 2, 1) @ a
+    m2 = m @ m
+    cols = np.linalg.norm(m2, axis=1)
+    x = m2[np.arange(len(m2)), :, cols.argmax(axis=1), None]
+    ax, xn = np.linalg.norm(a @ x, axis=(1, 2)), cols.max(axis=1)
+    lower = np.ldexp(np.divide(ax, xn, out=np.zeros_like(ax), where=xn > 0), e)
+    upper = np.ldexp(np.sqrt(np.sqrt(np.linalg.norm(cols, axis=1))) * (1 + 1e-8), e)
+    keep = upper >= max(best, lower.max(initial=0.0) * (1 - 1e-8))
+    return float(np.linalg.svd(stack[keep], compute_uv=False).max(initial=best))
+
+
 def sum_terms(terms: Iterable[np.ndarray]) -> np.ndarray:
     """Left-to-right accumulation, shared by every path that sums operator lists.
 
@@ -160,11 +185,11 @@ def _kernel_columns(dist: np.ndarray, vectors: np.ndarray, scale: float | None =
 def nullspace(m, *, scale: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning the numerical kernel of M, real (and spanning the complex kernel) for a real M.
 
-    One SVD: a tall M is first reduced to its square triangular QR factor R,
-    which has the same right singular vectors, so no left singular vectors of
-    M are ever formed.  Right singular vectors whose singular value falls at
-    or below NULLSPACE·scale are kept, together with every direction beyond
-    the rank of a wide M; see `_kernel_columns` for the zero-matrix rule.
+    One SVD, whose right singular vectors are kept where their singular value
+    falls at or below NULLSPACE·scale, together with every direction beyond
+    the rank of a wide M; see `_kernel_columns` for the zero-matrix rule.  A
+    tall M gets the thin SVD; the commutant, the one caller in the package,
+    passes its square QR factor, which has the same right singular vectors.
 
     scale defaults to σ_max(M).  A caller that passes only some columns of a
     larger system passes that system's norm (or a bound on it): dropping
@@ -175,9 +200,7 @@ def nullspace(m, *, scale: float | None = None) -> np.ndarray:
     rows, cols = a.shape
     if a.size == 0:
         return np.eye(cols, dtype=a.dtype)
-    if rows > cols:
-        a = np.linalg.qr(a, mode="r")
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=rows <= cols)
     dist = np.zeros(cols)
     dist[: s.size] = s
     return _kernel_columns(dist, vh.conj().T, scale)

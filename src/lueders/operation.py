@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel as mk, tolerances as tol
-from .effects import EffectSet, Normalization, _validated
+from .effects import EffectSet, Normalization, _hermitian_part, _validated
 from .errors import VIOLATIONS, InvalidArgument, Undecided
 from .rng import philox_generator
 
@@ -283,7 +283,7 @@ def joint_eigenspaces(effect_set: EffectSet) -> tuple[JointBlock, ...]:
                 refined.append(v)
                 continue
             c = v.conj().T @ e @ v
-            w, wv = np.linalg.eigh((c + c.conj().T) / 2)
+            w, wv = np.linalg.eigh(_hermitian_part(c))
             # maximal runs of ascending eigenvalues with consecutive gaps at most CLUSTER
             refined += [v @ part for part in np.split(wv, np.flatnonzero(np.diff(w) > tol.CLUSTER) + 1, axis=1)]
         bases = refined
@@ -546,10 +546,9 @@ def channel_norm(effect_set: EffectSet, probes: int = 200, seed: int = 0) -> Cha
 
     The probes are one batched draw of shape (probes, 2, d, d) from the Philox
     stream of seed, bit-equal to drawing the real and imaginary part of each
-    probe one at a time.  Each probe is divided by its operator norm, and Φ and
-    the image norms are applied to the whole stack at once: an image gets an
-    SVD only if its bounds let it hold the maximum, which keeps that maximum
-    bit for bit (`_max_singular_value`).  A negative probe count or seed raises InvalidArgument.
+    probe one at a time.  Each probe is divided by its operator norm, Φ is applied to the
+    whole stack at once, and `matkernel._max_singular_value` takes the largest image norm
+    with an SVD only of the images that can hold it.  A negative probe count or seed raises InvalidArgument.
     """
     if probes < 0:
         raise InvalidArgument(f"probes must be >= 0, got {probes}")
@@ -560,31 +559,7 @@ def channel_norm(effect_set: EffectSet, probes: int = 200, seed: int = 0) -> Cha
     b = g[:, 0] + 1j * g[:, 1]
     b = b / np.linalg.svd(b, compute_uv=False)[:, :1, None]
     images = _phi(effect_set.matrices, b)
-    return ChannelNormCertificate(value, identity_norm, _max_singular_value(images), probes)
-
-
-def _max_singular_value(stack: np.ndarray) -> float:
-    """Largest singular value over a stack of matrices A, with an SVD only for those that can hold it.
-
-    Each matrix is `_scaled` by its own power of two, so a nonzero one has
-    σ ≥ 0.5 and its bounds neither underflow nor overflow.  With M = A†A,
-    ‖M²‖_F^¼ ≥ σ_max (Schatten-8) and ‖Ax‖ / ‖x‖ = (x†Mx / x†x)^½ ≤ σ_max
-    (Rayleigh; x the largest column of M², and 0 for A = 0).  The bounds are
-    scaled back, which rounds monotonically, and only the matrices whose upper
-    bound, with margin 1e-8 for rounding, reaches the largest lower bound get
-    an SVD, of their unscaled bits; the batched SVD factors each matrix on its
-    own, so this is the full-stack maximum bit for bit.
-    """
-    a, e = mk._scaled(stack)
-    m = a.conj().transpose(0, 2, 1) @ a
-    m2 = m @ m
-    cols = np.linalg.norm(m2, axis=1)
-    x = m2[np.arange(len(m2)), :, cols.argmax(axis=1), None]
-    ax, xn = np.linalg.norm(a @ x, axis=(1, 2)), cols.max(axis=1)
-    lower = np.ldexp(np.divide(ax, xn, out=np.zeros_like(ax), where=xn > 0), e)
-    upper = np.ldexp(np.sqrt(np.sqrt(np.linalg.norm(cols, axis=1))) * (1 + 1e-8), e)
-    keep = upper >= lower.max(initial=0.0) * (1 - 1e-8)
-    return float(np.linalg.svd(stack[keep], compute_uv=False).max(initial=0.0))
+    return ChannelNormCertificate(value, identity_norm, mk._max_singular_value(images), probes)
 
 
 @dataclass(frozen=True)
@@ -648,5 +623,6 @@ def is_undisturbed_state(effect_set: EffectSet, rho) -> tuple[bool, bool]:
     if abs(float(np.real(np.trace(mat))) - 1.0) > tol.COMMUTATOR:
         raise InvalidArgument(f"trace {np.real(np.trace(mat)):.12f} is not 1")
     is_fixed = float(np.linalg.norm(_phi(effect_set.matrices, mat) - mat)) <= tol.COMMUTATOR
-    commutes = all(mk.operator_norm(mat @ e - e @ mat) <= tol.COMMUTATOR for e in effect_set.matrices)
+    mats = np.array(effect_set.matrices)
+    commutes = mk._max_singular_value(mat @ mats - mats @ mat) <= tol.COMMUTATOR
     return is_fixed, commutes

@@ -383,8 +383,21 @@ def _counting_operator_norm(monkeypatch):
     return calls
 
 
+def _counting_svds(monkeypatch):
+    """Record each matrix that np.linalg.svd factors, one entry per matrix of a stack."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.extend(a if np.ndim(a) == 3 else [a])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 def test_exactly_commuting_effects_take_no_svd(monkeypatch):
-    calls = _counting_operator_norm(monkeypatch)
+    calls = _counting_svds(monkeypatch)
     es = build_effect_set([np.diag([0.5, 0.1, 0.2]), np.diag([0.3, 0.4, 0.5]), np.diag([0.0, 0.2, 0.1])])
     assert es.max_pairwise_commutator_norm == 0.0 and es.commuting
     assert calls == []
@@ -408,7 +421,7 @@ def test_commuting_set_at_d32_takes_few_svds(monkeypatch):
     # Every commutator is rounding dust, so many Schatten-4 bounds beat the best norm found so
     # far; the Schatten-8 bound of the same C lets only a few of them reach an SVD.
     es = generate_commuting_resolution(32, 32, seed=0)
-    calls = _counting_operator_norm(monkeypatch)
+    calls = _counting_svds(monkeypatch)
     norm = es.max_pairwise_commutator_norm
     monkeypatch.undo()
     assert es.commuting and 1 <= len(calls) <= 8
@@ -471,7 +484,7 @@ def test_max_commutator_norm_looks_past_the_largest_bound(monkeypatch):
     e1, e2 = (np.kron(np.diag([1.0, 1, 1, 1, 0]), m) for m in (p, q))
     e3, e4 = (np.block([[np.zeros((8, 8)), np.zeros((8, 2))], [np.zeros((2, 8)), m]]) for m in (r, s))
     es = build_effect_set([e1, e2, e3, e4])
-    calls = _counting_operator_norm(monkeypatch)
+    calls = _counting_svds(monkeypatch)
     norm = es.max_pairwise_commutator_norm  # classified on first read
     monkeypatch.undo()
     assert len(calls) == 2

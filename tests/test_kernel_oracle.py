@@ -1,6 +1,6 @@
 """The factorized kernels against a dense full-SVD / lstsq reference.
 
-`nullspace` takes one SVD of a QR-reduced matrix, `fixed_point_space` one
+`nullspace` takes one SVD, `fixed_point_space` one
 real symmetric ``eigh`` of Φ in an orthonormal basis of the Hermitian
 matrices (Φ(X)† = Φ(X†) for Hermitian effects, so that real d²×d² matrix has
 the eigenvalues of the complex superoperator S = Σ Eᵢᵀ⊗Eᵢ, and Fix(Φ) is the
@@ -841,15 +841,33 @@ def _stack(*scales):
     return np.array([c * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) for c in scales])
 
 
-@pytest.mark.parametrize(
+_STACKS = pytest.mark.parametrize(
     "stack",
     [_stack(0.0, 0.7), _stack(0.0, 0.0), _stack(1e-300, 1e-200), _stack(1e200, 1.0, 1e-200), _stack(1.0, 1.0 + 1e-15)],
     ids=["zero-beside-nonzero", "all-zero", "tiny", "huge", "near-tie"],
 )
+
+
+@_STACKS
 def test_max_singular_value_matches_the_full_stack_svd(stack):
     # A zero matrix's Rayleigh quotient is 0/0; it must not hide the others' lower bounds.
     want = float(np.linalg.svd(stack, compute_uv=False).max(initial=0.0))
-    assert operation._max_singular_value(stack) == want
+    assert mk._max_singular_value(stack) == want
+
+
+@pytest.mark.parametrize("where", ["below", "between", "above"])
+@_STACKS
+def test_max_singular_value_returns_the_larger_of_best_and_the_stack(stack, where, monkeypatch):
+    # best is a caller's running maximum; above every singular value (and bound) no matrix is factored.
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    want = float(sigma.max(initial=0.0))
+    best = {"below": sigma.min() / 2, "between": float(np.median(sigma)), "above": 2 * want or 1.0}[where]
+    factored, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: factored.append(len(a)) or svd(a, *args, **kw))
+    got = mk._max_singular_value(stack, best)
+    monkeypatch.undo()
+    assert got == max(best, want)
+    assert where != "above" or sum(factored) == 0
 
 
 @pytest.mark.parametrize(("generate", "bound"), [(generate_commuting_resolution, 50), (generate_noncommuting_resolution, 120)])
@@ -865,14 +883,14 @@ def test_pruned_image_maximum_takes_few_svds(generate, bound, monkeypatch):
 
 
 def test_c5_full_scale_matches_the_full_stack_svd(monkeypatch):
-    pruned, agree = operation._max_singular_value, []
+    pruned, agree = mk._max_singular_value, []
 
     def both(images):
         got = pruned(images)
         agree.append(got == float(np.linalg.svd(images, compute_uv=False).max(initial=0.0)))
         return got
 
-    monkeypatch.setattr(operation, "_max_singular_value", both)
+    monkeypatch.setattr(mk, "_max_singular_value", both)
     result = run_criterion("C5", FULL)
     assert result.passed and len(agree) == result.details["sets"] and all(agree)
 

@@ -592,6 +592,16 @@ def test_undisturbed_state_reads_its_tolerances():
     assert is_undisturbed_state(_pinching(), rho) == (True, True)
 
 
+@pytest.mark.parametrize(("share", "commutes"), [(1.01, False), (0.99, True)])
+def test_undisturbed_state_commutes_is_decided_by_the_last_effect(share, commutes):
+    # ρ commutes exactly with the first two effects; ‖[ρ, E₃]‖ = 0.4·t lies just off COMMUTATOR = 1e-9.
+    t = share * 1e-9 / 0.4
+    es = build_effect_set([0.5 * np.eye(2), np.diag([0.6, 0.2]), 0.3 * np.eye(2) + t * np.array([[0.0, 1.0], [1.0, 0.0]])])
+    rho = np.diag([0.7, 0.3])
+    assert [mk.operator_norm(rho @ e - e @ rho) > 0 for e in es.matrices] == [False, False, True]
+    assert is_undisturbed_state(es, rho)[1] is commutes
+
+
 def test_undisturbed_state_hermitian_check_is_relative():
     # ‖ρ - ρ†‖_F = 6e-11·√2 ≈ 8.5e-11 lies between HERMITIAN·‖ρ‖_F ≈ 7.1e-11 and
     # the absolute HERMITIAN = 1e-10: the effect rule rejects what a floor of 1 let through.
