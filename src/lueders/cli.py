@@ -32,7 +32,6 @@ from .effects import (
 )
 from .errors import VIOLATIONS, CommutesNoWitness, InvalidArgument, LuedersError
 from .operation import (
-    _commutant_frame,
     _verify_fixed_points,
     joint_eigenspaces,
     nagy_solve,
@@ -116,12 +115,11 @@ def _cmd_validate(args):
 
 def _cmd_analyze(args):
     es = serialize.load_effect_set(args.input)
-    frame = _commutant_frame(es)
     report = {
         **_classification(es),
         "channel_norm": mk.operator_norm(es.sum_of_squares),
-        "fixed_dim": _verify_fixed_points(es, frame).fixed_dim,
-        "commutant_dim": frame.dim,
+        "fixed_dim": _verify_fixed_points(es).fixed_dim,
+        "commutant_dim": es._frame.dim,
     }
     if es.commuting:
         report["joint_block_dims"] = [b.dim for b in joint_eigenspaces(es)]

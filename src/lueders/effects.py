@@ -115,7 +115,8 @@ class EffectSet:
     sum_of_squares_eigenvalues holds the ascending eigenvalues of the
     Hermitized F = Σ Eᵢ², from the subnormalization check.  The set commutes
     when every pairwise commutator norm is at most COMMUTATOR times the largest
-    effect norm, which is computed on first read and cached.
+    effect norm, which is computed on first read and cached; so is `_frame`,
+    the one commutant frame of `operation` that all its readers share.
     """
 
     effects: tuple[Effect, ...]
@@ -139,6 +140,11 @@ class EffectSet:
     @functools.cached_property
     def commuting(self) -> bool:
         return self.max_pairwise_commutator_norm <= tol.COMMUTATOR * max(float(e.eigenvalues[-1]) for e in self.effects)
+
+    @functools.cached_property
+    def _frame(self):
+        from .operation import _commutant_frame  # here: operation imports this module
+        return _commutant_frame(self)
 
 
 def _max_commutator_norm(mats: list[np.ndarray]) -> float:

@@ -58,7 +58,9 @@ class Undecided(LuedersError):
 
     It is within the residual bound or the rounding floor of 1, so the
     fixed-point count cannot be told from the target's dimension in floating
-    point, and no verdict is given.
+    point, and no verdict is given.  `joint_eigenspaces` raises it too, for a
+    set that commutes to within COMMUTATOR but whose commutant frame still
+    keeps a block on which the effects are not scalar.
     """
 
 

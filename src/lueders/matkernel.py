@@ -120,17 +120,21 @@ def _max_singular_value(stack: np.ndarray, best: float = 0.0) -> float:
     scaled back, which rounds monotonically, and only the matrices whose upper
     bound, with margin 1e-8 for rounding, reaches both best (a caller's running
     maximum) and the largest lower bound get an SVD, of their unscaled bits; the
-    batched SVD factors each matrix on its own, so this is bit for bit exact.
+    batched SVD factors each matrix on its own, so this is bit for bit exact.  A
+    stack of one skips the lower bound: its own is at most its upper bound, so
+    only best can prune it.
     """
     a, e = _scaled(stack)
     m = a.conj().transpose(0, 2, 1) @ a
     m2 = m @ m
     cols = np.linalg.norm(m2, axis=1)
-    x = m2[np.arange(len(m2)), :, cols.argmax(axis=1), None]
-    ax, xn = np.linalg.norm(a @ x, axis=(1, 2)), cols.max(axis=1)
-    lower = np.ldexp(np.divide(ax, xn, out=np.zeros_like(ax), where=xn > 0), e)
     upper = np.ldexp(np.sqrt(np.sqrt(np.linalg.norm(cols, axis=1))) * (1 + 1e-8), e)
-    keep = upper >= max(best, lower.max(initial=0.0) * (1 - 1e-8))
+    lower = 0.0
+    if len(stack) > 1:
+        x = m2[np.arange(len(m2)), :, cols.argmax(axis=1), None]
+        ax, xn = np.linalg.norm(a @ x, axis=(1, 2)), cols.max(axis=1)
+        lower = np.ldexp(np.divide(ax, xn, out=np.zeros_like(ax), where=xn > 0), e).max()
+    keep = upper >= max(best, lower * (1 - 1e-8))
     return float(np.linalg.svd(stack[keep], compute_uv=False).max(initial=best))
 
 

@@ -33,12 +33,13 @@ users and builds S as the dense `superoperator` reference.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matkernel as mk, tolerances as tol
-from .effects import EffectSet, Normalization, _hermitian_part, _validated
+from .effects import EffectSet, Normalization, _validated
 from .errors import VIOLATIONS, InvalidArgument, Undecided
 from .rng import philox_generator
 
@@ -150,12 +151,13 @@ def fixed_point_space(effect_set: EffectSet) -> mk.OperatorSubspace:
 
 @dataclass(frozen=True)
 class _Frame:
-    """The commutant in the eigenbasis u of H (see `commutant`), before any basis is written.
+    """The commutant in the eigenbasis u of H, split within its blocks (see `commutant`), before any basis is written.
 
-    ets stacks Ẽᵢ = u†Eᵢu, label is the H-block of each column of u, free the
+    ets stacks Ẽᵢ = u†Eᵢu, label is the block of each column of u, free the
     blocks whose matrix units join unsolved, lam the mean diagonal λᵢ,b of Ẽᵢ
-    on each block, and y spans the kernel in the real coordinates Y_pq (see
-    `_hermitian`) of the others.
+    on each block, scale the norm bound of the cut, and y, solved on first
+    read, spans the kernel in the real coordinates Y_pq (see `_hermitian`) of
+    the other blocks.
     """
 
     u: np.ndarray
@@ -163,7 +165,7 @@ class _Frame:
     label: np.ndarray
     free: np.ndarray
     lam: np.ndarray
-    y: np.ndarray
+    scale: float
 
     @property
     def dim(self) -> int:
@@ -173,35 +175,63 @@ class _Frame:
         """The d×d mask of the coordinates (p, q) that lie in one block where keep holds."""
         return (self.label[:, None] == self.label) & keep[self.label, None]
 
+    @functools.cached_property
+    def y(self) -> np.ndarray:
+        # unknown k is Y_pq, p = rows[k] and q = cols[k], q running fastest within a block
+        rows, cols = np.nonzero(self.on(~self.free))
+        k = np.arange(rows.size)
+        factor = np.zeros((0, k.size))
+        for et in self.ets if k.size else ():
+            # t[r, s, k] is coordinate Y_rs of i[Ẽ, X] for the X of unknown k, X = ((1 + i)E_pq + (1 - i)E_qp)/2
+            t = np.zeros(et.shape + (k.size,))
+            t[:, cols, k] = -et.imag[:, rows]
+            t[rows, :, k] += et.imag[cols, :]
+            t[:, rows, k] += et.real[:, cols]
+            t[cols, :, k] -= et.real[rows, :]
+            factor = np.linalg.qr(np.vstack([factor, t.reshape(-1, k.size)]), mode="r")
+        return mk.nullspace(factor, scale=self.scale)
+
+
+def _blocks(shifted, m: np.ndarray, u: np.ndarray, first: np.ndarray, scale: float):
+    """Ẽᵢ = u†Eᵢu, its centred Dᵢ, the block of each column of u, λᵢ,b and the free mask of the blocks that first opens."""
+    ets = np.array([u.conj().T @ e @ u for e in shifted])
+    starts, label = np.flatnonzero(first), np.cumsum(first) - 1
+    lam = np.add.reduceat(ets.diagonal(0, 1, 2), starts, axis=1) / np.bincount(label)
+    centred = ets - lam[:, label, None] * np.eye(len(u))
+    coupling = np.add.reduceat((np.abs(centred) ** 2).sum(axis=(0, 1)), starts)
+    free = (2.0 * np.sqrt(coupling) <= tol.NULLSPACE * scale) | (scale <= tol.NULLSPACE)
+    return ets + m[:, None, None] * np.eye(len(u)), centred, label, (lam + m[:, None]).real, free
+
 
 def _commutant_frame(effect_set: EffectSet) -> _Frame:
-    """The blocks, free blocks and solved kernel of `commutant`, with no basis written."""
-    d = effect_set.dim
-    mats = effect_set.matrices
-    c = philox_generator(0).standard_normal(len(mats))
-    h = mk.sum_terms(ci * e for ci, e in zip(c, mats))
-    w, u = np.linalg.eigh(h)
-    ets = np.array([u.conj().T @ e @ u for e in mats])
-    first = np.diff(w, prepend=-np.inf) > tol.ELEMENT_GAP * np.abs(w).max()  # column of u that opens a block
-    starts, label = np.flatnonzero(first), np.cumsum(first) - 1
-    scale = float(np.linalg.norm([e.eigenvalues[-1] - e.eigenvalues[0] for e in effect_set.effects]))
-    lam = np.add.reduceat(ets.diagonal(0, 1, 2), starts, axis=1) / np.bincount(label)
-    sq = np.abs(ets - lam[:, label, None] * np.eye(d)) ** 2
-    coupling = np.add.reduceat(sq.sum(axis=(0, 1)), starts)
-    free = (2.0 * np.sqrt(coupling) <= tol.NULLSPACE * scale) | (scale <= tol.NULLSPACE)
-    # unknown k is Y_pq, p = rows[k] and q = cols[k], q running fastest within a block
-    rows, cols = np.nonzero((label[:, None] == label) & ~free[label, None])
-    k = np.arange(rows.size)
-    factor = np.zeros((0, k.size))
-    for et in ets if k.size else ():
-        # t[r, s, k] is coordinate Y_rs of i[Ẽ, X] for the X of unknown k, X = ((1 + i)E_pq + (1 - i)E_qp)/2
-        t = np.zeros((d, d, k.size))
-        t[:, cols, k] = -et.imag[:, rows]
-        t[rows, :, k] += et.imag[cols, :]
-        t[:, rows, k] += et.real[:, cols]
-        t[cols, :, k] -= et.real[rows, :]
-        factor = np.linalg.qr(np.vstack([factor, t.reshape(d * d, k.size)]), mode="r")
-    return _Frame(u, ets, label, free, lam.real, mk.nullspace(factor, scale=scale))
+    """The blocks and free blocks of `commutant`, with no basis written; cached as `EffectSet._frame`."""
+    d, effects = effect_set.dim, effect_set.effects
+    scale = float(np.linalg.norm([e.eigenvalues[-1] - e.eigenvalues[0] for e in effects]))
+    for m in np.zeros(len(effects)), np.array([(e.eigenvalues[0] + e.eigenvalues[-1]) / 2 for e in effects]):
+        shifted = [e.matrix - mi * np.eye(d) for e, mi in zip(effects, m)]
+        c = philox_generator(0).standard_normal(len(effects))
+        w, u = np.linalg.eigh(mk.sum_terms(ci * e for ci, e in zip(c, shifted)))
+        first = np.diff(w, prepend=-np.inf) > tol.ELEMENT_GAP * np.abs(w + c @ m).max()  # column of u that opens a block
+        h_u, h_first, h_label, split = u.copy(), first.copy(), np.cumsum(first), True
+        while split:
+            ets, centred, label, lam, free = _blocks(shifted, m, u, first, scale)
+            split = False
+            for b in np.flatnonzero(~free & (np.bincount(label) > 1)):
+                p = np.flatnonzero(label == b)
+                comp = centred[:, p[:, None], p]
+                for g in comp[np.argsort(-np.linalg.norm(comp, axis=(1, 2)), kind="stable")]:  # the largest Dᵢ[b, b] first
+                    wb, vb = np.linalg.eigh(g)
+                    cut = np.diff(wb) > max(tol.ELEMENT_GAP * np.abs(wb).max(), tol.NULLSPACE * scale)
+                    if cut.any():
+                        first[p[1:]], u[:, p], split = cut, u[:, p] @ vb, True
+                        break
+        back = np.isin(h_label, h_label[~free[label]])  # the columns of each H-block with a part that is not free
+        if not (first != h_first)[back].any():
+            break
+    else:  # the shifted frame too keeps such a part: its H-blocks are solved whole
+        u[:, back], first[back] = h_u[:, back], h_first[back]
+        ets, centred, label, lam, free = _blocks(shifted, m, u, first, scale)
+    return _Frame(u, ets, label, free, lam, scale)
 
 
 def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
@@ -220,18 +250,28 @@ def commutant(effect_set: EffectSet) -> mk.OperatorSubspace:
     2·(Σᵢ ‖Dᵢ[:, b]‖²_F)^½ is at most the cut, where Dᵢ = Ẽᵢ - λᵢ,b·I,
     Ẽᵢ = u†Eᵢu and λᵢ,b is its mean diagonal entry on b.  Ẽᵢ is Hermitian to
     rounding, so ‖[Ẽᵢ, Y]‖_F = ‖DᵢY - YDᵢ‖_F ≤ 2‖Dᵢ[:, b]‖_F for every unit Y
-    on b, and its k_b² matrix units u·E_pq·u† join the basis unsolved.  The
+    on b, and its k_b² matrix units u·E_pq·u† join the basis unsolved.  A
+    block of order > 1 that is not free is split (Maehara & Murota, Japan J.
+    Indust. Appl. Math. 27, 2010) at the gaps of its largest compression
+    Dᵢ[b, b] whose neighbouring eigenvalues lie more than ELEMENT_GAP·‖Dᵢ[b, b]‖
+    and the cut apart: B[b, b] commutes with each Dᵢ[b, b], so nothing is
+    lost, and only eigenvalues the dense system tells apart are parted.  Ẽᵢ is
+    formed again until no block splits.  A split is kept where every part of
+    its H-block comes out free; elsewhere the frame is built again from the
+    Eᵢ - mᵢI (mᵢ the midpoint of the spectrum of Eᵢ), whose rounding scales
+    with the spread like the cut, and what still keeps a part that is not free
+    is solved whole.  The
     other blocks are solved for the K = Σ k_b² real coordinates Y_pq of
     `_hermitian_coordinates`: X ↦ i[Ẽᵢ, X] maps Herm(d) into itself and the
     commutant is closed under †, so the complex system has the same singular
     values.  Each effect's real d²×K block, the coordinates of i[Ẽᵢ, X], is
     folded at once into a running K×K QR factor (memory O(d²·K) whatever n
     is), one SVD of it in `matkernel.nullspace` gives the kernel, and each
-    vector maps back through B = uXu†, written once, free columns first; the
-    verifiers read the frame.  QR and SVD are independent of their Cholesky
-    and ``eigvalsh`` of Φ, so they never compare a computation with itself.
+    vector maps back through B = uXu†, written once, free columns first.  QR
+    and SVD are independent of their Cholesky and ``eigvalsh`` of Φ, so they
+    never compare a computation with itself.
     """
-    frame = _commutant_frame(effect_set)
+    frame = effect_set._frame
     d, u = effect_set.dim, frame.u
     rows, cols = np.nonzero(frame.on(frame.free))
     # x[j, i, m] is entry (i, j) of basis matrix m, so x.reshape(d², dim) has columns vec(·)
@@ -262,38 +302,30 @@ class JointBlock:
 
 
 def joint_eigenspaces(effect_set: EffectSet) -> tuple[JointBlock, ...]:
-    """Iteratively refine eigenspace clusters across all effects of a commuting set.
+    """The joint eigenspaces of a commuting set: the free blocks of its commutant frame.
 
-    Blocks are ordered lexicographically by their eigenvalue tuples (ascending
-    per effect), which makes the decomposition deterministic.  The commutant
-    is the direct sum of the full matrix algebras on the blocks, so
-    Σ dⱼ² over the block dimensions dⱼ equals dim {Eᵢ}′.  A non-commuting
-    set raises InvalidArgument.
+    A block's basis is its columns of u and its values are the λᵢ,b of
+    `_Frame`.  Blocks are ordered lexicographically by their eigenvalue tuples
+    (ascending per effect, values of one effect at most CLUSTER apart ranking
+    equal), which makes the decomposition deterministic.  The commutant is the
+    direct sum of the full matrix algebras on the blocks, so Σ dⱼ² over the
+    block dimensions dⱼ equals dim {Eᵢ}′.  A non-commuting set raises
+    InvalidArgument, and a commuting set whose frame keeps a block that is not
+    free raises Undecided.
     """
     if not effect_set.commuting:
         raise InvalidArgument(
             f"largest pairwise commutator norm {effect_set.max_pairwise_commutator_norm:.3e}"
         )
-    d = effect_set.dim
-    bases: list[np.ndarray] = [np.eye(d, dtype=complex)]
-    for e in effect_set.matrices:
-        refined: list[np.ndarray] = []
-        for v in bases:
-            if v.shape[1] == 1:  # a one-dimensional block cannot split
-                refined.append(v)
-                continue
-            c = v.conj().T @ e @ v
-            w, wv = np.linalg.eigh(_hermitian_part(c))
-            # maximal runs of ascending eigenvalues with consecutive gaps at most CLUSTER
-            refined += [v @ part for part in np.split(wv, np.flatnonzero(np.diff(w) > tol.CLUSTER) + 1, axis=1)]
-        bases = refined
-    blocks = []
-    for v in bases:
-        vals = np.array(
-            [float(np.real(np.trace(v.conj().T @ e @ v)) / v.shape[1]) for e in effect_set.matrices]
+    frame = effect_set._frame
+    if not frame.free.all():
+        raise Undecided(
+            f"the set commutes to within COMMUTATOR, but its frame keeps {np.count_nonzero(~frame.free)} coupled blocks"
         )
-        blocks.append(JointBlock(vals, v))
-    return tuple(blocks)
+    # rank of each value among its effect's values, those at most CLUSTER apart ranked equal
+    rank = [np.searchsorted(np.sort(x)[1:][np.diff(np.sort(x)) > tol.CLUSTER], x, side="right") for x in frame.lam]
+    order = np.lexsort(rank[::-1])
+    return tuple(JointBlock(v, frame.u[:, frame.label == b]) for b, v in zip(order, frame.lam.T[order]))
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +432,9 @@ def _certify(ets, on: np.ndarray, v: np.ndarray, tau: float) -> bool:
 
 
 def _certify_blocks(effect_set: EffectSet, frame: _Frame, on, v, tau: float, r: float) -> bool:
-    """Whether at most k = count(on) + v.shape[1] eigenvalues of R reach 1 - τ, proven on the H-block pairs of the frame.
+    """Whether at most k = count(on) + v.shape[1] eigenvalues of R reach 1 - τ, proven on the block pairs of the frame.
 
-    Bᵢ is the H-block diagonal of Ẽᵢ with each free block a replaced by λᵢ,ₐ·I, so Φ_B(X) = Σᵢ BᵢXBᵢ keeps the X
+    Bᵢ is the frame's block diagonal of Ẽᵢ with each free block a replaced by λᵢ,ₐ·I, so Φ_B(X) = Σᵢ BᵢXBᵢ keeps the X
     on each block pair {a, b}: R_B is block diagonal over the pairs.  As Φ̃ - Φ_B = Σᵢ (Ẽᵢ - Bᵢ)·Ẽᵢ + Bᵢ·(Ẽᵢ - Bᵢ)
     and ‖Bᵢ‖ ≤ ‖Ẽᵢ‖ = ‖Eᵢ‖ (pinching and a mean diagonal entry are contractions: R. Bhatia, Matrix Analysis,
     1997, ch. IV), ‖R̃ - R_B‖₂ ≤ δ = 2·Σᵢ‖Ẽᵢ - Bᵢ‖_F·‖Eᵢ‖, and by Weyl it suffices that at most k eigenvalues
@@ -452,7 +484,7 @@ def _target(effect_set: EffectSet, frame: _Frame) -> tuple[np.ndarray, np.ndarra
     return on, v
 
 
-def _verify_fixed_points(effect_set: EffectSet, frame: _Frame | None = None) -> TheoremReport:
+def _verify_fixed_points(effect_set: EffectSet) -> TheoremReport:
     """Decide Fix(Φ) = {X ∈ {Eᵢ}′ : (I - F)X = 0} (the commutant for a resolution) without an eigenvector.
 
     For X in the commutant Φ(X) = XF, so ‖(I - F)X‖_F = ‖Φ(X) - X‖_F; `_target` picks the basis Q.  By
@@ -468,7 +500,7 @@ def _verify_fixed_points(effect_set: EffectSet, frame: _Frame | None = None) -> 
     ρ_max ≤ CLUSTER and fixed_dim = k; if more than k pass, the next one cannot be told from 1:
     Undecided.  Residual and certificate share only the frame's Ẽᵢ, and the floor covers the rotation
     error of a ρ measured there (see `tolerances.SPECTRUM_FLOOR`); the fallback reads R under the given
-    Eᵢ.  `analyze` passes the frame whose dimension it reports.  With no eigenvalue of F within CLUSTER
+    Eᵢ.  `analyze` reports the dimension of the same cached frame.  With no eigenvalue of F within CLUSTER
     of 1 the target is empty, and ‖Φ‖ ≤ ‖F‖ < 1 - τ - r proves fixed_dim = 0 with no frame and no R.
     """
     d = effect_set.dim
@@ -478,7 +510,7 @@ def _verify_fixed_points(effect_set: EffectSet, frame: _Frame | None = None) -> 
     rotation = 4 * d * eps * sum(float(e.eigenvalues[-1]) ** 2 for e in effect_set.effects)
     if f_norm < 1.0 - max(tol.CLUSTER, floor + rotation):
         return TheoremReport(theorem, 0, 0, 0.0, True)
-    frame = frame or _commutant_frame(effect_set)
+    frame = effect_set._frame
     on, v = _target(effect_set, frame)
     k = int(np.count_nonzero(on)) + v.shape[1]
     rho, rho_max = _residual(frame.ets, on, v)

@@ -9,7 +9,9 @@ Effect-set file:   {"d": int, "n": int, ...optional metadata..., "effects": [mat
 Operator file:     {"d": int, "matrix": matrix}
 
 An effect-set file is read one matrix at a time, each element of "effects" an array before json's
-scanner reads the next, and written with one join of the header, matrix fragments and separators.
+scanner reads the next.  Its text is the header, the matrix fragments and the separators of one
+generator, `_effect_set_parts`: `effect_set_to_json` joins them, and `dump_effect_set` writes them
+to the file one at a time, so it never holds the whole text.
 """
 
 from __future__ import annotations
@@ -67,15 +69,20 @@ def matrix_to_lists(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def effect_set_to_json(es: EffectSet, meta: dict | None = None) -> str:
-    """Serialize an effect set; metadata keys (flavor, seed, unit_fraction) are optional."""
+def _effect_set_parts(es: EffectSet, meta: dict | None):
+    """The header, each matrix fragment and the separators of an effect-set file, in order."""
     meta = meta or {}
     head = "".join(f'  "{key}": {json.dumps(meta[key])},\n' for key in _META_KEYS if key in meta)
-    parts = [f'{{\n  "d": {es.dim},\n  "n": {es.n},\n{head}  "effects": [\n']
-    for e in es.matrices:
-        parts += ["    ", _matrix_fragment(e), ",\n"]
-    parts[-1] = "\n  ]\n}\n"
-    return "".join(parts)
+    yield f'{{\n  "d": {es.dim},\n  "n": {es.n},\n{head}  "effects": [\n'
+    for i, e in enumerate(es.matrices):
+        yield ",\n    " if i else "    "
+        yield _matrix_fragment(e)
+    yield "\n  ]\n}\n"
+
+
+def effect_set_to_json(es: EffectSet, meta: dict | None = None) -> str:
+    """Serialize an effect set; metadata keys (flavor, seed, unit_fraction) are optional."""
+    return "".join(_effect_set_parts(es, meta))
 
 
 def operator_to_json(m: np.ndarray) -> str:
@@ -272,11 +279,16 @@ def write_text_atomic(path, text: str) -> None:
     The file gets the mode a plain ``open`` would give a new file (0o666 less
     the umask), not the 0o600 of the temporary file.
     """
+    _write_parts_atomic(path, (text,))
+
+
+def _write_parts_atomic(path, parts) -> None:
+    """`write_text_atomic` of the concatenated parts, each written as the iterable yields it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         umask = os.umask(0)  # the only portable read of the umask sets it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -288,7 +300,7 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def dump_effect_set(path, es: EffectSet, meta: dict | None = None) -> None:
-    write_text_atomic(path, effect_set_to_json(es, meta))
+    _write_parts_atomic(path, _effect_set_parts(es, meta))
 
 
 def dump_operator(path, m: np.ndarray) -> None:

@@ -364,8 +364,11 @@ def _c8(scale: Scale) -> tuple[bool, dict]:
     sets = list(_resolution_pool(scale)) + [es for _, es in _subnormalized_pool(scale)]
     failures = 0
     for es in sets:
-        blocks = joint_eigenspaces(es)
-        if commutant(es).dim != sum(b.dim**2 for b in blocks):
+        # commutant and joint blocks share one frame, so the kernel of the dense stack of the
+        # Cᵢ = Eᵢᵀ⊗I - I⊗Eᵢ, by one SVD under `nullspace`'s rules, is the independent count
+        eye = np.eye(es.dim)
+        dense = mk.nullspace(np.vstack([np.kron(e.T, eye) - np.kron(eye, e) for e in es.matrices])).shape[1]
+        if not commutant(es).dim == sum(b.dim**2 for b in joint_eigenspaces(es)) == dense:
             failures += 1
     return failures == 0, {"sets": len(sets), "failures": failures}
 

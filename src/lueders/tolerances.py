@@ -46,10 +46,12 @@ CLUSTER = 1e-9
 # Eigenvalue gap of the random element H = Σ cᵢEᵢ, relative to ‖H‖, at or
 # below which `commutant` merges neighbouring eigenvalues into one block.
 # By Davis–Kahan, eigenvectors of blocks farther apart are accurate to about
-# ε‖H‖/gap ≈ 2e-13, far below the NULLSPACE cut.  Merging more blocks only
-# costs time, never correctness.  With CLUSTER (1e-9) here, eigenvalues
-# 3e-9..3e-6·‖H‖ apart stay in separate blocks although their eigenvectors
-# are accurate only to ε‖H‖/gap, and commutant elements are lost.
+# ε‖H‖/gap ≈ 2e-13, far below the NULLSPACE cut.  Merging more blocks costs
+# no correctness; a merged block that `commutant` cannot split into free parts
+# is solved with k² unknowns, in time and memory that grow like k⁴.  With
+# CLUSTER (1e-9) here, eigenvalues 3e-9..3e-6·‖H‖ apart stay in separate
+# blocks although their eigenvectors are accurate only to ε‖H‖/gap, and
+# commutant elements are lost.
 ELEMENT_GAP = 1e-3
 # Rounding floor of the eigenvalues of Φ, as the multiple c in
 # floor = c·N·ε·‖Φ‖, where N = d² is the order of the real symmetric matrix R

@@ -39,7 +39,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lueders import matkernel as mk, operation
+from lueders import matkernel as mk, operation, tolerances as tol
 from lueders.cli import main
 from lueders.effects import (
     Normalization,
@@ -526,6 +526,19 @@ def _dusty_scalar_block(t):
     return build_effect_set([e1, np.diag(np.sqrt(1.0 - v**2))])
 
 
+def _split_family(d, seed):
+    """Commuting resolution q·diag(cos θ)·q†, q·diag(sin θ)·q† on Cᵈ with three tuples H merges into one block.
+
+    The tuples lie on the unit circle, so a chord of angle η is η long.  The first two are 3e-12
+    apart, below the commutant cut (1.2e-10), and the third 1e-9 from them, above it:
+    the commutant keeps the pair as one block (dim 4) and the third apart.  A split of the merged
+    block may part the third from the pair, but not the pair, although its gap is more than
+    ELEMENT_GAP times the block's spread.  The other d - 3 tuples are 0.09 or more apart.
+    """
+    theta = np.concatenate([[0.2, 0.2 + 3e-12, 0.2 + 1e-9], 1.5 - 0.09 * np.arange(d - 3)])
+    return _in_basis(_unitary(d, seed), np.column_stack([np.cos(theta), np.sin(theta)]))
+
+
 def _degenerate_element_sets():
     """(name, set, commutant dimension) where H = Σ cᵢEᵢ has repeated eigenvalues."""
     yield "identity-d3", build_effect_set([np.eye(3)]), 9
@@ -548,6 +561,8 @@ def _degenerate_element_sets():
         yield f"coupled-scalar-k{k}", _coupled_scalar(k, seed=k), k * k
     for t, dim in ((1e-11, 148), (3e-11, 125)):
         yield f"dusty-scalar-block-t{t:g}", _dusty_scalar_block(t), dim
+    for d in (4, 8, 16):
+        yield f"split-d{d}", _split_family(d, seed=30 + d), d + 2
 
 
 DEGENERATE_ELEMENT_SETS = {name: (es, dim) for name, es, dim in _degenerate_element_sets()}
@@ -569,9 +584,10 @@ def test_commutant_matches_reference(name):
     distance = PROJECTOR_TOL
     if name in DEGENERATE_ELEMENT_SETS:
         assert want.shape[1] == DEGENERATE_ELEMENT_SETS[name][1]
-    if name.startswith("dusty"):
-        # The dust puts singular values within a decade of the cut, so either route fixes
-        # the kernel only to about ε·σ₁/σ, σ the smallest one dropped (Davis & Kahan).
+    if name.startswith(("dusty", "split")):
+        # The dust (or the split family's third tuple) puts singular values within two decades of
+        # the cut, so either route fixes the kernel only to about ε·σ₁/σ, σ the smallest one
+        # dropped (Davis & Kahan).
         s = np.linalg.svd(np.vstack(_commutator_blocks(es)), compute_uv=False)
         distance = max(PROJECTOR_TOL, 16 * np.finfo(float).eps * s[0] / s[-want.shape[1] - 1])
     got = commutant(es).vectors
@@ -843,8 +859,11 @@ def _stack(*scales):
 
 _STACKS = pytest.mark.parametrize(
     "stack",
-    [_stack(0.0, 0.7), _stack(0.0, 0.0), _stack(1e-300, 1e-200), _stack(1e200, 1.0, 1e-200), _stack(1.0, 1.0 + 1e-15)],
-    ids=["zero-beside-nonzero", "all-zero", "tiny", "huge", "near-tie"],
+    [
+        _stack(0.0, 0.7), _stack(0.0, 0.0), _stack(1e-300, 1e-200), _stack(1e200, 1.0, 1e-200),
+        _stack(1.0, 1.0 + 1e-15), _stack(0.7), _stack(0.0), _stack(1e-300), _stack(1e200),
+    ],
+    ids=["zero-beside-nonzero", "all-zero", "tiny", "huge", "near-tie", "one", "one-zero", "one-tiny", "one-huge"],
 )
 
 
@@ -1183,12 +1202,15 @@ def test_commuting_sets_take_the_block_pair_route(flavor, d, monkeypatch):
 
 
 def test_commuting_resolution_at_d64_factors_only_its_solved_blocks(monkeypatch):
-    # 60 free H-blocks and 2 non-free blocks of order 2: one group of their pairs (16 coordinates),
-    # with no d²×d² matrix.
+    # H merges two pairs of joint tuples into blocks of order 2 that are not free (62 H-blocks).  The
+    # split takes them apart: the frame has 64 free blocks of order 1, so the one group `_certify`
+    # gets is empty, and no d²×d² matrix is written.
     es = generate_commuting_resolution(64, 64, 3)
+    w = _element_eigenvalues(es)
+    assert np.count_nonzero(np.diff(w) > tol.ELEMENT_GAP * np.abs(w).max()) + 1 == 62
     frame = _commutant_frame(es)
-    assert sorted(np.bincount(frame.label)[~frame.free]) == [2, 2]
-    assert _certify_calls(es, monkeypatch) == [4]
+    assert frame.free.all() and np.bincount(frame.label).tolist() == [1] * 64
+    assert _certify_calls(es, monkeypatch) == [0]
 
 
 def _hand_frame(theta, radii, sizes, dust=0.0):
@@ -1209,7 +1231,9 @@ def _hand_frame(theta, radii, sizes, dust=0.0):
     diagonal = np.flatnonzero(np.eye(len(t), dtype=bool)[solved])
     y = np.zeros((np.count_nonzero(solved), diagonal.size))
     y[diagonal, np.arange(diagonal.size)] = 1.0
-    return es, operation._Frame(np.eye(len(t)), ets, label, free, lam, y)
+    frame = operation._Frame(np.eye(len(t)), ets, label, free, lam, 1.0)
+    frame.__dict__["y"] = y  # the kernel of this partition, in place of its solve
+    return es, frame
 
 
 @pytest.mark.parametrize(

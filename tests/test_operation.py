@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import asdict
 
@@ -12,7 +13,8 @@ from lueders.effects import (
     generate_commuting_subnormalized,
     generate_noncommuting_resolution,
 )
-from lueders.errors import DimensionMismatch, InvalidArgument
+from lueders.cli import main
+from lueders.errors import DimensionMismatch, InvalidArgument, Undecided
 from lueders.operation import (
     LuedersOperation,
     _certify,
@@ -28,6 +30,7 @@ from lueders.operation import (
     verify_subnormalized_fixed_points,
 )
 from lueders.rng import philox_generator
+from lueders.serialize import dump_effect_set
 
 
 def _pinching():
@@ -213,14 +216,24 @@ def test_joint_eigenspaces_act_as_scalars(seed):
     assert commutant(es).dim == sum(b.dim**2 for b in blocks)
 
 
-def test_joint_eigenspaces_take_no_eigh_of_a_one_dimensional_block(monkeypatch):
-    # The first effect splits C⁴ into blocks of order 1 and 3; only the block of order 3 is split again.
-    es = build_effect_set([np.diag([0.1, 0.5, 0.5, 0.5]), np.diag([0.9, 0.2, 0.4, 0.4])])
-    eigh, orders = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: orders.append(a.shape[-1]) or eigh(a))
+@pytest.mark.parametrize(
+    "tuples,orders,dims",
+    [
+        ([[0.1, 0.9], [0.5, 0.2], [0.5, 0.4], [0.5, 0.4]], [4], [1, 1, 2]),
+        ([[0.5, 0.3, 0.2], [0.5, 0.3, 0.20001], [0.1, 0.2, 0.3]], [3, 2], [1, 1, 1]),
+    ],
+    ids=["all-free", "merged-pair"],
+)
+def test_joint_eigenspaces_take_no_eigh_of_a_free_block(tuples, orders, dims, monkeypatch):
+    # The blocks are read off the frame: after the eigh of H, only a block that is not free gets an eigh.
+    # In the first set every block of H is free; in the second H merges two tuples 1e-5 apart (relative
+    # gap 3e-6), and that block of order 2 alone is split.
+    es = build_effect_set([np.diag(t) for t in np.array(tuples).T])
+    eigh, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.shape[-1]) or eigh(a))
     blocks = joint_eigenspaces(es)
-    assert orders == [4, 3]
-    assert [b.dim for b in blocks] == [1, 1, 2]
+    assert seen == orders
+    assert [b.dim for b in blocks] == dims
     for block in blocks:
         for e, lam in zip(es.matrices, block.values):
             assert np.abs(e @ block.basis - lam * block.basis).max() < 1e-12
@@ -229,6 +242,67 @@ def test_joint_eigenspaces_take_no_eigh_of_a_one_dimensional_block(monkeypatch):
 def test_joint_eigenspaces_reject_noncommuting():
     with pytest.raises(InvalidArgument):
         joint_eigenspaces(generate_noncommuting_resolution(3, 3, seed=1))
+
+
+def test_one_frame_per_set(tmp_path, capsys, monkeypatch):
+    # verify, commutant and joint_eigenspaces of one set read one frame; analyze builds one for the set it loads.
+    build, built = operation._commutant_frame, []
+    monkeypatch.setattr(operation, "_commutant_frame", lambda es: built.append(es) or build(es))
+    es = generate_commuting_resolution(6, 3, seed=9)
+    rep = verify_resolution_fixed_points(es)
+    blocks = joint_eigenspaces(es)
+    assert commutant(es).dim == sum(b.dim**2 for b in blocks) == rep.target_dim
+    assert built == [es]
+    path = tmp_path / "set.json"
+    dump_effect_set(path, es)
+    assert main(["analyze", str(path)]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert len(built) == 2 and body["commutant_dim"] == sum(k * k for k in body["joint_block_dims"]) == rep.target_dim
+
+
+def test_joint_eigenspaces_of_a_set_the_frame_still_couples_are_undecided(tmp_path, capsys, monkeypatch):
+    # The dusty scalar block at t = 3e-11 commutes to within COMMUTATOR, but its coupling lies above the
+    # commutant cut: the frame keeps two blocks that are not free.  joint_eigenspaces raises Undecided
+    # before any kernel is solved, and analyze exits 3 rather than report Σ dⱼ² = 148 beside a commutant of 125.
+    v = np.concatenate([np.full(12, 0.6), [0.62, 0.64, 0.66, 0.68]])
+    e1 = np.diag(v).astype(complex)
+    e1[0, 15] = e1[15, 0] = 3e-11
+    es = build_effect_set([e1, np.diag(np.sqrt(1.0 - v**2))])
+    qr, factored = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: factored.append(1) or qr(*a, **k))
+    with pytest.raises(Undecided):
+        joint_eigenspaces(es)
+    assert not factored
+    assert es.commuting and commutant(es).dim == 125
+    path = tmp_path / "set.json"
+    dump_effect_set(path, es)
+    assert main(["analyze", str(path)]) == 3
+    assert "Undecided" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d,spread", [(16, 1e-3), (16, 1e-4), (16, 3e-5), (64, 1e-4)])
+def test_joint_eigenspaces_of_a_near_scalar_commuting_set(d, spread, tmp_path, capsys, monkeypatch):
+    # E₁ = q·(0.5·I + spread·diag(x))·q†, E₂ = √(I - E₁²): H merges neighbouring tuples, spread/d apart,
+    # into blocks that are not free, and the split parts them into d free blocks.  With E₂ scaled by 0.9
+    # the set is strictly subnormalized, so verify decides and analyze prints both dimensions.
+    rng = np.random.default_rng(0)
+    a = 0.5 + spread * rng.random(d)
+    q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    e1, e2 = (q @ np.diag(x) @ q.conj().T for x in (a, np.sqrt(1.0 - a**2)))
+    es = build_effect_set([e1, e2])
+    eigh, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.shape[-1]) or eigh(a))
+    blocks = joint_eigenspaces(es)
+    assert seen[0] == d and len(seen) > 1  # the eigh of H, then the split's of each merged block
+    assert [b.dim for b in blocks] == [1] * d
+    for block in blocks:
+        for e, lam in zip(es.matrices, block.values):
+            assert np.abs(e @ block.basis - lam * block.basis).max() < 1e-12
+    path = tmp_path / "set.json"
+    dump_effect_set(path, build_effect_set([e1, 0.9 * e2]))
+    assert main(["analyze", str(path)]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["joint_block_dims"] == [1] * d and body["commutant_dim"] == d
 
 
 def test_verify_resolution_on_pinching():
